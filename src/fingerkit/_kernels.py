@@ -9,8 +9,7 @@ through three batch kernels:
 
 Each kernel exists twice: an ``@njit`` version and a vectorized numpy
 version.  The numba path is used when available; set ``FINGERKIT_NO_NUMBA=1``
-(before import) to force the numpy fallback.  ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+(before import) to force the numpy fallback.
 
 All kernels return ``(ok, theta)`` where ``ok`` is a boolean mask and
 ``theta`` holds NaN wherever the loop cannot close.  ``branch`` is +1 for
@@ -50,20 +49,27 @@ def _linear_coeffs_numpy(k1, k2, k3, phi, fixed_angle):
     return a, b, c
 
 
-def loop_solve_batch_numpy(k1, k2, k3, phi, fixed_angle, branch):
+def half_angle_roots_numpy(k1, k2, k3, phi, fixed_angle):
+    """``(ok, t_pos, t_neg)``: tan(theta_out / 2) of both quadratic branches.
+
+    Uses the same cancellation-safe root pairing as the scalar solver; where
+    the quadratic degenerates (alpha == 0) both entries hold the linear
+    limit -gamma/beta.  Both are NaN wherever the loop cannot close.
+    """
     phi = np.asarray(phi, dtype=np.float64)
     a_lin, b_lin, c_lin = _linear_coeffs_numpy(k1, k2, k3, phi, fixed_angle)
     alpha = c_lin - a_lin
     beta = 2.0 * b_lin
     gamma = c_lin + a_lin
 
-    theta = np.full(phi.shape, np.nan)
+    t_pos = np.full(phi.shape, np.nan)
+    t_neg = np.full(phi.shape, np.nan)
     ok = np.zeros(phi.shape, dtype=bool)
 
     linear = alpha == 0.0
     lin_ok = linear & (beta != 0.0)
     if lin_ok.any():
-        theta[lin_ok] = 2.0 * np.arctan(-gamma[lin_ok] / beta[lin_ok])
+        t_pos[lin_ok] = t_neg[lin_ok] = -gamma[lin_ok] / beta[lin_ok]
         ok[lin_ok] = True
 
     disc = beta * beta - 4.0 * alpha * gamma
@@ -75,37 +81,60 @@ def loop_solve_batch_numpy(k1, k2, k3, phi, fixed_angle, branch):
         sq = np.sqrt(disc[quad_ok])
         q = np.where(b >= 0.0, -0.5 * (b + sq), -0.5 * (b - sq))
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_pos = np.where(b >= 0.0, g / q, q / a)
-            t_neg = np.where(b >= 0.0, q / a, g / q)
+            pos = np.where(b >= 0.0, g / q, q / a)
+            neg = np.where(b >= 0.0, q / a, g / q)
         # q == 0 only when beta == 0 and disc == 0: double root at zero
         zero_q = q == 0.0
-        t_pos[zero_q] = 0.0
-        t_neg[zero_q] = 0.0
-        theta[quad_ok] = 2.0 * np.arctan(t_pos if branch > 0 else t_neg)
+        pos[zero_q] = 0.0
+        neg[zero_q] = 0.0
+        t_pos[quad_ok] = pos
+        t_neg[quad_ok] = neg
         ok[quad_ok] = True
-    return ok, theta
+    return ok, t_pos, t_neg
 
 
-def _wrap_array(angles):
-    wrapped = np.mod(angles + math.pi, _TWO_PI)
-    wrapped[wrapped <= 0.0] += _TWO_PI
-    return wrapped - math.pi
+def loop_solve_batch_numpy(k1, k2, k3, phi, fixed_angle, branch):
+    ok, t_pos, t_neg = half_angle_roots_numpy(k1, k2, k3, phi, fixed_angle)
+    return ok, 2.0 * np.arctan(t_pos if branch > 0 else t_neg)
+
+
+def _wrap_numpy(angles):
+    """Elementwise ``_wrap_scalar``: the same fmod, so the same floats."""
+    wrapped = np.fmod(angles + math.pi, _TWO_PI)
+    return np.where(wrapped <= 0.0, wrapped + _TWO_PI, wrapped) - math.pi
 
 
 def loop_sweep_continuity_numpy(k1, k2, k3, phi, fixed_angle, seed):
-    okp, theta_pos = loop_solve_batch_numpy(k1, k2, k3, phi, fixed_angle, 1)
-    _, theta_neg = loop_solve_batch_numpy(k1, k2, k3, phi, fixed_angle, -1)
-    n = theta_pos.shape[0]
-    out = np.full(n, np.nan)
-    prev = seed
-    for i in range(n):
-        if not okp[i]:
-            continue
-        d_pos = abs(_wrap_scalar(theta_pos[i] - prev))
-        d_neg = abs(_wrap_scalar(theta_neg[i] - prev))
-        out[i] = theta_pos[i] if d_pos <= d_neg else theta_neg[i]
-        prev = out[i]
-    return okp.copy(), out
+    """Nearest-branch sweep, vectorized.
+
+    The sequential rule picks, at each closing sample, the root nearer the
+    previous pick (the positive one on a tie); samples that cannot close
+    are skipped.  Whether the positive root is picked depends only on which
+    branch was picked before, so each step is one of four maps of that
+    choice: always positive, always negative (both constants), keep, or
+    flip.  The choice at a sample is the last constant before it, flipped
+    once per flip step since.  Only already computed roots are selected,
+    so the result is the sequential loop's, bit for bit.
+    """
+    ok, t_pos, t_neg = half_angle_roots_numpy(k1, k2, k3, phi, fixed_angle)
+    pos = 2.0 * np.arctan(t_pos[ok])
+    neg = 2.0 * np.arctan(t_neg[ok])
+
+    def pos_nearer(prev):
+        return np.abs(_wrap_numpy(pos - prev)) <= np.abs(_wrap_numpy(neg - prev))
+
+    # the pick at each closing sample, given the pick before it; the first
+    # one follows the seed either way
+    after_pos = pos_nearer(np.concatenate(([seed], pos[:-1])))
+    after_neg = pos_nearer(np.concatenate(([seed], neg[:-1])))
+    constant = after_pos == after_neg
+    flips = np.cumsum(after_neg & ~constant)
+    last = np.maximum.accumulate(np.where(constant, np.arange(pos.size), 0))
+    take_pos = after_pos[last] ^ ((flips - flips[last]) % 2 == 1)
+
+    theta = np.full(ok.shape, np.nan)
+    theta[ok] = np.where(take_pos, pos, neg)
+    return ok, theta
 
 
 def _wrap_scalar(angle):
@@ -113,6 +142,17 @@ def _wrap_scalar(angle):
     if wrapped <= 0.0:
         wrapped += _TWO_PI
     return wrapped - math.pi
+
+
+def libm(fn, *arrays):
+    """``fn``, a scalar :mod:`math` function, applied elementwise.
+
+    numpy's vectorized atan, atan2 and hypot may differ from libm in the
+    last ulp.  Batch paths that must reproduce the scalar API's floats bit
+    for bit apply those functions through here.
+    """
+    return np.fromiter(map(fn, *(np.asarray(a).tolist() for a in arrays)),
+                       np.float64, count=len(arrays[0]))
 
 
 def _residual_numpy(k1, k2, k3, phi, x, fixed_angle):

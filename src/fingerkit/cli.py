@@ -14,6 +14,8 @@ Exit codes: 0 success, 1 domain error (no closure, rule violation, ...),
 2 configuration or I/O error.  All angles are degrees at this boundary;
 emitted files are deterministic functions of the config (a content hash is
 embedded, never a timestamp), and CSV numbers carry 9 significant digits.
+The emitting commands stay columnar from the solver to the file: tables
+are float arrays, formatted a row block at a time and streamed to disk.
 """
 
 from __future__ import annotations
@@ -37,25 +39,22 @@ from .finger import (
     ForceContext,
     GraspReport,
     TendonModel,
+    force_profile,
     grasp_assess,
-    static_tip_force,
-    tendon_excursion,
     tip_trace,
-    tip_velocity,
     workspace,
 )
 from .linkage import (
     compute_mobility,
     count_loops,
     loop_coefficients,
-    solve_chain,
     sweep_chain,
     NUM_JOINTS,
     NUM_LINKS,
 )
 from .registry import ReferenceRegistry, default_registry, registry_verify
 from .safety import clearance_check, iso_contact_check, stroke_check
-from .svgplot import Series, render_svg
+from .svgplot import Series, format_rows, render_svg
 
 
 @dataclass
@@ -74,26 +73,71 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _deg(value: float) -> float:
-    return math.degrees(value)
-
-
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
 
 
-def _csv(header: list[str], rows: list[list[float]], sha256: str) -> str:
-    lines = [f"# config_sha256={sha256}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], table: np.ndarray, sha256: str):
+    """CSV chunks, numbers as ``f"{x:.9g}"``."""
+    yield f"# config_sha256={sha256}\n" + ",".join(header) + "\n"
+    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    yield from format_rows(table, row, "")
 
 
 def _json_doc(payload: dict, sha256: str) -> str:
     doc = {"config_sha256": sha256}
     doc.update(payload)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _json_table(header: list[str], table: np.ndarray, sha256: str, extra: dict):
+    """JSON chunks, the same text as ``_json_doc`` with the rows as lists.
+
+    ``%r`` of a finite float is its JSON number, and the row layout is the
+    one ``json.dumps(indent=2)`` gives a list of lists at depth 1.
+    """
+    doc = _json_doc({"columns": header, "rows": [], **extra}, sha256)
+    if not len(table):
+        yield doc
+        return
+    before, after = doc.split('"rows": []', 1)
+    yield before + '"rows": [\n'
+    row = "    [\n" + ",\n".join(["      %r"] * table.shape[1]) + "\n    ]"
+    for i, text in enumerate(format_rows(table, row, ",\n")):
+        yield (",\n" if i else "") + text
+    yield "\n  ]" + after
+
+
+def _write_table(out: Path, stem: str, fmt: str, header: list[str],
+                 table: np.ndarray, sha256: str, **extra) -> None:
+    """``<stem>.json`` (with ``extra`` fields) for the json format, else
+    ``<stem>.csv``."""
+    if not np.isfinite(table).all():
+        raise FingerkitError(f"{stem} has non-finite values; nothing written")
+    if fmt == "json":
+        _write(out / f"{stem}.json", _json_table(header, table, sha256, extra))
+    else:
+        _write(out / f"{stem}.csv", _csv(header, table, sha256))
+
+
+def _table(rows: np.ndarray, angle_columns: int) -> np.ndarray:
+    """Structured float rows as a 2-D table, the leading angles in degrees."""
+    table = rows.view(np.float64).reshape(len(rows), -1).copy()
+    table[:, :angle_columns] = np.degrees(table[:, :angle_columns])
+    return table
+
+
+def _require_finite(value: float, flag: str, minimum: float | None = None,
+                    strict: bool = True) -> float:
+    """CLI boundary check: a finite number, optionally bounded below."""
+    if math.isfinite(value) and (
+        minimum is None or value > minimum or (not strict and value == minimum)
+    ):
+        return value
+    bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum:g}"
+    raise ConfigError(f"{flag} must be a finite number{bound}, got {value!r}")
 
 
 def _theta1_grid(cfg: FingerConfig, samples: int) -> np.ndarray:
@@ -124,8 +168,13 @@ def _cmd_analyze(cfg: FingerConfig, run: RunConfig) -> int:
             f"kappa3={_fmt(c.kappa3)}"
         )
     lo, hi = cfg.geometry.theta1_range
-    print(f"theta1 range: [{_fmt(_deg(lo))}, {_fmt(_deg(hi))}] deg")
+    print(f"theta1 range: [{_fmt(math.degrees(lo))}, {_fmt(math.degrees(hi))}] deg")
     return 0
+
+
+_TIP_HEADER = [
+    "theta1_deg", "psi_deg", "tip_x_mm", "tip_y_mm", "grip_x_mm", "grip_y_mm",
+]
 
 
 def _cmd_sweep(cfg: FingerConfig, run: RunConfig) -> int:
@@ -134,59 +183,37 @@ def _cmd_sweep(cfg: FingerConfig, run: RunConfig) -> int:
     if run.output_dir is None:
         raise ConfigError("sweep requires --out")
     finger = cfg.require_finger()
-    psi = math.radians(run.extra.get("psi_deg", 0.0))
-    grid = _theta1_grid(cfg, run.samples)
-    sweep = sweep_chain(cfg.geometry, grid)
-    trace = tip_trace(cfg.geometry, finger, grid, psi)
-
+    psi = math.radians(_require_finite(run.extra.get("psi_deg", 0.0), "--psi-deg"))
+    sweep = sweep_chain(cfg.geometry, _theta1_grid(cfg, run.samples))
     angle_header = [
         "theta1_deg", "theta2_deg", "theta3_deg", "theta5_deg",
         "theta6_deg", "theta7_deg", "mcp_deg", "pip_deg", "dip_deg",
     ]
-    angle_rows = [
-        [
-            _deg(sweep.theta1[i]), _deg(sweep.theta2[i]), _deg(sweep.theta3[i]),
-            _deg(sweep.theta5[i]), _deg(sweep.theta6[i]), _deg(sweep.theta7[i]),
-            _deg(sweep.theta_mcp[i]), _deg(sweep.theta_pip[i]),
-            _deg(sweep.theta_dip[i]),
-        ]
-        for i in range(grid.size)
-    ]
-    trace_header = [
-        "theta1_deg", "psi_deg", "tip_x_mm", "tip_y_mm", "grip_x_mm", "grip_y_mm",
-    ]
-    trace_rows = [
-        [_deg(s.theta1), _deg(s.psi), s.tip_x, s.tip_y, s.grip_x, s.grip_y]
-        for s in trace
-    ]
+    angles = np.degrees(np.column_stack([
+        sweep.theta1, sweep.theta2, sweep.theta3, sweep.theta5, sweep.theta6,
+        sweep.theta7, sweep.theta_mcp, sweep.theta_pip, sweep.theta_dip,
+    ]))
+    trace = _table(tip_trace(finger, sweep, psi), 2)
 
     out = run.output_dir
-    if run.format == "json":
-        _write(out / "joint_angles.json", _json_doc(
-            {"columns": angle_header, "rows": angle_rows}, cfg.sha256))
-        _write(out / "tip_trace.json", _json_doc(
-            {"columns": trace_header, "rows": trace_rows}, cfg.sha256))
-        return 0
-    _write(out / "joint_angles.csv", _csv(angle_header, angle_rows, cfg.sha256))
-    _write(out / "tip_trace.csv", _csv(trace_header, trace_rows, cfg.sha256))
+    _write_table(out, "joint_angles", run.format, angle_header, angles, cfg.sha256)
+    _write_table(out, "tip_trace", run.format, _TIP_HEADER, trace, cfg.sha256)
     if run.format == "svg":
-        t1_deg = [_deg(x) for x in sweep.theta1]
-        _write(out / "joint_angles.svg", render_svg(
+        _write(out / "joint_angles.svg", [render_svg(
             [
-                Series("theta2", t1_deg, [_deg(x) for x in sweep.theta2]),
-                Series("theta6", t1_deg, [_deg(x) for x in sweep.theta6]),
+                Series("theta2", angles[:, 0], angles[:, 1]),
+                Series("theta6", angles[:, 0], angles[:, 4]),
             ],
             x_label="theta1 (deg)",
             y_label="dependent angle (deg)",
             title="Joint angles vs input",
-        ))
-        _write(out / "tip_trace.svg", render_svg(
-            [Series("fingertip", [s.tip_x for s in trace],
-                    [s.tip_y for s in trace])],
+        )])
+        _write(out / "tip_trace.svg", [render_svg(
+            [Series("fingertip", trace[:, 2], trace[:, 3])],
             x_label="x (mm)",
             y_label="y (mm)",
             title="Fingertip trace",
-        ))
+        )])
     return 0
 
 
@@ -199,44 +226,31 @@ def _cmd_workspace(cfg: FingerConfig, run: RunConfig) -> int:
     finger = cfg.require_finger()
     thumb = cfg.require_thumb_line()
     result = workspace(cfg.geometry, finger, run.samples, psi_samples, thumb)
+    table = _table(result.points, 2)
 
-    header = [
-        "theta1_deg", "psi_deg", "tip_x_mm", "tip_y_mm", "grip_x_mm", "grip_y_mm",
-    ]
-    rows = [
-        [_deg(s.theta1), _deg(s.psi), s.tip_x, s.tip_y, s.grip_x, s.grip_y]
-        for s in result.samples
-    ]
     out = run.output_dir
     metrics = {
         "max_opening_mm": result.max_opening_mm,
         "theta1_samples": run.samples,
         "psi_samples": psi_samples,
     }
-    if run.format == "json":
-        _write(out / "workspace.json", _json_doc(
-            {"columns": header, "rows": rows}, cfg.sha256))
-    else:
-        _write(out / "workspace.csv", _csv(header, rows, cfg.sha256))
-    _write(out / "workspace_metrics.json", _json_doc(metrics, cfg.sha256))
+    _write_table(out, "workspace", run.format, _TIP_HEADER, table, cfg.sha256)
+    _write(out / "workspace_metrics.json", [_json_doc(metrics, cfg.sha256)])
     if run.format == "svg":
-        series = []
-        for j in range(psi_samples):
-            pts = result.samples[j::psi_samples]
-            psi_deg = _deg(pts[0].psi)
-            series.append(Series(
-                f"psi {psi_deg:.0f} deg",
-                [s.grip_x for s in pts],
-                [s.grip_y for s in pts],
-            ))
+        # one series per orientation: rows are theta1-major, psi-minor
+        by_psi = table.reshape(run.samples, psi_samples, table.shape[1])
+        series = [
+            Series(f"psi {by_psi[0, j, 1]:.0f} deg", by_psi[:, j, 4], by_psi[:, j, 5])
+            for j in range(psi_samples)
+        ]
         # legend stays readable with at most 6 labelled orientations
         if len(series) > 6:
             step = (len(series) - 1) / 5.0
             series = [series[round(i * step)] for i in range(6)]
-        _write(out / "workspace.svg", render_svg(
+        _write(out / "workspace.svg", [render_svg(
             series, x_label="x (mm)", y_label="y (mm)",
             title="Fingertip workspace",
-        ))
+        )])
     return 0
 
 
@@ -250,35 +264,24 @@ def _cmd_force(cfg: FingerConfig, run: RunConfig) -> int:
     tension = run.extra.get("tension_n")
     if tension is None:
         tension = tendon.max_tension
-    grid = _theta1_grid(cfg, run.samples)
+    profile = force_profile(
+        tendon, cfg.geometry, finger, _theta1_grid(cfg, run.samples), tension)
+    table = _table(profile, 1)
 
     header = [
         "theta1_deg", "excursion_mm", "dexcursion_mm_per_rad",
         "tip_speed_mm_per_rad", "force_n",
     ]
-    rows = []
-    for theta1 in grid:
-        state = solve_chain(cfg.geometry, float(theta1))
-        excursion, d_exc = tendon_excursion(tendon, cfg.geometry, state)
-        vx, vy = tip_velocity(cfg.geometry, finger, state)
-        force = static_tip_force(tendon, cfg.geometry, finger, float(theta1), tension)
-        rows.append([_deg(theta1), excursion, d_exc, math.hypot(vx, vy), force])
-
     out = run.output_dir
-    if run.format == "json":
-        _write(out / "force_profile.json", _json_doc(
-            {"columns": header, "rows": rows, "tendon": tendon.kind,
-             "tension_n": tension}, cfg.sha256))
-        return 0
-    _write(out / "force_profile.csv", _csv(header, rows, cfg.sha256))
+    _write_table(out, "force_profile", run.format, header, table, cfg.sha256,
+                 tendon=tendon.kind, tension_n=tension)
     if run.format == "svg":
-        _write(out / "force_profile.svg", render_svg(
-            [Series(f"{tendon.kind} tendon", [r[0] for r in rows],
-                    [r[4] for r in rows])],
+        _write(out / "force_profile.svg", [render_svg(
+            [Series(f"{tendon.kind} tendon", table[:, 0], table[:, 4])],
             x_label="theta1 (deg)",
             y_label="tip force (N)",
             title="Static tip force",
-        ))
+        )])
     return 0
 
 
@@ -309,11 +312,11 @@ def _cmd_grasp(cfg: FingerConfig, run: RunConfig) -> int:
         theta1=theta1, tension=tension,
     )
     diameter = run.extra.get("diameter_mm")
-    thickness = run.extra.get("thickness_mm")
     obj = (
-        CylinderObject(diameter_mm=diameter)
+        CylinderObject(diameter_mm=_require_finite(diameter, "--diameter-mm", 0.0))
         if diameter is not None
-        else FlatObject(thickness_mm=thickness)
+        else FlatObject(thickness_mm=_require_finite(
+            run.extra.get("thickness_mm"), "--thickness-mm", 0.0))
     )
     report = grasp_assess(obj, default_registry(), context)
     print(json.dumps(_report_dict(report), indent=2, sort_keys=True))
@@ -325,6 +328,8 @@ def _cmd_safety(cfg: FingerConfig, run: RunConfig) -> int:
     force = run.extra.get("force_n")
     if force is None:
         force = registry.value("pinch_force_max_n")
+    else:
+        _require_finite(force, "--force-n", 0.0, strict=False)
     iso = iso_contact_check(force, "thigh_knee", registry)
     clearance = clearance_check(
         registry.value("toilet_width_mm"),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import DegenerateGeometryError, OutOfRangeError
 from .linkage import (
     ChainSweep,
@@ -21,6 +22,7 @@ from .linkage import (
     LinkageGeometry,
     chain_derivatives,
     solve_chain,
+    solve_chain_batch,
     sweep_chain,
 )
 from .registry import ReferenceRegistry
@@ -30,6 +32,20 @@ DOUBLE = "double"
 
 # tip Jacobians below this magnitude (mm/rad) count as singular
 _TIP_SPEED_MIN = 1e-9
+
+
+def _float_rows(*names: str) -> np.dtype:
+    return np.dtype([(name, np.float64) for name in names])
+
+
+# One fingertip location per row: planar finger-plane point plus its
+# psi-rotated image in the gripper frame (angles in rad, lengths in mm).
+TIP_DTYPE = _float_rows("theta1", "psi", "tip_x", "tip_y", "grip_x", "grip_y")
+# One static-force sample per row: input angle (rad), tendon excursion (mm)
+# and its derivative (mm/rad), tip speed (mm/rad), tip force (N).
+FORCE_DTYPE = _float_rows(
+    "theta1", "excursion", "d_excursion", "tip_speed", "force"
+)
 
 
 @dataclass(frozen=True)
@@ -110,21 +126,8 @@ class TendonModel:
 
 
 @dataclass(frozen=True)
-class TipSample:
-    """One fingertip location: planar finger-plane point plus its
-    psi-rotated image in the gripper frame."""
-
-    theta1: float
-    psi: float
-    tip_x: float
-    tip_y: float
-    grip_x: float
-    grip_y: float
-
-
-@dataclass(frozen=True)
 class WorkspaceResult:
-    samples: list[TipSample]
+    points: np.ndarray  # TIP_DTYPE rows, theta1-major then psi
     max_opening_mm: float
 
 
@@ -165,74 +168,51 @@ class ForceContext:
     tension: float
 
 
-def _planar_tip(finger: FingerGeometry, state: JointState) -> tuple[float, float]:
+def _planar_tip(finger: FingerGeometry, state):
+    """Finger-plane fingertip of a JointState (floats) or ChainSweep (arrays)."""
     p1, p2, p3 = finger.phalanx_lengths
     a1 = state.theta_mcp
     a2 = a1 + state.theta_pip
     a3 = a2 + state.theta_dip
-    x = finger.base_offset[0] + p1 * math.cos(a1) + p2 * math.cos(a2) + p3 * math.cos(a3)
-    y = finger.base_offset[1] + p1 * math.sin(a1) + p2 * math.sin(a2) + p3 * math.sin(a3)
-    return x, y
-
-
-def tip_position(finger: FingerGeometry, state: JointState, psi: float) -> TipSample:
-    """Fingertip of a solved configuration.
-
-    The planar point accumulates the three phalanx vectors at cumulative
-    anatomical angles; the gripper-frame point is that planar point
-    rotated by psi about the orientation axis.
-    """
-    x, y = _planar_tip(finger, state)
-    c, s = math.cos(psi), math.sin(psi)
-    return TipSample(
-        theta1=state.theta1,
-        psi=psi,
-        tip_x=x,
-        tip_y=y,
-        grip_x=c * x - s * y,
-        grip_y=s * x + c * y,
-    )
-
-
-def _sweep_tips(
-    finger: FingerGeometry, sweep: ChainSweep
-) -> tuple[np.ndarray, np.ndarray]:
-    p1, p2, p3 = finger.phalanx_lengths
-    a1 = sweep.theta_mcp
-    a2 = a1 + sweep.theta_pip
-    a3 = a2 + sweep.theta_dip
     x = finger.base_offset[0] + p1 * np.cos(a1) + p2 * np.cos(a2) + p3 * np.cos(a3)
     y = finger.base_offset[1] + p1 * np.sin(a1) + p2 * np.sin(a2) + p3 * np.sin(a3)
     return x, y
 
 
-def tip_trace(
-    geometry: LinkageGeometry,
-    finger: FingerGeometry,
-    theta1_values: np.ndarray,
-    psi: float,
-) -> list[TipSample]:
-    """Ordered fingertip trace over a monotone input sweep at fixed psi.
+def _tip_rows(finger: FingerGeometry, state, psi) -> np.ndarray:
+    """TIP_DTYPE rows for every (sample, psi) pair, sample-major.
 
-    Solves with the continuity branch policy; a sample that cannot close
-    raises with the offending input angle rather than being dropped.
+    The gripper-frame point is the planar point rotated by psi about the
+    orientation axis.
     """
-    sweep = sweep_chain(geometry, theta1_values)
-    x, y = _sweep_tips(finger, sweep)
-    c, s = math.cos(psi), math.sin(psi)
-    gx = c * x - s * y
-    gy = s * x + c * y
-    return [
-        TipSample(
-            theta1=float(sweep.theta1[i]),
-            psi=psi,
-            tip_x=float(x[i]),
-            tip_y=float(y[i]),
-            grip_x=float(gx[i]),
-            grip_y=float(gy[i]),
-        )
-        for i in range(sweep.theta1.size)
-    ]
+    x, y = (np.atleast_1d(v)[:, None] for v in _planar_tip(finger, state))
+    psi = np.atleast_1d(np.asarray(psi, dtype=np.float64))
+    cos_p, sin_p = np.cos(psi), np.sin(psi)
+    rows = np.empty((x.shape[0], psi.size), TIP_DTYPE)
+    rows["theta1"] = np.atleast_1d(state.theta1)[:, None]
+    rows["psi"] = psi
+    rows["tip_x"] = x
+    rows["tip_y"] = y
+    rows["grip_x"] = x * cos_p - y * sin_p
+    rows["grip_y"] = x * sin_p + y * cos_p
+    return rows.ravel()
+
+
+def tip_position(finger: FingerGeometry, state: JointState, psi: float) -> np.void:
+    """Fingertip of a solved configuration, as one TIP_DTYPE record.
+
+    The planar point accumulates the three phalanx vectors at cumulative
+    anatomical angles; the gripper-frame point is that planar point
+    rotated by psi about the orientation axis.
+    """
+    return _tip_rows(finger, state, psi)[0]
+
+
+def tip_trace(finger: FingerGeometry, sweep: ChainSweep, psi: float) -> np.ndarray:
+    """Fingertip trace of a solved sweep at fixed psi: TIP_DTYPE rows in
+    sweep order.  Solve the sweep with :func:`sweep_chain`, which raises
+    with the offending input angle for a sample that cannot close."""
+    return _tip_rows(finger, sweep, psi)
 
 
 def _segment_distance(
@@ -267,48 +247,21 @@ def workspace(
     theta1_values = np.linspace(t_lo, t_hi, theta1_samples)
     psi_values = np.linspace(p_lo, p_hi, psi_samples)
 
-    sweep = sweep_chain(geometry, theta1_values)
-    x, y = _sweep_tips(finger, sweep)
-
-    cos_p = np.cos(psi_values)
-    sin_p = np.sin(psi_values)
-    # (theta1, psi) grid, theta1-major
-    gx = x[:, None] * cos_p[None, :] - y[:, None] * sin_p[None, :]
-    gy = x[:, None] * sin_p[None, :] + y[:, None] * cos_p[None, :]
-
-    samples = [
-        TipSample(
-            theta1=float(theta1_values[i]),
-            psi=float(psi_values[j]),
-            tip_x=float(x[i]),
-            tip_y=float(y[i]),
-            grip_x=float(gx[i, j]),
-            grip_y=float(gy[i, j]),
-        )
-        for i in range(theta1_samples)
-        for j in range(psi_samples)
-    ]
-    opening = float(np.max(_segment_distance(gx.ravel(), gy.ravel(), thumb_line)))
-    return WorkspaceResult(samples=samples, max_opening_mm=opening)
+    points = _tip_rows(finger, sweep_chain(geometry, theta1_values), psi_values)
+    opening = float(np.max(
+        _segment_distance(points["grip_x"], points["grip_y"], thumb_line)))
+    return WorkspaceResult(points=points, max_opening_mm=opening)
 
 
-def _range_start_state(geometry: LinkageGeometry) -> JointState:
-    return solve_chain(geometry, geometry.theta1_range[0])
-
-
-def tendon_excursion(
-    tendon: TendonModel,
-    geometry: LinkageGeometry,
-    state: JointState,
-) -> tuple[float, float]:
+def tendon_excursion(tendon: TendonModel, geometry: LinkageGeometry, state):
     """Tendon length drawn since the range-start configuration, and its
     derivative with respect to the input angle.
 
     Excursion is the moment-arm-weighted sum of anatomical joint angles;
     the derivative chains the implicit loop transmissions through both
-    dependent angles.
+    dependent angles.  ``state`` is a JointState or a ChainSweep.
     """
-    start = _range_start_state(geometry)
+    start = solve_chain(geometry, geometry.theta1_range[0])
     r_mcp, r_pip, r_dip = tendon.moment_arms
     excursion = (
         r_mcp * (state.theta_mcp - start.theta_mcp)
@@ -320,12 +273,9 @@ def tendon_excursion(
     return excursion, d_excursion
 
 
-def tip_velocity(
-    geometry: LinkageGeometry,
-    finger: FingerGeometry,
-    state: JointState,
-) -> tuple[float, float]:
-    """d(tip)/d(theta1) of the planar fingertip, mm/rad."""
+def tip_velocity(geometry: LinkageGeometry, finger: FingerGeometry, state):
+    """d(tip)/d(theta1) of the planar fingertip, mm/rad, of a JointState or
+    a ChainSweep."""
     d21, d61 = chain_derivatives(geometry, state)
     p1, p2, p3 = finger.phalanx_lengths
     a1 = state.theta_mcp
@@ -334,9 +284,51 @@ def tip_velocity(
     da1 = d61
     da2 = d61 + d21
     da3 = d61 + d21 + 1.0
-    vx = -(p1 * math.sin(a1) * da1 + p2 * math.sin(a2) * da2 + p3 * math.sin(a3) * da3)
-    vy = p1 * math.cos(a1) * da1 + p2 * math.cos(a2) * da2 + p3 * math.cos(a3) * da3
+    vx = -(p1 * np.sin(a1) * da1 + p2 * np.sin(a2) * da2 + p3 * np.sin(a3) * da3)
+    vy = p1 * np.cos(a1) * da1 + p2 * np.cos(a2) * da2 + p3 * np.cos(a3) * da3
     return vx, vy
+
+
+def force_profile(
+    tendon: TendonModel,
+    geometry: LinkageGeometry,
+    finger: FingerGeometry,
+    theta1_values,
+    tension: float,
+) -> np.ndarray:
+    """Static tip force at every input angle, in one positive-root pass.
+
+    Tension working through the tendon excursion, less the return-spring
+    torque, divided by the tip speed per unit input angle.  Contacts only
+    push, so negative results clamp to zero.  Returns FORCE_DTYPE rows;
+    each sample equals the scalar :func:`static_tip_force`,
+    :func:`tendon_excursion` and :func:`tip_velocity` results bit for bit.
+    """
+    if not (0.0 <= tension <= tendon.max_tension):
+        raise OutOfRangeError(
+            f"tension {tension:.9g} N outside [0, {tendon.max_tension:.9g}] N"
+        )
+    chain = solve_chain_batch(geometry, theta1_values)
+    excursion, d_excursion = tendon_excursion(tendon, geometry, chain)
+    vx, vy = tip_velocity(geometry, finger, chain)
+    speed = _kernels.libm(math.hypot, vx, vy)
+    singular = speed < _TIP_SPEED_MIN
+    if singular.any():
+        raise DegenerateGeometryError(
+            f"tip Jacobian magnitude {speed[np.argmax(singular)]:.3e} mm/rad "
+            "is singular"
+        )
+    spring_torque = tendon.spring_preload + tendon.spring_stiffness * (
+        chain.theta1 - geometry.theta1_range[0]
+    )
+    force = (tension * d_excursion - spring_torque) / speed
+    profile = np.empty(chain.theta1.size, FORCE_DTYPE)
+    profile["theta1"] = chain.theta1
+    profile["excursion"] = excursion
+    profile["d_excursion"] = d_excursion
+    profile["tip_speed"] = speed
+    profile["force"] = np.where(force > 0.0, force, 0.0)
+    return profile
 
 
 def static_tip_force(
@@ -346,28 +338,9 @@ def static_tip_force(
     theta1: float,
     tension: float,
 ) -> float:
-    """Contact-normal tip force magnitude predicted by virtual work.
-
-    Tension working through the tendon excursion, less the return-spring
-    torque, divided by the tip speed per unit input angle.  Contacts only
-    push, so negative results clamp to zero.
-    """
-    if not (0.0 <= tension <= tendon.max_tension):
-        raise OutOfRangeError(
-            f"tension {tension:.9g} N outside [0, {tendon.max_tension:.9g}] N"
-        )
-    state = solve_chain(geometry, theta1)
-    _, d_excursion = tendon_excursion(tendon, geometry, state)
-    vx, vy = tip_velocity(geometry, finger, state)
-    speed = math.hypot(vx, vy)
-    if speed < _TIP_SPEED_MIN:
-        raise DegenerateGeometryError(
-            f"tip Jacobian magnitude {speed:.3e} mm/rad is singular"
-        )
-    spring_torque = tendon.spring_preload + tendon.spring_stiffness * (
-        theta1 - geometry.theta1_range[0]
-    )
-    return max(0.0, (tension * d_excursion - spring_torque) / speed)
+    """Contact-normal tip force magnitude predicted by virtual work: one
+    sample of :func:`force_profile`."""
+    return float(force_profile(tendon, geometry, finger, [theta1], tension)["force"][0])
 
 
 def grasp_assess(

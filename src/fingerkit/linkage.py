@@ -525,28 +525,23 @@ def solve_chain_numeric(
     return _assemble_state(geometry, theta1, theta2, theta6)
 
 
-def _residual_partials(
-    coeffs: LoopCoefficients,
-    theta_in: float,
-    theta_out: float,
-    fixed_angle: float,
-) -> tuple[float, float]:
-    """(d residual / d theta_in, d residual / d theta_out) of one loop."""
-    shared = -coeffs.kappa1 * math.sin(theta_in + theta_out - fixed_angle)
-    d_in = shared - math.sin(theta_in)
-    d_out = shared - coeffs.kappa2 * math.sin(theta_out - fixed_angle)
+def _residual_partials(coeffs, theta_in, theta_out, fixed_angle):
+    """(d residual / d theta_in, d residual / d theta_out) of one loop,
+    elementwise over floats or arrays."""
+    shared = -coeffs.kappa1 * np.sin(theta_in + theta_out - fixed_angle)
+    d_in = shared - np.sin(theta_in)
+    d_out = shared - coeffs.kappa2 * np.sin(theta_out - fixed_angle)
     return d_in, d_out
 
 
-def chain_derivatives(
-    geometry: LinkageGeometry,
-    state: JointState,
-) -> tuple[float, float]:
+def chain_derivatives(geometry: LinkageGeometry, state):
     """Implicit derivatives (d theta2/d theta1, d theta6/d theta1).
 
     Differentiates both loop residuals at the solved configuration.  The
     loop-2 input moves one-for-one with the loop-1 output, so the second
     derivative is the product of the per-loop transmission ratios.
+    ``state`` is a :class:`JointState` (floats back) or a
+    :class:`ChainSweep` (arrays back); a singular sample anywhere raises.
     """
     c1 = loop_coefficients(geometry, 1)
     c2 = loop_coefficients(geometry, 2)
@@ -554,7 +549,7 @@ def chain_derivatives(
         c1, state.theta1, state.theta2, geometry.theta4_fixed
     )
     scale1 = 1.0 + abs(c1.kappa1) + abs(c1.kappa2)
-    if abs(d1_out) < 1e-12 * scale1:
+    if np.any(np.abs(d1_out) < 1e-12 * scale1):
         raise DegenerateGeometryError(
             "loop 1 residual Jacobian is singular at this configuration"
         )
@@ -563,7 +558,7 @@ def chain_derivatives(
         c2, state.theta5, state.theta6, geometry.theta8_fixed
     )
     scale2 = 1.0 + abs(c2.kappa1) + abs(c2.kappa2)
-    if abs(d2_out) < 1e-12 * scale2:
+    if np.any(np.abs(d2_out) < 1e-12 * scale2):
         raise DegenerateGeometryError(
             "loop 2 residual Jacobian is singular at this configuration"
         )
@@ -604,6 +599,7 @@ def _vector_closure_angles(
     theta_in: np.ndarray,
     theta_out: np.ndarray,
     fixed_angle: float,
+    atan2=np.arctan2,
 ) -> np.ndarray:
     a, b, _, d = lengths
     y = (
@@ -616,7 +612,37 @@ def _vector_closure_angles(
         + b * np.cos(theta_out)
         + d * math.cos(fixed_angle)
     )
-    return np.arctan2(y, x)
+    return atan2(y, x)
+
+
+def _libm_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return _kernels.libm(math.atan2, y, x)
+
+
+def _chain_sweep(
+    geometry: LinkageGeometry,
+    theta1: np.ndarray,
+    theta2: np.ndarray,
+    theta6: np.ndarray,
+    atan2=np.arctan2,
+) -> ChainSweep:
+    """Fill in the eliminated and anatomical angles of solved samples."""
+    theta5 = theta2 + geometry.sigma
+    return ChainSweep(
+        theta1=theta1,
+        theta2=theta2,
+        theta3=_vector_closure_angles(
+            geometry.loop_lengths(1), theta1, theta2, geometry.theta4_fixed, atan2
+        ),
+        theta5=theta5,
+        theta6=theta6,
+        theta7=_vector_closure_angles(
+            geometry.loop_lengths(2), theta5, theta6, geometry.theta8_fixed, atan2
+        ),
+        theta_mcp=theta6,
+        theta_pip=theta5 - geometry.sigma,
+        theta_dip=theta1 - geometry.rho,
+    )
 
 
 def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> ChainSweep:
@@ -673,20 +699,39 @@ def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> ChainSw
             f"(theta1={float(theta1_values[idx]):.9g} rad)", loop=2,
             theta_in=float(theta5[idx]),
         )
-    theta3 = _vector_closure_angles(
-        geometry.loop_lengths(1), theta1_values, theta2, geometry.theta4_fixed
+    return _chain_sweep(geometry, theta1_values, theta2, theta6)
+
+
+def _positive_branch(
+    coeffs: LoopCoefficients, theta_in: np.ndarray, fixed_angle: float
+) -> tuple[np.ndarray, np.ndarray]:
+    ok, t_pos, _ = _kernels.half_angle_roots_numpy(
+        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
     )
-    theta7 = _vector_closure_angles(
-        geometry.loop_lengths(2), theta5, theta6, geometry.theta8_fixed
+    return ok, 2.0 * _kernels.libm(math.atan, t_pos)
+
+
+def solve_chain_batch(geometry: LinkageGeometry, theta1_values) -> ChainSweep:
+    """Positive-root :func:`solve_chain` at every input angle, in one pass.
+
+    Each sample gets exactly solve_chain's floats: the arithmetic is the
+    same, elementwise, and atan/atan2 are applied with libm semantics.
+    Unlike :func:`sweep_chain` the inputs need no order.  The first sample
+    that is out of range or cannot close is re-solved by solve_chain, which
+    raises its error.
+    """
+    theta1 = np.asarray(theta1_values, dtype=np.float64)
+    lo, hi = geometry.theta1_range
+    c1 = loop_coefficients(geometry, 1)
+    c2 = loop_coefficients(geometry, 2)
+    ok1, theta2 = _positive_branch(c1, theta1, geometry.theta4_fixed)
+    ok2, theta6 = _positive_branch(
+        c2, theta2 + geometry.sigma, geometry.theta8_fixed
     )
-    return ChainSweep(
-        theta1=theta1_values,
-        theta2=theta2,
-        theta3=theta3,
-        theta5=theta5,
-        theta6=theta6,
-        theta7=theta7,
-        theta_mcp=theta6,
-        theta_pip=theta5 - geometry.sigma,
-        theta_dip=theta1_values - geometry.rho,
-    )
+    ok = ok1 & ok2 & (lo <= theta1) & (theta1 <= hi)
+    if not ok.all():
+        bad = float(theta1[np.argmin(ok)])
+        solve_chain(geometry, bad)
+        raise NoClosureError(f"chain cannot close at theta1={bad:.9g} rad",
+                             theta_in=bad)
+    return _chain_sweep(geometry, theta1, theta2, theta6, _libm_atan2)

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH = 800
@@ -20,6 +22,8 @@ _MARGIN_L = 72
 _MARGIN_R = 24
 _MARGIN_T = 40
 _MARGIN_B = 56
+# rows formatted per % operation: bounds the tuple of values built for it
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,23 @@ def _px(value: float) -> str:
     return f"{value:.3f}"
 
 
+def format_rows(table: np.ndarray, row_format: str, separator: str):
+    """Text of a 2-D float table, one ``%`` per block of rows.
+
+    Yields one string per block of ``BLOCK_ROWS`` rows, its rows joined by
+    ``separator``.  ``%`` applies the same float formatting as ``format()``,
+    so ``"%.9g"`` gives ``f"{x:.9g}"`` and ``"%r"`` gives ``repr(x)``.
+    """
+    for start in range(0, len(table), BLOCK_ROWS):
+        block = table[start:start + BLOCK_ROWS]
+        yield separator.join([row_format] * len(block)) % tuple(block.ravel().tolist())
+
+
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """``x,y`` pairs to 3 decimals, space separated."""
+    return " ".join(format_rows(np.column_stack((px, py)), "%.3f,%.3f", " "))
+
+
 def render_svg(
     series: Sequence[Series],
     x_label: str,
@@ -69,18 +90,23 @@ def render_svg(
     """Standalone SVG document with one polyline per series.
 
     Axes are linear with auto ticks; the legend lists series in input
-    order.  Raises ValueError for an empty series set or an empty series.
+    order.  Raises ValueError for an empty series set, an empty series, or
+    non-finite data.
     """
     if not series:
         raise ValueError("render_svg requires at least one series")
-    for s in series:
-        if len(s.x) == 0 or len(s.x) != len(s.y):
+    xs = [np.asarray(s.x, dtype=np.float64) for s in series]
+    ys = [np.asarray(s.y, dtype=np.float64) for s in series]
+    for s, x, y in zip(series, xs, ys):
+        if len(x) == 0 or len(x) != len(y):
             raise ValueError(f"series {s.name!r} must have matching non-empty x/y")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"series {s.name!r} has non-finite values")
 
-    x_min = min(min(s.x) for s in series)
-    x_max = max(max(s.x) for s in series)
-    y_min = min(min(s.y) for s in series)
-    y_max = max(max(s.y) for s in series)
+    x_min = min(float(x.min()) for x in xs)
+    x_max = max(float(x.max()) for x in xs)
+    y_min = min(float(y.min()) for y in ys)
+    y_max = max(float(y.max()) for y in ys)
     if x_max == x_min:
         x_min, x_max = x_min - 1.0, x_max + 1.0
     if y_max == y_min:
@@ -143,11 +169,9 @@ def render_svg(
     )
 
     # data
-    for i, s in enumerate(series):
+    for i, (x, y) in enumerate(zip(xs, ys)):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(
-            f"{_px(sx(float(x)))},{_px(sy(float(y)))}" for x, y in zip(s.x, s.y)
-        )
+        points = _points(sx(x), sy(y))
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -172,9 +172,9 @@ def test_criterion_4_scaling_invariance():
                     getattr(base_state, name) - getattr(scaled_state, name)))
             thumb_s = tuple((s * x, s * y) for x, y in thumb)
             ws = fk.workspace(geometry.scaled(s), finger.scaled(s), 3, 3, thumb_s)
-            for p_base, p_scaled in zip(base_ws.samples, ws.samples):
-                for a, b in ((p_base.grip_x, p_scaled.grip_x),
-                             (p_base.grip_y, p_scaled.grip_y)):
+            for p_base, p_scaled in zip(base_ws.points, ws.points):
+                for a, b in ((p_base["grip_x"], p_scaled["grip_x"]),
+                             (p_base["grip_y"], p_scaled["grip_y"])):
                     scale_err = abs(b - s * a) / max(abs(s * a), 1e-9)
                     worst_point = max(worst_point, scale_err)
     assert worst_angle <= 1e-12
@@ -214,8 +214,8 @@ def test_criterion_5_derivative_checks():
         vx, vy = fk.tip_velocity(geometry, finger, state)
         tp = fk.tip_position(finger, fk.solve_chain(geometry, theta1 + h), 0.0)
         tm = fk.tip_position(finger, fk.solve_chain(geometry, theta1 - h), 0.0)
-        fd_vx = (tp.tip_x - tm.tip_x) / (2.0 * h)
-        fd_vy = (tp.tip_y - tm.tip_y) / (2.0 * h)
+        fd_vx = (tp["tip_x"] - tm["tip_x"]) / (2.0 * h)
+        fd_vy = (tp["tip_y"] - tm["tip_y"]) / (2.0 * h)
         speed = math.hypot(vx, vy)
         fd_speed = math.hypot(fd_vx, fd_vy)
         worst_tip = max(worst_tip, abs(speed - fd_speed) / max(fd_speed, 1e-6))

@@ -201,3 +201,32 @@ class TestExitCodes:
 
     def test_success_is_zero(self, capsys):
         assert main(["analyze"]) == 0
+
+
+class TestArgumentChecks:
+    """Non-finite or out-of-domain arguments: exit 2, one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--psi-deg", "nan"],
+        ["sweep", "--psi-deg", "inf"],
+        ["sweep", "--psi-deg=-inf"],
+        ["grasp", "--diameter-mm", "-5"],
+        ["grasp", "--diameter-mm", "nan"],
+        ["grasp", "--thickness-mm", "0"],
+        ["grasp", "--thickness-mm", "inf"],
+        ["safety", "--force-n", "nan"],
+        ["safety", "--force-n", "-1"],
+    ])
+    def test_rejected_with_one_error_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        if argv[0] == "sweep":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_zero_force_is_still_valid(self, capsys):
+        assert main(["safety", "--force-n", "0"]) == 0

@@ -1,0 +1,196 @@
+"""Byte parity of the columnar emit path.
+
+The emitting commands format whole arrays at once and compute the force
+profile in one batch; none of that may change a byte.  These tests pin the
+emitted files to the recorded reference hashes, the batch columns to the
+scalar API, the vectorized continuity sweep to a sequential loop, and the
+bulk writers to per-value formatting.
+"""
+
+import hashlib
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fingerkit as fk
+from fingerkit import _kernels, cli, svgplot
+from fingerkit.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import references  # noqa: E402
+
+RECORDED = json.loads(references.PATH.read_text(encoding="utf-8"))
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "invocation", references.REFERENCES["emit"], ids=lambda inv: inv.key())
+def test_reference_invocation_bytes(invocation, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(invocation.argv(out)) == 0
+    recorded = RECORDED[invocation.key()]
+    assert _sha256(capsys.readouterr().out.encode()) == recorded["stdout_sha256"]
+    emitted = {p.name: _sha256(p.read_bytes()) for p in sorted(out.iterdir())}
+    assert emitted == recorded["files"]
+
+
+class TestForceBatchMatchesScalar:
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    @pytest.mark.parametrize("samples", [2, 7, 64, 301])
+    def test_columns_equal_scalar_calls(self, cfg, geometry, finger, kind,
+                                        samples):
+        tendon = cfg.require_tendon()
+        if kind == "double":
+            tendon = tendon.as_double()
+        tension = 0.6 * tendon.max_tension
+        grid = np.linspace(*geometry.theta1_range, samples)
+        profile = fk.force_profile(tendon, geometry, finger, grid, tension)
+        assert profile.dtype == fk.FORCE_DTYPE
+        for row, theta1 in zip(profile, grid.tolist()):
+            state = fk.solve_chain(geometry, theta1)
+            excursion, d_excursion = fk.tendon_excursion(tendon, geometry, state)
+            vx, vy = fk.tip_velocity(geometry, finger, state)
+            assert row["theta1"] == theta1
+            assert row["excursion"] == excursion
+            assert row["d_excursion"] == d_excursion
+            assert row["tip_speed"] == math.hypot(vx, vy)
+            assert row["force"] == fk.static_tip_force(
+                tendon, geometry, finger, theta1, tension)
+
+    def test_chain_batch_equals_solve_chain(self, geometry, rng):
+        theta1 = rng.uniform(*geometry.theta1_range, 200)  # unsorted on purpose
+        chain = fk.solve_chain_batch(geometry, theta1)
+        for i, t in enumerate(theta1.tolist()):
+            state = fk.solve_chain(geometry, t)
+            for name in ("theta1", "theta2", "theta3", "theta5", "theta6",
+                         "theta7", "theta_mcp", "theta_pip", "theta_dip"):
+                assert getattr(chain, name)[i] == getattr(state, name), name
+
+    def test_chain_batch_raises_the_scalar_error(self, geometry):
+        lo, hi = geometry.theta1_range
+        with pytest.raises(fk.OutOfRangeError, match="outside admissible range"):
+            fk.solve_chain_batch(geometry, [lo, hi + 0.1])
+        g = fk.LinkageGeometry(
+            v=(25, 40, 45, 10, 25, 40, 45, 10), sigma=0.0, rho=0.0,
+            theta1_range=(0.0, math.radians(75.0)))
+        with pytest.raises(fk.NoClosureError, match="theta1=0 rad") as exc_info:
+            fk.solve_chain_batch(g, np.linspace(0.0, 1.0, 5))
+        assert exc_info.value.loop == 1
+
+    def test_tension_and_tip_speed_guards_hold(self, cfg, geometry, finger):
+        tendon = cfg.require_tendon()
+        grid = np.linspace(*geometry.theta1_range, 5)
+        with pytest.raises(fk.OutOfRangeError, match="outside"):
+            fk.force_profile(tendon, geometry, finger, grid, 50.0)
+        tiny = fk.FingerGeometry(phalanx_lengths=(1e-12, 1e-12, 1e-12))
+        with pytest.raises(fk.DegenerateGeometryError, match="tip Jacobian"):
+            fk.force_profile(tendon, geometry, tiny, grid, 10.0)
+
+
+def _sequential_continuity(k1, k2, k3, phi, fixed_angle, seed):
+    """The per-sample loop the vectorized continuity sweep replaces."""
+    ok, pos = _kernels.loop_solve_batch_numpy(k1, k2, k3, phi, fixed_angle, 1)
+    _, neg = _kernels.loop_solve_batch_numpy(k1, k2, k3, phi, fixed_angle, -1)
+
+    def wrap(angle):
+        wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
+        if wrapped <= 0.0:
+            wrapped += 2.0 * math.pi
+        return wrapped - math.pi
+
+    out = np.full(len(phi), np.nan)
+    prev = seed
+    for i in range(len(phi)):
+        if not ok[i]:
+            continue
+        d_pos = abs(wrap(pos[i] - prev))
+        d_neg = abs(wrap(neg[i] - prev))
+        out[i] = pos[i] if d_pos <= d_neg else neg[i]
+        prev = out[i]
+    return ok, out
+
+
+def test_vectorized_continuity_matches_sequential_loop():
+    rng = np.random.default_rng(20240611)
+    closing_some, flipping = 0, 0
+    for case in range(300):
+        k1, k2, k3 = rng.uniform(0.05, 2.5, 3)
+        n = int(rng.integers(0, 120))
+        if case % 3 == 0:
+            phi = rng.uniform(-4.0, 4.0, n)  # unsorted
+        elif case % 3 == 1:
+            phi = np.sort(rng.uniform(-math.pi, math.pi, n))
+        else:
+            phi = np.linspace(rng.uniform(-3.0, 0.0), rng.uniform(0.0, 3.0), n)
+        fixed = float(rng.uniform(-2.0, 2.0))
+        seed = float(rng.uniform(-4.0, 4.0))
+        ok, theta = _kernels.loop_sweep_continuity_numpy(
+            k1, k2, k3, phi, fixed, seed)
+        ok_ref, theta_ref = _sequential_continuity(k1, k2, k3, phi, fixed, seed)
+        assert np.array_equal(ok, ok_ref)
+        assert np.array_equal(theta, theta_ref, equal_nan=True)
+        closing_some += 0 < ok.sum() < n
+        _, pos = _kernels.loop_solve_batch_numpy(k1, k2, k3, phi, fixed, 1)
+        flipping += bool(np.any(ok & (theta != pos)))
+    # the cases exercise partly closing inputs and negative-branch picks
+    assert closing_some > 20 and flipping > 20
+
+
+EDGE_TABLE = np.array([
+    [-0.0, 0.0, 1e-300, -1e-300, 1e300],
+    [1.0, -2.0, 3.0, 100.0, 12345678901.0],
+    [0.1, 1.0 / 3.0, -2.5e-8, 6.02214076e23, math.pi],
+    [5e-324, -1.7976931348623157e308, 1e16, 123456789.0, -7.0],
+])
+HEADER = ["a", "b", "c", "d", "e"]
+
+
+@pytest.fixture(params=[4096, 3, 1])
+def block_rows(request, monkeypatch):
+    monkeypatch.setattr(svgplot, "BLOCK_ROWS", request.param)
+    return request.param
+
+
+def test_csv_matches_per_value_format(block_rows):
+    expected = "\n".join(
+        ["# config_sha256=abc", ",".join(HEADER)]
+        + [",".join(f"{x:.9g}" for x in row) for row in EDGE_TABLE.tolist()]
+    ) + "\n"
+    assert "".join(cli._csv(HEADER, EDGE_TABLE, "abc")) == expected
+
+
+@pytest.mark.parametrize("rows", [EDGE_TABLE, EDGE_TABLE[:0]])
+def test_json_matches_json_dumps(block_rows, rows):
+    extra = {"tendon": "double", "tension_n": 38.0}
+    doc = {"config_sha256": "abc", "columns": HEADER, "rows": rows.tolist(),
+           **extra}
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "".join(cli._json_table(HEADER, rows, "abc", extra)) == expected
+
+
+def test_svg_points_match_per_value_format(block_rows):
+    x, y = EDGE_TABLE[:, 2] * 1e-290, EDGE_TABLE[:, 0]
+    x = np.concatenate([x, [-0.0004, 0.0005, 1.0625, 2.5]])
+    y = np.concatenate([y, [0.0, -0.0, 7.0, -1e-9]])
+    expected = " ".join(f"{a:.3f},{b:.3f}" for a, b in zip(x.tolist(), y.tolist()))
+    assert svgplot._points(x, y) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_rejects_non_finite(tmp_path, bad, fmt):
+    table = EDGE_TABLE.copy()
+    table[2, 3] = bad
+    with pytest.raises(fk.FingerkitError, match="non-finite"):
+        cli._write_table(tmp_path, "t", fmt, HEADER, table, "abc")
+    assert not list(tmp_path.iterdir())

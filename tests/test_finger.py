@@ -33,14 +33,14 @@ class TestTipPosition:
     def test_straight_finger(self):
         f = fk.FingerGeometry(phalanx_lengths=(45.0, 25.0, 20.0))
         s = fk.tip_position(f, make_state(), psi=0.0)
-        assert (s.tip_x, s.tip_y) == (90.0, 0.0)
-        assert (s.grip_x, s.grip_y) == (90.0, 0.0)
+        assert (s["tip_x"], s["tip_y"]) == (90.0, 0.0)
+        assert (s["grip_x"], s["grip_y"]) == (90.0, 0.0)
 
     def test_quarter_turn_at_base(self):
         f = fk.FingerGeometry(phalanx_lengths=(45.0, 25.0, 20.0))
         s = fk.tip_position(f, make_state(mcp=math.pi / 2.0), psi=0.0)
-        assert s.tip_x == pytest.approx(0.0, abs=1e-12)
-        assert s.tip_y == pytest.approx(90.0, abs=1e-12)
+        assert s["tip_x"] == pytest.approx(0.0, abs=1e-12)
+        assert s["tip_y"] == pytest.approx(90.0, abs=1e-12)
 
     def test_matches_complex_oracle(self, finger, geometry, rng):
         lo, hi = geometry.theta1_range
@@ -49,47 +49,52 @@ class TestTipPosition:
             s = fk.tip_position(finger, state, psi=0.0)
             ox, oy = complex_fk(
                 finger, state.theta_mcp, state.theta_pip, state.theta_dip)
-            assert s.tip_x == pytest.approx(ox, abs=1e-9)
-            assert s.tip_y == pytest.approx(oy, abs=1e-9)
+            assert s["tip_x"] == pytest.approx(ox, abs=1e-9)
+            assert s["tip_y"] == pytest.approx(oy, abs=1e-9)
 
     def test_rotation_consistency(self, finger, geometry, rng):
         state = fk.solve_chain(geometry, 0.5 * sum(geometry.theta1_range))
         for psi in rng.uniform(-math.pi, math.pi, 50):
             s = fk.tip_position(finger, state, float(psi))
             c, sn = math.cos(psi), math.sin(psi)
-            assert s.grip_x == pytest.approx(c * s.tip_x - sn * s.tip_y, abs=1e-12)
-            assert s.grip_y == pytest.approx(sn * s.tip_x + c * s.tip_y, abs=1e-12)
+            x, y = s["tip_x"], s["tip_y"]
+            assert s["grip_x"] == pytest.approx(c * x - sn * y, abs=1e-12)
+            assert s["grip_y"] == pytest.approx(sn * x + c * y, abs=1e-12)
 
     def test_zero_angles_lie_on_base_axis(self, rng):
         for _ in range(20):
             lengths = tuple(rng.uniform(5.0, 60.0, 3))
             f = fk.FingerGeometry(phalanx_lengths=lengths)
             s = fk.tip_position(f, make_state(), psi=0.0)
-            assert s.tip_x == pytest.approx(sum(lengths), rel=1e-12)
-            assert s.tip_y == 0.0
+            assert s["tip_x"] == pytest.approx(sum(lengths), rel=1e-12)
+            assert s["tip_y"] == 0.0
 
 
 class TestTipTrace:
     def test_endpoints_match_single_calls(self, geometry, finger):
         lo, hi = geometry.theta1_range
-        trace = fk.tip_trace(geometry, finger, np.array([lo, hi]), psi=0.1)
+        trace = fk.tip_trace(
+            finger, fk.sweep_chain(geometry, np.array([lo, hi])), psi=0.1)
         for sample, theta1 in ((trace[0], lo), (trace[-1], hi)):
             state = fk.solve_chain(geometry, theta1)
             single = fk.tip_position(finger, state, 0.1)
-            assert sample.tip_x == pytest.approx(single.tip_x, abs=1e-12)
-            assert sample.tip_y == pytest.approx(single.tip_y, abs=1e-12)
+            assert sample["tip_x"] == pytest.approx(single["tip_x"], abs=1e-12)
+            assert sample["tip_y"] == pytest.approx(single["tip_y"], abs=1e-12)
 
     def test_length_and_order(self, geometry, finger):
         lo, hi = geometry.theta1_range
         grid = np.linspace(lo, hi, 37)
-        trace = fk.tip_trace(geometry, finger, grid, psi=0.0)
+        trace = fk.tip_trace(finger, fk.sweep_chain(geometry, grid), psi=0.0)
+        assert trace.dtype == fk.TIP_DTYPE
         assert len(trace) == 37
-        assert [s.theta1 for s in trace] == sorted(s.theta1 for s in trace)
+        assert np.array_equal(trace["theta1"], grid)
+        assert np.all(trace["psi"] == 0.0)
 
     def test_out_of_range_rejected(self, geometry, finger):
         lo, hi = geometry.theta1_range
         with pytest.raises(fk.OutOfRangeError):
-            fk.tip_trace(geometry, finger, np.array([lo, hi + 0.5]), psi=0.0)
+            fk.tip_trace(finger, fk.sweep_chain(geometry, np.array([lo, hi + 0.5])),
+                         psi=0.0)
 
     def test_failed_closure_reports_theta1(self, finger):
         g = fk.LinkageGeometry(
@@ -97,27 +102,28 @@ class TestTipTrace:
             theta1_range=(0.0, math.radians(75.0)),
         )
         with pytest.raises(fk.NoClosureError) as exc_info:
-            fk.tip_trace(g, finger, np.linspace(0.0, math.radians(75.0), 9),
-                         psi=0.0)
+            fk.tip_trace(
+                finger, fk.sweep_chain(g, np.linspace(0.0, math.radians(75.0), 9)),
+                psi=0.0)
         assert exc_info.value.theta_in is not None
 
     def test_arc_length_matches_oracle_sweep(self, geometry, finger):
         # independent trace: every sample solved by the bisection oracle
         lo, hi = geometry.theta1_range
         grid = np.linspace(lo, hi, 100)
-        trace = fk.tip_trace(geometry, finger, grid, psi=0.0)
+        trace = fk.tip_trace(finger, fk.sweep_chain(geometry, grid), psi=0.0)
 
         def arc_length(points):
             xs = np.array([p[0] for p in points])
             ys = np.array([p[1] for p in points])
             return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
 
-        closed = arc_length([(s.tip_x, s.tip_y) for s in trace])
+        closed = arc_length(list(zip(trace["tip_x"], trace["tip_y"])))
         oracle_pts = []
         for theta1 in grid:
             state = fk.solve_chain_numeric(geometry, float(theta1))
             s = fk.tip_position(finger, state, 0.0)
-            oracle_pts.append((s.tip_x, s.tip_y))
+            oracle_pts.append((s["tip_x"], s["tip_y"]))
         oracle = arc_length(oracle_pts)
         assert closed == pytest.approx(oracle, rel=1e-3)
 
@@ -125,20 +131,22 @@ class TestTipTrace:
 class TestWorkspace:
     def test_two_by_two(self, geometry, finger, thumb_line):
         result = fk.workspace(geometry, finger, 2, 2, thumb_line)
-        assert len(result.samples) == 4
+        assert len(result.points) == 4
         lo, hi = geometry.theta1_range
         p_lo, p_hi = finger.orientation_range
         expected_pairs = [(lo, p_lo), (lo, p_hi), (hi, p_lo), (hi, p_hi)]
-        for sample, (t, p) in zip(result.samples, expected_pairs):
+        for sample, (t, p) in zip(result.points, expected_pairs):
+            assert (sample["theta1"], sample["psi"]) == (t, p)
             state = fk.solve_chain(geometry, t)
             single = fk.tip_position(finger, state, p)
-            assert sample.grip_x == pytest.approx(single.grip_x, abs=1e-9)
-            assert sample.grip_y == pytest.approx(single.grip_y, abs=1e-9)
+            assert sample["grip_x"] == pytest.approx(single["grip_x"], abs=1e-9)
+            assert sample["grip_y"] == pytest.approx(single["grip_y"], abs=1e-9)
 
     def test_deterministic_ordering(self, geometry, finger, thumb_line):
         a = fk.workspace(geometry, finger, 7, 5, thumb_line)
         b = fk.workspace(geometry, finger, 7, 5, thumb_line)
-        assert a == b
+        assert np.array_equal(a.points, b.points)
+        assert a.max_opening_mm == b.max_opening_mm
 
     def test_scaling_doubles_points(self, geometry, finger, thumb_line):
         base = fk.workspace(geometry, finger, 6, 4, thumb_line)
@@ -146,9 +154,9 @@ class TestWorkspace:
             (2.0 * x, 2.0 * y) for x, y in thumb_line)
         scaled = fk.workspace(
             geometry.scaled(2.0), finger.scaled(2.0), 6, 4, scaled_thumb)
-        for s_base, s_scaled in zip(base.samples, scaled.samples):
-            assert s_scaled.grip_x == pytest.approx(2.0 * s_base.grip_x, rel=1e-9)
-            assert s_scaled.grip_y == pytest.approx(2.0 * s_base.grip_y, rel=1e-9)
+        for s_base, s_scaled in zip(base.points, scaled.points):
+            assert s_scaled["grip_x"] == pytest.approx(2.0 * s_base["grip_x"], rel=1e-9)
+            assert s_scaled["grip_y"] == pytest.approx(2.0 * s_base["grip_y"], rel=1e-9)
         assert scaled.max_opening_mm == pytest.approx(
             2.0 * base.max_opening_mm, rel=1e-9)
 
@@ -163,7 +171,7 @@ class TestWorkspace:
                 state = fk.solve_chain(geometry, float(theta1))
                 s = fk.tip_position(finger, state, float(psi))
                 d = float(_segment_distance(
-                    np.array([s.grip_x]), np.array([s.grip_y]), thumb_line)[0])
+                    np.array([s["grip_x"]]), np.array([s["grip_y"]]), thumb_line)[0])
                 best = max(best, d)
         assert result.max_opening_mm == pytest.approx(best, rel=1e-12)
 
@@ -185,7 +193,7 @@ class TestWorkspace:
             gy = math.sin(psi) * x + math.cos(psi) * y
             best = max(best, float(np.max(_segment_distance(gx, gy, thumb_line))))
         assert result.max_opening_mm == pytest.approx(best, rel=1e-12)
-        assert len(result.samples) == 200 * 50
+        assert len(result.points) == 200 * 50
 
     def test_requires_two_samples(self, geometry, finger, thumb_line):
         with pytest.raises(ValueError):
@@ -274,8 +282,8 @@ class TestTipVelocity:
                 finger, fk.solve_chain(geometry, theta1 + h), 0.0)
             sm = fk.tip_position(
                 finger, fk.solve_chain(geometry, theta1 - h), 0.0)
-            assert vx == pytest.approx((sp.tip_x - sm.tip_x) / (2 * h), rel=1e-6)
-            assert vy == pytest.approx((sp.tip_y - sm.tip_y) / (2 * h), rel=1e-6)
+            assert vx == pytest.approx((sp["tip_x"] - sm["tip_x"]) / (2 * h), rel=1e-6)
+            assert vy == pytest.approx((sp["tip_y"] - sm["tip_y"]) / (2 * h), rel=1e-6)
 
 
 class TestStaticTipForce:
