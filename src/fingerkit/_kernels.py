@@ -1,4 +1,4 @@
-"""Hot numeric kernels with numba and pure-numpy twin implementations.
+"""Hot numeric kernels, vectorized with numpy.
 
 Sweeps, the bisection oracle, and the randomized property suites all funnel
 through three batch kernels:
@@ -6,10 +6,6 @@ through three batch kernels:
 * ``loop_solve_batch``      closed-form loop solve over an input array,
 * ``loop_sweep_continuity`` sequential nearest-root sweep (no branch flips),
 * ``loop_bisect_batch``     scan-and-bisect oracle over an input array.
-
-Each kernel exists twice: an ``@njit`` version and a vectorized numpy
-version.  The numba path is used when available; set ``FINGERKIT_NO_NUMBA=1``
-(before import) to force the numpy fallback.
 
 All kernels return ``(ok, theta)`` where ``ok`` is a boolean mask and
 ``theta`` holds NaN wherever the loop cannot close.  ``branch`` is +1 for
@@ -24,22 +20,16 @@ import os
 
 import numpy as np
 
-ENV_FLAG = "FINGERKIT_NO_NUMBA"
+ACTIVE_BACKEND = "numpy"
 
 _TWO_PI = 2.0 * math.pi
 # wrapped distance below which two residual roots count as one
 _ROOT_MERGE_TOL = 1e-8
 # roots this close to +/-pi are the vanishing-leading-coefficient artifact
 _PI_ROOT_TOL = 1e-6
+# oracle rows scanned at once: one (rows x (n_scan + 1)) grid per worker
+BISECT_BLOCK_ROWS = 256
 
-
-def _numpy_forced() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip() not in ("", "0")
-
-
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-# ---------------------------------------------------------------------------
 
 def _linear_coeffs_numpy(k1, k2, k3, phi, fixed_angle):
     """Residual as A*cos(x) + B*sin(x) + C over an array of inputs."""
@@ -155,15 +145,6 @@ def libm(fn, *arrays):
                        np.float64, count=len(arrays[0]))
 
 
-def _residual_numpy(k1, k2, k3, phi, x, fixed_angle):
-    return (
-        k3
-        + np.cos(phi)
-        + k1 * np.cos(phi + x - fixed_angle)
-        + k2 * np.cos(x - fixed_angle)
-    )
-
-
 def _select_root_py(roots, alpha_probe, alpha_tol, branch, ref):
     """Pick one residual root per the branch rule; returns NaN when none fit.
 
@@ -204,271 +185,116 @@ def _merge_roots_py(roots):
     return merged
 
 
-def loop_bisect_batch_numpy(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
-    phi = np.asarray(phi, dtype=np.float64)
-    n = phi.shape[0]
-    xs = np.linspace(-math.pi, math.pi, n_scan + 1)
-    grid = _residual_numpy(k1, k2, k3, phi[:, None], xs[None, :], fixed_angle)
+def _worker_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
-    f_lo = grid[:, :-1]
-    f_hi = grid[:, 1:]
-    change = ((f_lo < 0.0) != (f_hi < 0.0)) & (f_lo != 0.0) & (f_hi != 0.0)
-    rows, cols = np.nonzero(change)
 
-    lo = xs[cols].copy()
-    hi = xs[cols + 1].copy()
-    flo = f_lo[rows, cols].copy()
+def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, grid,
+                  branch, ref, alpha_tol, ok, theta):
+    """The oracle on one block of rows; fills this block's ``ok``/``theta``.
+
+    ``grid`` is the caller's buffer for this block's residual scan and
+    ``x_term`` the column term ``k2 * cos(xs - fixed_angle)``.  Every
+    residual is ``((k3 + cos phi) + k1 * cos((phi + x) - fixed_angle))
+    + k2 * cos(x - fixed_angle)``, the same operations in the same order
+    whether the grid is evaluated per block or whole, so the floats do not
+    depend on how the rows are split.
+    """
+    c = k3 + np.cos(phi)
+    np.add(phi[:, None], xs, out=grid)
+    np.subtract(grid, fixed_angle, out=grid)
+    np.cos(grid, out=grid)
+    np.multiply(grid, k1, out=grid)
+    np.add(grid, c[:, None], out=grid)
+    np.add(grid, x_term, out=grid)
+
+    # brackets: strict sign changes between grid points, neither one zero
+    neg = grid < 0.0
+    change = neg[:, :-1] != neg[:, 1:]
+    zero = grid == 0.0
+    has_zero = zero.any()
+    if has_zero:
+        change &= ~zero[:, :-1]
+        change &= ~zero[:, 1:]
+    rows, cols = np.divmod(np.flatnonzero(change), change.shape[1])
+
+    lo = xs[cols]
+    hi = xs[cols + 1]
+    flo = grid[rows, cols]
     phi_b = phi[rows]
+    c_b = c[rows]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fm = _residual_numpy(k1, k2, k3, phi_b, mid, fixed_angle)
+        fm = (c_b + k1 * np.cos(phi_b + mid - fixed_angle)
+              + k2 * np.cos(mid - fixed_angle))
         go_hi = (flo < 0.0) != (fm < 0.0)
-        hi[go_hi] = mid[go_hi]
-        lo[~go_hi] = mid[~go_hi]
-        flo[~go_hi] = fm[~go_hi]
-    bracket_roots = 0.5 * (lo + hi)
+        hi = np.where(go_hi, mid, hi)
+        lo = np.where(go_hi, lo, mid)
+        flo = np.where(go_hi, flo, fm)
 
-    zero_rows, zero_cols = np.nonzero(grid == 0.0)
+    per_row: list[list[float]] = [[] for _ in range(len(phi))]
+    for r, root in zip(rows.tolist(), (0.5 * (lo + hi)).tolist()):
+        per_row[r].append(root)
+    if has_zero:
+        zero_rows, zero_cols = np.nonzero(zero)
+        for r, x in zip(zero_rows.tolist(), xs[zero_cols].tolist()):
+            per_row[r].append(x)
 
-    per_row: list[list[float]] = [[] for _ in range(n)]
-    for r, root in zip(rows, bracket_roots):
-        per_row[r].append(float(root))
-    for r, c in zip(zero_rows, zero_cols):
-        per_row[r].append(float(xs[c]))
-
-    alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
-    theta = np.full(n, np.nan)
-    ok = np.zeros(n, dtype=bool)
-    for i in range(n):
-        roots = _merge_roots_py(per_row[i])
-        chosen = _select_root_py(roots, grid[i, -1], alpha_tol, branch, ref)
+    # the residual at pi is the quadratic's leading coefficient
+    probe = grid[:, -1].tolist()
+    for i, roots in enumerate(per_row):
+        chosen = _select_root_py(
+            _merge_roots_py(roots), probe[i], alpha_tol, branch, ref)
         if not math.isnan(chosen):
             theta[i] = chosen
             ok[i] = True
+
+
+def loop_bisect_batch_numpy(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
+    """Scan-and-bisect oracle: never forms the quadratic's roots.
+
+    Each input scans the residual at ``n_scan + 1`` points of [-pi, pi],
+    bisects every sign change 60 times and adds the grid points where the
+    residual is exactly zero; the branch rule then picks one root.  Rows go
+    in blocks of ``BISECT_BLOCK_ROWS``, each worker thread reusing one grid
+    buffer, so memory does not grow with the number of inputs.  numpy
+    releases the GIL in its ufuncs, so the blocks run on all CPUs.
+    """
+    phi = np.asarray(phi, dtype=np.float64)
+    n = phi.shape[0]
+    xs = np.linspace(-math.pi, math.pi, n_scan + 1)
+    x_term = k2 * np.cos(xs - fixed_angle)
+    alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
+    theta = np.full(n, np.nan)
+    ok = np.zeros(n, dtype=bool)
+    starts = range(0, n, BISECT_BLOCK_ROWS)
+
+    def run(block_starts):
+        buffer = np.empty((min(n, BISECT_BLOCK_ROWS), n_scan + 1))
+        for start in block_starts:
+            stop = min(start + BISECT_BLOCK_ROWS, n)
+            _bisect_block(
+                k1, k2, k3, phi[start:stop], fixed_angle, xs, x_term,
+                buffer[:stop - start], branch, ref, alpha_tol,
+                ok[start:stop], theta[start:stop],
+            )
+
+    workers = min(_worker_count(), len(starts))
+    if workers <= 1:
+        run(starts)
+        return ok, theta
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, starts[w::workers]) for w in range(workers)]
+        for future in futures:
+            future.result()
     return ok, theta
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_HAVE_NUMBA = False
-if not _numpy_forced():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _wrap_nb(angle):
-        wrapped = (angle + math.pi) % _TWO_PI
-        if wrapped == 0.0:
-            wrapped = _TWO_PI
-        return wrapped - math.pi
-
-    @njit(cache=True)
-    def _residual_nb(k1, k2, k3, phi, x, fixed_angle):
-        return (
-            k3
-            + math.cos(phi)
-            + k1 * math.cos(phi + x - fixed_angle)
-            + k2 * math.cos(x - fixed_angle)
-        )
-
-    @njit(cache=True)
-    def _roots_scalar_nb(k1, k2, k3, phi, fixed_angle):
-        """(ok, theta_positive, theta_negative) of the half-angle quadratic."""
-        a_lin = k1 * math.cos(phi - fixed_angle) + k2 * math.cos(fixed_angle)
-        b_lin = -k1 * math.sin(phi - fixed_angle) + k2 * math.sin(fixed_angle)
-        c_lin = k3 + math.cos(phi)
-        alpha = c_lin - a_lin
-        beta = 2.0 * b_lin
-        gamma = c_lin + a_lin
-        if alpha == 0.0:
-            if beta == 0.0:
-                return False, math.nan, math.nan
-            theta = 2.0 * math.atan(-gamma / beta)
-            return True, theta, theta
-        disc = beta * beta - 4.0 * alpha * gamma
-        if disc < 0.0:
-            return False, math.nan, math.nan
-        sq = math.sqrt(disc)
-        if beta >= 0.0:
-            q = -0.5 * (beta + sq)
-            if q == 0.0:
-                return True, 0.0, 0.0
-            t_pos = gamma / q
-            t_neg = q / alpha
-        else:
-            q = -0.5 * (beta - sq)
-            t_pos = q / alpha
-            t_neg = gamma / q
-        return True, 2.0 * math.atan(t_pos), 2.0 * math.atan(t_neg)
-
-    @njit(cache=True)
-    def _loop_solve_batch_nb(k1, k2, k3, phi, fixed_angle, branch):
-        n = phi.shape[0]
-        ok = np.zeros(n, dtype=np.bool_)
-        theta = np.full(n, np.nan)
-        for i in range(n):
-            good, t_pos, t_neg = _roots_scalar_nb(k1, k2, k3, phi[i], fixed_angle)
-            if good:
-                ok[i] = True
-                theta[i] = t_pos if branch > 0 else t_neg
-        return ok, theta
-
-    @njit(cache=True)
-    def _loop_sweep_continuity_nb(k1, k2, k3, phi, fixed_angle, seed):
-        n = phi.shape[0]
-        ok = np.zeros(n, dtype=np.bool_)
-        theta = np.full(n, np.nan)
-        prev = seed
-        for i in range(n):
-            good, t_pos, t_neg = _roots_scalar_nb(k1, k2, k3, phi[i], fixed_angle)
-            if not good:
-                continue
-            ok[i] = True
-            d_pos = abs(_wrap_nb(t_pos - prev))
-            d_neg = abs(_wrap_nb(t_neg - prev))
-            theta[i] = t_pos if d_pos <= d_neg else t_neg
-            prev = theta[i]
-        return ok, theta
-
-    @njit(cache=True)
-    def _loop_bisect_batch_nb(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
-        n = phi.shape[0]
-        ok = np.zeros(n, dtype=np.bool_)
-        theta = np.full(n, np.nan)
-        alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
-        step = _TWO_PI / n_scan
-        roots = np.empty(8)
-        for i in range(n):
-            p = phi[i]
-            nroots = 0
-            x0 = -math.pi
-            f0 = _residual_nb(k1, k2, k3, p, x0, fixed_angle)
-            alpha_probe = 0.0
-            if f0 == 0.0 and nroots < 8:
-                roots[nroots] = x0
-                nroots += 1
-            for j in range(1, n_scan + 1):
-                x1 = -math.pi + step * j if j < n_scan else math.pi
-                f1 = _residual_nb(k1, k2, k3, p, x1, fixed_angle)
-                if j == n_scan:
-                    alpha_probe = f1
-                if f1 == 0.0:
-                    if nroots < 8:
-                        roots[nroots] = x1
-                        nroots += 1
-                elif f0 != 0.0 and ((f0 < 0.0) != (f1 < 0.0)):
-                    lo = x0
-                    hi = x1
-                    flo = f0
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        fm = _residual_nb(k1, k2, k3, p, mid, fixed_angle)
-                        if fm == 0.0:
-                            lo = mid
-                            hi = mid
-                            break
-                        if (flo < 0.0) != (fm < 0.0):
-                            hi = mid
-                        else:
-                            lo = mid
-                            flo = fm
-                    if nroots < 8:
-                        roots[nroots] = 0.5 * (lo + hi)
-                        nroots += 1
-                x0 = x1
-                f0 = f1
-            if nroots == 0:
-                continue
-            # insertion sort (nroots is tiny)
-            for a in range(1, nroots):
-                key = roots[a]
-                b = a - 1
-                while b >= 0 and roots[b] > key:
-                    roots[b + 1] = roots[b]
-                    b -= 1
-                roots[b + 1] = key
-            # merge near-duplicates, including the -pi / pi seam
-            m = 1
-            for a in range(1, nroots):
-                if roots[a] - roots[m - 1] > _ROOT_MERGE_TOL:
-                    roots[m] = roots[a]
-                    m += 1
-            if m > 1 and _TWO_PI - (roots[m - 1] - roots[0]) < _ROOT_MERGE_TOL:
-                m -= 1
-            nroots = m
-
-            if branch == 0:
-                best = roots[0]
-                best_d = abs(_wrap_nb(best - ref))
-                for a in range(1, nroots):
-                    d = abs(_wrap_nb(roots[a] - ref))
-                    if d < best_d:
-                        best = roots[a]
-                        best_d = d
-                theta[i] = best
-                ok[i] = True
-            elif abs(alpha_probe) <= alpha_tol:
-                found = False
-                best = math.nan
-                for a in range(nroots):
-                    r = roots[a]
-                    if math.pi - abs(r) > _PI_ROOT_TOL:
-                        if not found:
-                            best = r
-                            found = True
-                        elif branch > 0 and r > best:
-                            best = r
-                        elif branch < 0 and r < best:
-                            best = r
-                if found:
-                    theta[i] = best
-                    ok[i] = True
-            else:
-                take_max = (alpha_probe > 0.0) == (branch > 0)
-                theta[i] = roots[nroots - 1] if take_max else roots[0]
-                ok[i] = True
-        return ok, theta
-
-    def loop_solve_batch_numba(k1, k2, k3, phi, fixed_angle, branch):
-        phi = np.ascontiguousarray(phi, dtype=np.float64)
-        return _loop_solve_batch_nb(
-            float(k1), float(k2), float(k3), phi, float(fixed_angle), int(branch)
-        )
-
-    def loop_sweep_continuity_numba(k1, k2, k3, phi, fixed_angle, seed):
-        phi = np.ascontiguousarray(phi, dtype=np.float64)
-        return _loop_sweep_continuity_nb(
-            float(k1), float(k2), float(k3), phi, float(fixed_angle), float(seed)
-        )
-
-    def loop_bisect_batch_numba(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
-        phi = np.ascontiguousarray(phi, dtype=np.float64)
-        return _loop_bisect_batch_nb(
-            float(k1), float(k2), float(k3), phi, float(fixed_angle),
-            int(branch), float(ref), int(n_scan),
-        )
-
-else:
-    loop_solve_batch_numba = None
-    loop_sweep_continuity_numba = None
-    loop_bisect_batch_numba = None
-
-
-if _HAVE_NUMBA:
-    ACTIVE_BACKEND = "numba"
-    loop_solve_batch = loop_solve_batch_numba
-    loop_sweep_continuity = loop_sweep_continuity_numba
-    loop_bisect_batch = loop_bisect_batch_numba
-else:
-    ACTIVE_BACKEND = "numpy"
-    loop_solve_batch = loop_solve_batch_numpy
-    loop_sweep_continuity = loop_sweep_continuity_numpy
-    loop_bisect_batch = loop_bisect_batch_numpy
+loop_solve_batch = loop_solve_batch_numpy
+loop_sweep_continuity = loop_sweep_continuity_numpy
+loop_bisect_batch = loop_bisect_batch_numpy

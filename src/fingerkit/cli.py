@@ -86,10 +86,18 @@ def _csv(header: list[str], table: np.ndarray, sha256: str):
     yield from format_rows(table, row, "")
 
 
+def _dumps(doc: dict) -> str:
+    """RFC 8259 JSON text: a non-finite number is an error, never ``NaN``."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FingerkitError(f"non-finite value in JSON output: {exc}") from exc
+
+
 def _json_doc(payload: dict, sha256: str) -> str:
     doc = {"config_sha256": sha256}
     doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def _json_table(header: list[str], table: np.ndarray, sha256: str, extra: dict):
@@ -319,7 +327,7 @@ def _cmd_grasp(cfg: FingerConfig, run: RunConfig) -> int:
             run.extra.get("thickness_mm"), "--thickness-mm", 0.0))
     )
     report = grasp_assess(obj, default_registry(), context)
-    print(json.dumps(_report_dict(report), indent=2, sort_keys=True))
+    print(_dumps(_report_dict(report)))
     return 0
 
 
@@ -345,7 +353,9 @@ def _cmd_safety(cfg: FingerConfig, run: RunConfig) -> int:
             "passed": iso.passed,
             "applied_limit_n": iso.applied_limit,
             "measured_n": iso.measured,
-            "margin_ratio": iso.margin_ratio,
+            # null: zero force has no finite margin
+            "margin_ratio": (iso.margin_ratio if math.isfinite(iso.margin_ratio)
+                             else None),
         },
         "clearance": {
             "per_side_clearance_mm": clearance.per_side_clearance,
@@ -356,7 +366,7 @@ def _cmd_safety(cfg: FingerConfig, run: RunConfig) -> int:
             "slack_mm": stroke.slack,
         },
     }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
     return 0 if (iso.passed and clearance.fits and stroke.passed) else 1
 
 

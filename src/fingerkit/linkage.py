@@ -671,9 +671,14 @@ def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> ChainSw
 
     c1 = loop_coefficients(geometry, 1)
     c2 = loop_coefficients(geometry, 2)
-    seed2 = solve_loop(
-        c1, float(theta1_values[0]), fixed_angle=geometry.theta4_fixed
-    )
+    first = float(theta1_values[0])
+    try:
+        seed2 = solve_loop(c1, first, fixed_angle=geometry.theta4_fixed)
+    except NoClosureError as exc:
+        raise NoClosureError(
+            f"loop 1 cannot close at theta1={first:.9g} rad", loop=1,
+            theta_in=first,
+        ) from exc
     ok1, theta2 = _kernels.loop_sweep_continuity(
         c1.kappa1, c1.kappa2, c1.kappa3,
         theta1_values, geometry.theta4_fixed, seed2,
@@ -685,9 +690,13 @@ def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> ChainSw
             theta_in=bad,
         )
     theta5 = theta2 + geometry.sigma
-    seed6 = solve_loop(
-        c2, float(theta5[0]), fixed_angle=geometry.theta8_fixed
-    )
+    try:
+        seed6 = solve_loop(c2, float(theta5[0]), fixed_angle=geometry.theta8_fixed)
+    except NoClosureError as exc:
+        raise NoClosureError(
+            f"loop 2 cannot close at theta5={float(theta5[0]):.9g} rad "
+            f"(theta1={first:.9g} rad)", loop=2, theta_in=float(theta5[0]),
+        ) from exc
     ok2, theta6 = _kernels.loop_sweep_continuity(
         c2.kappa1, c2.kappa2, c2.kappa3,
         theta5, geometry.theta8_fixed, seed6,

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from fingerkit.cli import main
+from fingerkit.cli import _dumps, main
 from fingerkit.config import default_config_path
+from fingerkit.errors import FingerkitError
 
 BAD_GEOMETRY = {
     # loop 1 cannot close anywhere near theta1 = 0
@@ -143,6 +144,18 @@ class TestSafety:
         doc = json.loads(capsys.readouterr().out)
         assert doc["iso_contact"]["passed"] is False
 
+    def test_zero_force_margin_is_json_null(self, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+        assert main(["safety", "--force-n", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["iso_contact"]["margin_ratio"] is None
+
+    def test_non_finite_json_is_a_domain_error(self):
+        with pytest.raises(FingerkitError):
+            _dumps({"x": float("inf")})
+
 
 class TestValidate:
     def test_agreement_within_tolerance(self, capsys):
@@ -178,6 +191,15 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(bad_config),
                      "--out", str(tmp_path / "x")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_closure_error_names_loop_and_theta1(self, bad_config, tmp_path,
+                                                 capsys):
+        errors = []
+        for command in ("sweep", "workspace", "force"):
+            assert main([command, "--config", str(bad_config),
+                         "--out", str(tmp_path / command)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: loop 1 cannot close at theta1=0 rad\n"] * 3
 
     def test_missing_config_is_two(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "absent.json")]) == 2

@@ -1,74 +1,20 @@
-"""The numba and numpy kernel twins must agree with each other and with the
-scalar solver, whichever backend is active."""
+"""The batch kernels against the scalar solver, and the row-blocked
+bisection oracle against the dense one it replaced."""
 
 import math
-import os
-import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fingerkit as fk
 from fingerkit import _kernels
-
-HAVE_NUMBA = _kernels.loop_solve_batch_numba is not None
-
-BACKENDS = [("numpy", "loop_solve_batch_numpy")]
-if HAVE_NUMBA:
-    BACKENDS.append(("numba", "loop_solve_batch_numba"))
+from fingerkit._kernels import _merge_roots_py, _select_root_py
 
 
 def _kappa_cases(rng, n):
     return [tuple(rng.uniform(0.05, 2.0, 3)) for _ in range(n)]
-
-
-@pytest.fixture()
-def phi():
-    return np.linspace(-math.pi + 0.05, math.pi - 0.05, 257)
-
-
-@pytest.mark.parametrize("branch", [1, -1])
-def test_solve_twins_agree(phi, rng, branch):
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable or disabled")
-    for k1, k2, k3 in _kappa_cases(rng, 25):
-        ok_nb, t_nb = _kernels.loop_solve_batch_numba(
-            k1, k2, k3, phi, math.pi / 2, branch)
-        ok_np, t_np = _kernels.loop_solve_batch_numpy(
-            k1, k2, k3, phi, math.pi / 2, branch)
-        assert np.array_equal(ok_nb, ok_np)
-        if ok_nb.any():
-            assert np.nanmax(np.abs(t_nb - t_np)) <= 1e-14
-
-
-def test_bisect_twins_agree(phi, rng):
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable or disabled")
-    for k1, k2, k3 in _kappa_cases(rng, 8):
-        for branch in (1, -1):
-            ok_nb, t_nb = _kernels.loop_bisect_batch_numba(
-                k1, k2, k3, phi, math.pi / 2, branch, 0.0, 1024)
-            ok_np, t_np = _kernels.loop_bisect_batch_numpy(
-                k1, k2, k3, phi, math.pi / 2, branch, 0.0, 1024)
-            assert np.array_equal(ok_nb, ok_np)
-            if ok_nb.any():
-                assert np.nanmax(np.abs(t_nb[ok_nb] - t_np[ok_np])) <= 1e-12
-
-
-def test_sweep_twins_agree(geometry):
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable or disabled")
-    c = fk.loop_coefficients(geometry, 1)
-    lo, hi = geometry.theta1_range
-    grid = np.linspace(lo, hi, 400)
-    seed = fk.solve_loop(c, float(grid[0]))
-    ok_nb, t_nb = _kernels.loop_sweep_continuity_numba(
-        c.kappa1, c.kappa2, c.kappa3, grid, geometry.theta4_fixed, seed)
-    ok_np, t_np = _kernels.loop_sweep_continuity_numpy(
-        c.kappa1, c.kappa2, c.kappa3, grid, geometry.theta4_fixed, seed)
-    assert ok_nb.all() and ok_np.all()
-    assert np.max(np.abs(t_nb - t_np)) <= 1e-14
 
 
 def test_batch_solve_matches_scalar(rng):
@@ -118,15 +64,158 @@ def test_continuity_seed_selects_branch(geometry):
     assert not np.allclose(from_pos, from_neg)
 
 
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, FINGERKIT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from fingerkit import _kernels; print(_kernels.ACTIVE_BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
 def test_active_backend_reported():
-    assert _kernels.ACTIVE_BACKEND in ("numba", "numpy")
+    assert _kernels.ACTIVE_BACKEND == "numpy"
+
+
+# ---------------------------------------------------------------------------
+# The dense oracle as it was before row blocks: the whole (n x (n_scan + 1))
+# residual grid at once, then one bisection over every bracket, with the
+# same per-row root merge and branch rule.  The blocked kernel must give its
+# floats bit for bit.
+# ---------------------------------------------------------------------------
+
+def _residual_numpy(k1, k2, k3, phi, x, fixed_angle):
+    return (
+        k3
+        + np.cos(phi)
+        + k1 * np.cos(phi + x - fixed_angle)
+        + k2 * np.cos(x - fixed_angle)
+    )
+
+
+def dense_bisect_reference(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
+    phi = np.asarray(phi, dtype=np.float64)
+    n = phi.shape[0]
+    xs = np.linspace(-math.pi, math.pi, n_scan + 1)
+    grid = _residual_numpy(k1, k2, k3, phi[:, None], xs[None, :], fixed_angle)
+
+    f_lo = grid[:, :-1]
+    f_hi = grid[:, 1:]
+    change = ((f_lo < 0.0) != (f_hi < 0.0)) & (f_lo != 0.0) & (f_hi != 0.0)
+    rows, cols = np.nonzero(change)
+
+    lo = xs[cols].copy()
+    hi = xs[cols + 1].copy()
+    flo = f_lo[rows, cols].copy()
+    phi_b = phi[rows]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = _residual_numpy(k1, k2, k3, phi_b, mid, fixed_angle)
+        go_hi = (flo < 0.0) != (fm < 0.0)
+        hi[go_hi] = mid[go_hi]
+        lo[~go_hi] = mid[~go_hi]
+        flo[~go_hi] = fm[~go_hi]
+    bracket_roots = 0.5 * (lo + hi)
+
+    zero_rows, zero_cols = np.nonzero(grid == 0.0)
+
+    per_row: list[list[float]] = [[] for _ in range(n)]
+    for r, root in zip(rows, bracket_roots):
+        per_row[r].append(float(root))
+    for r, c in zip(zero_rows, zero_cols):
+        per_row[r].append(float(xs[c]))
+
+    alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
+    theta = np.full(n, np.nan)
+    ok = np.zeros(n, dtype=bool)
+    for i in range(n):
+        roots = _merge_roots_py(per_row[i])
+        chosen = _select_root_py(roots, grid[i, -1], alpha_tol, branch, ref)
+        if not math.isnan(chosen):
+            theta[i] = chosen
+            ok[i] = True
+    return ok, theta
+
+
+BLOCK = _kernels.BISECT_BLOCK_ROWS
+SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+# closes for part of the circle only, so every size has non-closing rows
+PARTIAL = (0.9, 0.7, 1.3, 0.4)
+# at phi = 0: (-1.5 + cos 0) + 0 * cos(x) + 0.5 * cos(x) is exactly 0.0 at the
+# grid point x = 0 and negative everywhere else, a root only the zero path sees
+TANGENT = (0.0, 0.5, -1.5, 0.0)
+
+
+def _assert_same(args):
+    ok, theta = _kernels.loop_bisect_batch(*args)
+    ok_ref, theta_ref = dense_bisect_reference(*args)
+    assert np.array_equal(ok, ok_ref)
+    assert np.array_equal(theta, theta_ref, equal_nan=True)
+    return ok
+
+
+@pytest.mark.parametrize("n_scan", [8, 64, 4096])
+@pytest.mark.parametrize("branch", [1, -1, 0])
+def test_blocked_oracle_is_bit_equal_to_dense(branch, n_scan):
+    rng = np.random.default_rng(1000 * n_scan + branch)
+    k1, k2, k3, fixed = PARTIAL
+    for n in SIZES:
+        phi = rng.uniform(-math.pi, math.pi, n)
+        ok = _assert_same((k1, k2, k3, phi, fixed, branch, 0.3, n_scan))
+        if n > 8:
+            assert ok.any() and not ok.all()
+
+
+@pytest.mark.parametrize("n_scan", [8, 64, 4096])
+@pytest.mark.parametrize("branch", [1, -1, 0])
+def test_exact_zero_grid_point_is_a_root(branch, n_scan):
+    k1, k2, k3, fixed = TANGENT
+    xs = np.linspace(-math.pi, math.pi, n_scan + 1)
+    phi = np.linspace(-3.0, 3.0, 3 * BLOCK + 7)
+    phi[BLOCK + 5] = 0.0
+    grid_row = _residual_numpy(k1, k2, k3, 0.0, xs, fixed)
+    assert np.count_nonzero(grid_row == 0.0) == 1
+    ok = _assert_same((k1, k2, k3, phi, fixed, branch, 0.3, n_scan))
+    assert ok[BLOCK + 5]
+
+
+def test_random_coefficients_match_dense(rng):
+    for _ in range(12):
+        k1, k2, k3 = rng.uniform(0.05, 2.0, 3)
+        fixed = rng.uniform(-math.pi, math.pi)
+        phi = rng.uniform(-math.pi, math.pi, int(rng.integers(2, 2 * BLOCK)))
+        for branch in (1, -1, 0):
+            _assert_same((k1, k2, k3, phi, fixed, branch, -1.1, 256))
+
+
+def test_more_workers_than_cores_match_dense(monkeypatch):
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        phi = np.linspace(-math.pi, math.pi, 9 * BLOCK + 3)
+        _assert_same((*PARTIAL[:3], phi, PARTIAL[3], 1, 0.0, 512))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-block call must run inline")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    phi = np.linspace(-1.0, 1.0, BLOCK)
+    _assert_same((*PARTIAL[:3], phi, PARTIAL[3], 1, 0.0, 64))
+
+
+def test_oracle_memory_does_not_grow_with_rows(monkeypatch):
+    """Peak traced allocation stays bounded: one block grid per worker."""
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 4)
+    c = (0.9, 0.7, 1.3)
+
+    def peak(n):
+        phi = np.linspace(-math.pi, math.pi, n)
+        tracemalloc.start()
+        try:
+            _kernels.loop_bisect_batch(*c, phi, 0.4, 1, 0.0, 4096)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the dense grid took 32 KB per row: about 1 GB at 30 000 rows
+    small, large = peak(3_000), peak(30_000)
+    assert large < 64 * 2**20
+    assert large < 1.5 * small
