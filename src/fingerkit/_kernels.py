@@ -31,26 +31,29 @@ _PI_ROOT_TOL = 1e-6
 BISECT_BLOCK_ROWS = 256
 
 
-def _linear_coeffs_numpy(k1, k2, k3, phi, fixed_angle):
-    """Residual as A*cos(x) + B*sin(x) + C over an array of inputs."""
+def quadratic(k1, k2, k3, phi, fixed_angle):
+    """``(alpha, beta, gamma)`` of the half-angle quadratic in
+    t = tan(theta_out / 2), elementwise over the inputs.
+
+    The residual is A*cos(x) + B*sin(x) + C in the output angle, which the
+    half-angle substitution turns into (C - A) t^2 + 2B t + (C + A) = 0.
+    """
     a = k1 * np.cos(phi - fixed_angle) + k2 * math.cos(fixed_angle)
     b = -k1 * np.sin(phi - fixed_angle) + k2 * math.sin(fixed_angle)
     c = k3 + np.cos(phi)
-    return a, b, c
+    return c - a, 2.0 * b, c + a
 
 
-def half_angle_roots_numpy(k1, k2, k3, phi, fixed_angle):
+def half_angle_roots(k1, k2, k3, phi, fixed_angle):
     """``(ok, t_pos, t_neg)``: tan(theta_out / 2) of both quadratic branches.
 
-    Uses the same cancellation-safe root pairing as the scalar solver; where
+    Uses the cancellation-safe pairing q = -(beta + sign(beta)*sqrt(disc))/2
+    so neither branch loses precision when alpha or gamma is small; where
     the quadratic degenerates (alpha == 0) both entries hold the linear
     limit -gamma/beta.  Both are NaN wherever the loop cannot close.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    a_lin, b_lin, c_lin = _linear_coeffs_numpy(k1, k2, k3, phi, fixed_angle)
-    alpha = c_lin - a_lin
-    beta = 2.0 * b_lin
-    gamma = c_lin + a_lin
+    alpha, beta, gamma = quadratic(k1, k2, k3, phi, fixed_angle)
 
     t_pos = np.full(phi.shape, np.nan)
     t_neg = np.full(phi.shape, np.nan)
@@ -83,18 +86,18 @@ def half_angle_roots_numpy(k1, k2, k3, phi, fixed_angle):
     return ok, t_pos, t_neg
 
 
-def loop_solve_batch_numpy(k1, k2, k3, phi, fixed_angle, branch):
-    ok, t_pos, t_neg = half_angle_roots_numpy(k1, k2, k3, phi, fixed_angle)
+def loop_solve_batch(k1, k2, k3, phi, fixed_angle, branch):
+    ok, t_pos, t_neg = half_angle_roots(k1, k2, k3, phi, fixed_angle)
     return ok, 2.0 * np.arctan(t_pos if branch > 0 else t_neg)
 
 
-def _wrap_numpy(angles):
-    """Elementwise ``_wrap_scalar``: the same fmod, so the same floats."""
+def wrap(angles):
+    """Angles wrapped elementwise to the half-open interval (-pi, pi]."""
     wrapped = np.fmod(angles + math.pi, _TWO_PI)
     return np.where(wrapped <= 0.0, wrapped + _TWO_PI, wrapped) - math.pi
 
 
-def loop_sweep_continuity_numpy(k1, k2, k3, phi, fixed_angle, seed):
+def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle, seed):
     """Nearest-branch sweep, vectorized.
 
     The sequential rule picks, at each closing sample, the root nearer the
@@ -106,12 +109,12 @@ def loop_sweep_continuity_numpy(k1, k2, k3, phi, fixed_angle, seed):
     once per flip step since.  Only already computed roots are selected,
     so the result is the sequential loop's, bit for bit.
     """
-    ok, t_pos, t_neg = half_angle_roots_numpy(k1, k2, k3, phi, fixed_angle)
+    ok, t_pos, t_neg = half_angle_roots(k1, k2, k3, phi, fixed_angle)
     pos = 2.0 * np.arctan(t_pos[ok])
     neg = 2.0 * np.arctan(t_neg[ok])
 
     def pos_nearer(prev):
-        return np.abs(_wrap_numpy(pos - prev)) <= np.abs(_wrap_numpy(neg - prev))
+        return np.abs(wrap(pos - prev)) <= np.abs(wrap(neg - prev))
 
     # the pick at each closing sample, given the pick before it; the first
     # one follows the seed either way
@@ -127,19 +130,12 @@ def loop_sweep_continuity_numpy(k1, k2, k3, phi, fixed_angle, seed):
     return ok, theta
 
 
-def _wrap_scalar(angle):
-    wrapped = math.fmod(angle + math.pi, _TWO_PI)
-    if wrapped <= 0.0:
-        wrapped += _TWO_PI
-    return wrapped - math.pi
-
-
 def libm(fn, *arrays):
     """``fn``, a scalar :mod:`math` function, applied elementwise.
 
     numpy's vectorized atan, atan2 and hypot may differ from libm in the
-    last ulp.  Batch paths that must reproduce the scalar API's floats bit
-    for bit apply those functions through here.
+    last ulp.  Paths whose floats are pinned to libm's (the closed-form
+    chain behind ``solve_chain`` and ``force``) apply them through here.
     """
     return np.fromiter(map(fn, *(np.asarray(a).tolist() for a in arrays)),
                        np.float64, count=len(arrays[0]))
@@ -155,13 +151,8 @@ def _select_root_py(roots, alpha_probe, alpha_tol, branch, ref):
     if not roots:
         return math.nan
     if branch == 0:
-        best = roots[0]
-        best_d = abs(_wrap_scalar(best - ref))
-        for r in roots[1:]:
-            d = abs(_wrap_scalar(r - ref))
-            if d < best_d:
-                best, best_d = r, d
-        return best
+        # argmin keeps the first of equally near roots
+        return roots[int(np.argmin(np.abs(wrap(np.array(roots) - ref))))]
     if abs(alpha_probe) <= alpha_tol:
         finite = [r for r in roots if math.pi - abs(r) > _PI_ROOT_TOL]
         if not finite:
@@ -253,7 +244,7 @@ def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, grid,
             ok[i] = True
 
 
-def loop_bisect_batch_numpy(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
+def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
     """Scan-and-bisect oracle: never forms the quadratic's roots.
 
     Each input scans the residual at ``n_scan + 1`` points of [-pi, pi],
@@ -294,7 +285,3 @@ def loop_bisect_batch_numpy(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
             future.result()
     return ok, theta
 
-
-loop_solve_batch = loop_solve_batch_numpy
-loop_sweep_continuity = loop_sweep_continuity_numpy
-loop_bisect_batch = loop_bisect_batch_numpy

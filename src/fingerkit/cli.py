@@ -11,9 +11,9 @@ Subcommands
     registry   reference-registry consistency report
 
 Exit codes: 0 success, 1 domain error (no closure, rule violation, ...),
-2 configuration or I/O error.  All angles are degrees at this boundary;
-emitted files are deterministic functions of the config (a content hash is
-embedded, never a timestamp), and CSV numbers carry 9 significant digits.
+2 configuration, I/O or out-of-memory error.  Angles are degrees at this
+boundary; emitted files are deterministic functions of the config (a hash
+is embedded, never a timestamp), and CSV numbers carry 9 significant digits.
 The emitting commands stay columnar from the solver to the file: tables
 are float arrays, formatted a row block at a time and streamed to disk.
 """
@@ -30,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .config import FingerConfig, default_config_path, load_config
-from .errors import ConfigError, FingerkitError, NoClosureError
+from .errors import ConfigError, FingerkitError
 from .finger import (
     CylinderObject,
     FlatObject,
@@ -48,6 +47,7 @@ from .linkage import (
     compute_mobility,
     count_loops,
     loop_coefficients,
+    oracle_deviation,
     sweep_chain,
     NUM_JOINTS,
     NUM_LINKS,
@@ -153,16 +153,19 @@ def _theta1_grid(cfg: FingerConfig, samples: int) -> np.ndarray:
     return np.linspace(lo, hi, samples)
 
 
-def _resolve_tendon(cfg: FingerConfig, kind: str | None) -> TendonModel:
+def _resolve_tendon(cfg: FingerConfig, run: RunConfig) -> tuple[TendonModel, float]:
+    """The requested tendon variant and tension (default: its maximum)."""
     tendon = cfg.require_tendon()
-    if kind is None or kind == tendon.kind:
-        return tendon
+    kind = run.extra.get("tendon_kind")
     if kind == "double":
-        return tendon.as_double()
-    raise ConfigError(
-        "config ships a double-tendon model; a single-tendon variant needs "
-        "spring parameters in the config"
-    )
+        tendon = tendon.as_double()
+    elif kind not in (None, tendon.kind):
+        raise ConfigError(
+            "config ships a double-tendon model; a single-tendon variant needs "
+            "spring parameters in the config"
+        )
+    tension = run.extra.get("tension_n")
+    return tendon, tendon.max_tension if tension is None else tension
 
 
 def _cmd_analyze(cfg: FingerConfig, run: RunConfig) -> int:
@@ -268,10 +271,7 @@ def _cmd_force(cfg: FingerConfig, run: RunConfig) -> int:
     if run.output_dir is None:
         raise ConfigError("force requires --out")
     finger = cfg.require_finger()
-    tendon = _resolve_tendon(cfg, run.extra.get("tendon_kind"))
-    tension = run.extra.get("tension_n")
-    if tension is None:
-        tension = tendon.max_tension
+    tendon, tension = _resolve_tendon(cfg, run)
     profile = force_profile(
         tendon, cfg.geometry, finger, _theta1_grid(cfg, run.samples), tension)
     table = _table(profile, 1)
@@ -305,10 +305,7 @@ def _report_dict(report: GraspReport) -> dict:
 
 def _cmd_grasp(cfg: FingerConfig, run: RunConfig) -> int:
     finger = cfg.require_finger()
-    tendon = _resolve_tendon(cfg, run.extra.get("tendon_kind"))
-    tension = run.extra.get("tension_n")
-    if tension is None:
-        tension = tendon.max_tension
+    tendon, tension = _resolve_tendon(cfg, run)
     theta1_deg = run.extra.get("theta1_deg")
     theta1 = (
         math.radians(theta1_deg)
@@ -373,36 +370,8 @@ def _cmd_safety(cfg: FingerConfig, run: RunConfig) -> int:
 def _cmd_validate(cfg: FingerConfig, run: RunConfig) -> int:
     if run.samples < 2:
         raise ConfigError("validate requires --samples >= 2")
-    geometry = cfg.geometry
     started = time.perf_counter()
-    grid = _theta1_grid(cfg, run.samples)
-    c1 = loop_coefficients(geometry, 1)
-    c2 = loop_coefficients(geometry, 2)
-
-    ok_c, theta2_c = _kernels.loop_solve_batch(
-        c1.kappa1, c1.kappa2, c1.kappa3, grid, geometry.theta4_fixed, 1)
-    ok_n, theta2_n = _kernels.loop_bisect_batch(
-        c1.kappa1, c1.kappa2, c1.kappa3, grid, geometry.theta4_fixed, 1, 0.0, 4096)
-    if not (ok_c.all() and ok_n.all()):
-        bad = float(grid[int(np.argmin(ok_c & ok_n))])
-        raise NoClosureError(
-            f"loop 1 failed during validation at theta1={_fmt(bad)} rad",
-            loop=1, theta_in=bad)
-
-    theta5_c = theta2_c + geometry.sigma
-    theta5_n = theta2_n + geometry.sigma
-    ok_c2, theta6_c = _kernels.loop_solve_batch(
-        c2.kappa1, c2.kappa2, c2.kappa3, theta5_c, geometry.theta8_fixed, 1)
-    ok_n2, theta6_n = _kernels.loop_bisect_batch(
-        c2.kappa1, c2.kappa2, c2.kappa3, theta5_n, geometry.theta8_fixed, 1, 0.0, 4096)
-    if not (ok_c2.all() and ok_n2.all()):
-        bad = float(grid[int(np.argmin(ok_c2 & ok_n2))])
-        raise NoClosureError(
-            f"loop 2 failed during validation at theta1={_fmt(bad)} rad",
-            loop=2, theta_in=bad)
-
-    dev2 = float(np.max(np.abs(theta2_c - theta2_n)))
-    dev6 = float(np.max(np.abs(theta6_c - theta6_n)))
+    dev2, dev6 = oracle_deviation(cfg.geometry, _theta1_grid(cfg, run.samples))
     elapsed = time.perf_counter() - started
     print(f"samples={run.samples}")
     print(f"max |theta2 closed - numeric| = {dev2:.3e} rad")
@@ -538,11 +507,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return run(_to_runconfig(args))
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory; use fewer samples", file=sys.stderr)
         return 2
     except FingerkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,9 @@ Angles are radians everywhere in this module; lengths are millimetres.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -41,15 +42,7 @@ CONTINUITY = "continuity"
 
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to the half-open interval (-pi, pi]."""
-    wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
-
-
-def angular_distance(a: float, b: float) -> float:
-    """Absolute distance between two angles on the circle."""
-    return abs(wrap_angle(a - b))
+    return float(_kernels.wrap(angle))
 
 
 def compute_mobility(num_links: int, num_joints: int) -> int:
@@ -238,39 +231,43 @@ def quadratic_coefficients(
     A*cos(x) + B*sin(x) + C, which the half-angle substitution turns into
     (C - A) t^2 + 2B t + (C + A) = 0 with t = tan(x / 2).
     """
-    a_lin = (
-        coeffs.kappa1 * math.cos(theta_in - fixed_angle)
-        + coeffs.kappa2 * math.cos(fixed_angle)
-    )
-    b_lin = (
-        -coeffs.kappa1 * math.sin(theta_in - fixed_angle)
-        + coeffs.kappa2 * math.sin(fixed_angle)
-    )
-    c_lin = coeffs.kappa3 + math.cos(theta_in)
-    return QuadraticCoefficients(
-        alpha=c_lin - a_lin,
-        beta=2.0 * b_lin,
-        gamma=c_lin + a_lin,
-    )
+    return QuadraticCoefficients(*map(float, _kernels.quadratic(
+        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
+    )))
 
 
-def _quadratic_branch_roots(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
-    """Both roots of the half-angle quadratic, ordered (positive, negative).
+def _closed_form(
+    coeffs: LoopCoefficients,
+    theta_in: np.ndarray,
+    fixed_angle: float,
+    reference: float | None = None,
+    mode: str = POSITIVE_ROOT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ok, theta_out)`` of one loop over an input array, in closed form.
 
-    Uses the cancellation-safe pairing q = -(beta + sign(beta)*sqrt(disc))/2
-    so neither branch loses precision when alpha or gamma is small.
-    Caller guarantees alpha != 0 and a non-negative discriminant.
+    Both branches come from :func:`_kernels.half_angle_roots` (which takes
+    the exact linear limit where alpha == 0) and libm's atan; continuity
+    mode keeps the root nearer ``reference``, the positive one on a tie.
     """
-    disc = beta * beta - 4.0 * alpha * gamma
-    sq = math.sqrt(disc)
-    if beta >= 0.0:
-        q = -0.5 * (beta + sq)
-        if q == 0.0:
-            # beta == 0 and disc == 0: double root at zero
-            return 0.0, 0.0
-        return gamma / q, q / alpha
-    q = -0.5 * (beta - sq)
-    return q / alpha, gamma / q
+    ok, t_pos, t_neg = _kernels.half_angle_roots(
+        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
+    )
+    pos = 2.0 * _kernels.libm(math.atan, t_pos)
+    if mode == POSITIVE_ROOT:
+        return ok, pos
+    neg = 2.0 * _kernels.libm(math.atan, t_neg)
+    if mode == NEGATIVE_ROOT:
+        return ok, neg
+    nearer = (np.abs(_kernels.wrap(pos - reference))
+              <= np.abs(_kernels.wrap(neg - reference)))
+    return ok, np.where(nearer, pos, neg)
+
+
+def _require_reference(policy: BranchPolicy, reference: float | None) -> None:
+    if policy.mode == CONTINUITY and reference is None:
+        raise ValueError(
+            "continuity mode requires continuity_reference at the loop level"
+        )
 
 
 def solve_loop(
@@ -301,155 +298,45 @@ def solve_loop(
     """
     if not math.isfinite(theta_in):
         raise ValueError("theta_in must be finite")
+    _require_reference(policy, continuity_reference)
+    ok, theta = _closed_form(
+        coeffs, np.array([theta_in], dtype=np.float64), fixed_angle,
+        continuity_reference, policy.mode,
+    )
+    if ok[0]:
+        return float(theta[0])
     quad = quadratic_coefficients(coeffs, theta_in, fixed_angle)
     alpha, beta, gamma = quad.alpha, quad.beta, quad.gamma
-
-    if alpha == 0.0:
-        if beta == 0.0:
-            if gamma == 0.0:
-                raise DegenerateGeometryError(
-                    "loop equation vanished identically; output angle indeterminate"
-                )
+    if alpha == 0.0 and beta == 0.0:
+        if gamma == 0.0:
             raise DegenerateGeometryError(
-                "loop equation degenerated to an unsatisfiable constant"
+                "loop equation vanished identically; output angle indeterminate"
             )
-        # exact limit of the quadratic as its leading coefficient vanishes
-        return 2.0 * math.atan(-gamma / beta)
-
+        raise DegenerateGeometryError(
+            "loop equation degenerated to an unsatisfiable constant"
+        )
     disc = beta * beta - 4.0 * alpha * gamma
-    if disc < 0.0:
-        raise NoClosureError(
-            f"no closure at theta_in={theta_in:.9g} rad "
-            f"(discriminant {disc:.3e} < 0)",
-            theta_in=theta_in,
-        )
-    t_pos, t_neg = _quadratic_branch_roots(alpha, beta, gamma)
-    theta_pos = 2.0 * math.atan(t_pos)
-    theta_neg = 2.0 * math.atan(t_neg)
-
-    if policy.mode == POSITIVE_ROOT:
-        return theta_pos
-    if policy.mode == NEGATIVE_ROOT:
-        return theta_neg
-    if continuity_reference is None:
-        raise ValueError(
-            "continuity mode requires continuity_reference at the loop level"
-        )
-    d_pos = angular_distance(theta_pos, continuity_reference)
-    d_neg = angular_distance(theta_neg, continuity_reference)
-    return theta_pos if d_pos <= d_neg else theta_neg
+    raise NoClosureError(
+        f"no closure at theta_in={theta_in:.9g} rad "
+        f"(discriminant {disc:.3e} < 0)",
+        theta_in=theta_in,
+    )
 
 
-def closure_vector_angle(
-    lengths: Sequence[float],
-    theta_in: float,
-    theta_out: float,
+def _oracle(
+    coeffs: LoopCoefficients,
+    theta_in: np.ndarray,
     fixed_angle: float,
-) -> float:
-    """Direction of the loop's resultant vector, recovered by atan2.
-
-    The three known vectors of a closed loop sum to the fourth; its
-    direction follows from the summed X and Y components.  Needed for
-    forward-kinematics validation because the squared closure constraint
-    eliminates this angle.
-    """
-    a, b, _, d = lengths
-    y = (
-        a * math.sin(theta_in + theta_out)
-        + b * math.sin(theta_out)
-        + d * math.sin(fixed_angle)
+    reference: float | None = None,
+    mode: str = POSITIVE_ROOT,
+    n_scan: int = 4096,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ok, theta_out)`` of one loop over an input array, by bisection."""
+    branch = {POSITIVE_ROOT: 1, NEGATIVE_ROOT: -1, CONTINUITY: 0}[mode]
+    return _kernels.loop_bisect_batch(
+        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle,
+        branch, 0.0 if reference is None else reference, n_scan,
     )
-    x = (
-        a * math.cos(theta_in + theta_out)
-        + b * math.cos(theta_out)
-        + d * math.cos(fixed_angle)
-    )
-    return math.atan2(y, x)
-
-
-def _check_theta1(geometry: LinkageGeometry, theta1: float) -> None:
-    lo, hi = geometry.theta1_range
-    if not (lo <= theta1 <= hi):
-        raise OutOfRangeError(
-            f"theta1={theta1:.9g} rad outside admissible range "
-            f"[{lo:.9g}, {hi:.9g}] rad"
-        )
-
-
-def _assemble_state(
-    geometry: LinkageGeometry,
-    theta1: float,
-    theta2: float,
-    theta6: float,
-) -> JointState:
-    theta5 = theta2 + geometry.sigma
-    theta3 = closure_vector_angle(
-        geometry.loop_lengths(1), theta1, theta2, geometry.theta4_fixed
-    )
-    theta7 = closure_vector_angle(
-        geometry.loop_lengths(2), theta5, theta6, geometry.theta8_fixed
-    )
-    return JointState(
-        theta1=theta1,
-        theta2=theta2,
-        theta3=theta3,
-        theta5=theta5,
-        theta6=theta6,
-        theta7=theta7,
-        theta_mcp=theta6,
-        theta_pip=theta5 - geometry.sigma,
-        theta_dip=theta1 - geometry.rho,
-    )
-
-
-def _continuity_refs(policy: BranchPolicy) -> tuple[float | None, float | None]:
-    if policy.mode != CONTINUITY:
-        return None, None
-    if policy.previous_solution is None:
-        raise ValueError("continuity mode requires a previous solution")
-    return policy.previous_solution.theta2, policy.previous_solution.theta6
-
-
-def solve_chain(
-    geometry: LinkageGeometry,
-    theta1: float,
-    policy: BranchPolicy = DEFAULT_POLICY,
-) -> JointState:
-    """Solve both loops in series for a full joint state.
-
-    Loop 1 maps the input angle to its dependent angle, which (offset by
-    sigma) drives loop 2.  The two eliminated vector directions are
-    recovered afterwards, and the anatomical MCP / PIP / DIP angles are
-    filled in by their defining identities.
-    """
-    _check_theta1(geometry, theta1)
-    ref2, ref6 = _continuity_refs(policy)
-    c1 = loop_coefficients(geometry, 1)
-    c2 = loop_coefficients(geometry, 2)
-    try:
-        theta2 = solve_loop(
-            c1, theta1, policy,
-            fixed_angle=geometry.theta4_fixed,
-            continuity_reference=ref2,
-        )
-    except NoClosureError as exc:
-        raise NoClosureError(
-            f"loop 1 cannot close at theta1={theta1:.9g} rad", loop=1,
-            theta_in=theta1,
-        ) from exc
-    theta5 = theta2 + geometry.sigma
-    try:
-        theta6 = solve_loop(
-            c2, theta5, policy,
-            fixed_angle=geometry.theta8_fixed,
-            continuity_reference=ref6,
-        )
-    except NoClosureError as exc:
-        raise NoClosureError(
-            f"loop 2 cannot close at theta5={theta5:.9g} rad "
-            f"(theta1={theta1:.9g} rad)", loop=2, theta_in=theta5,
-        ) from exc
-    return _assemble_state(geometry, theta1, theta2, theta6)
 
 
 def bisect_loop(
@@ -468,16 +355,10 @@ def bisect_loop(
     coefficient, so the larger root is the positive branch exactly when
     that probe is positive.
     """
-    if policy.mode == CONTINUITY and continuity_reference is None:
-        raise ValueError(
-            "continuity mode requires continuity_reference at the loop level"
-        )
-    branch = {POSITIVE_ROOT: 1, NEGATIVE_ROOT: -1, CONTINUITY: 0}[policy.mode]
-    ref = continuity_reference if continuity_reference is not None else 0.0
-    ok, theta = _kernels.loop_bisect_batch(
-        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3,
-        np.array([theta_in], dtype=np.float64),
-        fixed_angle, branch, ref, n_scan,
+    _require_reference(policy, continuity_reference)
+    ok, theta = _oracle(
+        coeffs, np.array([theta_in], dtype=np.float64), fixed_angle,
+        continuity_reference, policy.mode, n_scan,
     )
     if not ok[0]:
         raise NoClosureError(
@@ -485,6 +366,131 @@ def bisect_loop(
             theta_in=theta_in,
         )
     return float(theta[0])
+
+
+def _vector_closure_angles(
+    lengths: Sequence[float],
+    theta_in: np.ndarray,
+    theta_out: np.ndarray,
+    fixed_angle: float,
+    atan2=np.arctan2,
+) -> np.ndarray:
+    a, b, _, d = lengths
+    y = (
+        a * np.sin(theta_in + theta_out)
+        + b * np.sin(theta_out)
+        + d * math.sin(fixed_angle)
+    )
+    x = (
+        a * np.cos(theta_in + theta_out)
+        + b * np.cos(theta_out)
+        + d * math.cos(fixed_angle)
+    )
+    return atan2(y, x)
+
+
+def _libm_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return _kernels.libm(math.atan2, y, x)
+
+
+def closure_vector_angle(
+    lengths: Sequence[float],
+    theta_in: float,
+    theta_out: float,
+    fixed_angle: float,
+) -> float:
+    """Direction of the loop's resultant vector, recovered by atan2.
+
+    The three known vectors of a closed loop sum to the fourth; its
+    direction follows from the summed X and Y components.  Needed for
+    forward-kinematics validation because the squared closure constraint
+    eliminates this angle.
+    """
+    return float(_vector_closure_angles(
+        lengths, np.array([theta_in], dtype=np.float64),
+        np.array([theta_out], dtype=np.float64), fixed_angle, _libm_atan2,
+    )[0])
+
+
+def _check_theta1(geometry: LinkageGeometry, theta1: float) -> None:
+    lo, hi = geometry.theta1_range
+    if not (lo <= theta1 <= hi):
+        raise OutOfRangeError(
+            f"theta1={theta1:.9g} rad outside admissible range "
+            f"[{lo:.9g}, {hi:.9g}] rad"
+        )
+
+
+def _continuity_refs(policy: BranchPolicy) -> tuple[float | None, float | None]:
+    if policy.mode != CONTINUITY:
+        return None, None
+    if policy.previous_solution is None:
+        raise ValueError("continuity mode requires a previous solution")
+    return policy.previous_solution.theta2, policy.previous_solution.theta6
+
+
+def _chain(
+    geometry: LinkageGeometry,
+    theta1: np.ndarray,
+    solve,
+    atan2,
+    references: tuple[float | None, float | None] = (None, None),
+) -> ChainSweep:
+    """The one two-loop chain solver every entry point is a view of.
+
+    ``solve(coeffs, theta_in, fixed_angle, reference)`` gives one loop's
+    ``(ok, theta_out)`` over an input array.  Loop 1 maps theta1 to theta2,
+    which (offset by sigma) drives loop 2.  The first sample, in input
+    order, that is out of range or cannot close raises what
+    :func:`solve_chain` raises for it: its range error, else the loop that
+    fails there.  ``atan2`` recovers theta3/theta7.
+    """
+    c1 = loop_coefficients(geometry, 1)
+    c2 = loop_coefficients(geometry, 2)
+    ok1, theta2 = solve(c1, theta1, geometry.theta4_fixed, references[0])
+    theta5 = theta2 + geometry.sigma
+    ok2, theta6 = solve(c2, theta5, geometry.theta8_fixed, references[1])
+    lo, hi = geometry.theta1_range
+    ok = ok1 & ok2 & (lo <= theta1) & (theta1 <= hi)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        bad = float(theta1[i])
+        _check_theta1(geometry, bad)
+        if not ok1[i]:
+            raise NoClosureError(
+                f"loop 1 cannot close at theta1={bad:.9g} rad", loop=1,
+                theta_in=bad,
+            )
+        raise NoClosureError(
+            f"loop 2 cannot close at theta5={float(theta5[i]):.9g} rad "
+            f"(theta1={bad:.9g} rad)", loop=2, theta_in=float(theta5[i]),
+        )
+    return _chain_sweep(geometry, theta1, theta2, theta6, atan2)
+
+
+def _one_state(geometry, theta1, solve, policy) -> JointState:
+    """One sample of :func:`_chain` with a branch policy."""
+    _check_theta1(geometry, theta1)
+    return _chain(
+        geometry, np.array([theta1], dtype=np.float64),
+        functools.partial(solve, mode=policy.mode), _libm_atan2,
+        _continuity_refs(policy),
+    ).state_at(0)
+
+
+def solve_chain(
+    geometry: LinkageGeometry,
+    theta1: float,
+    policy: BranchPolicy = DEFAULT_POLICY,
+) -> JointState:
+    """Solve both loops in series for a full joint state.
+
+    Loop 1 maps the input angle to its dependent angle, which (offset by
+    sigma) drives loop 2.  The two eliminated vector directions are
+    recovered afterwards, and the anatomical MCP / PIP / DIP angles are
+    filled in by their defining identities.
+    """
+    return _one_state(geometry, theta1, _closed_form, policy)
 
 
 def solve_chain_numeric(
@@ -495,34 +501,9 @@ def solve_chain_numeric(
     """Same contract as solve_chain, computed purely by bisection.
 
     Exists as an independent cross-check of the closed-form path; used by
-    the validation command and the test suite.
+    the test suite; :func:`oracle_deviation` runs the same oracle over grids.
     """
-    _check_theta1(geometry, theta1)
-    ref2, ref6 = _continuity_refs(policy)
-    c1 = loop_coefficients(geometry, 1)
-    c2 = loop_coefficients(geometry, 2)
-    try:
-        theta2 = bisect_loop(
-            c1, theta1, fixed_angle=geometry.theta4_fixed,
-            policy=policy, continuity_reference=ref2,
-        )
-    except NoClosureError as exc:
-        raise NoClosureError(
-            f"loop 1 oracle found no closure at theta1={theta1:.9g} rad",
-            loop=1, theta_in=theta1,
-        ) from exc
-    theta5 = theta2 + geometry.sigma
-    try:
-        theta6 = bisect_loop(
-            c2, theta5, fixed_angle=geometry.theta8_fixed,
-            policy=policy, continuity_reference=ref6,
-        )
-    except NoClosureError as exc:
-        raise NoClosureError(
-            f"loop 2 oracle found no closure at theta5={theta5:.9g} rad",
-            loop=2, theta_in=theta5,
-        ) from exc
-    return _assemble_state(geometry, theta1, theta2, theta6)
+    return _one_state(geometry, theta1, _oracle, policy)
 
 
 def _residual_partials(coeffs, theta_in, theta_out, fixed_angle):
@@ -581,42 +562,8 @@ class ChainSweep:
     theta_dip: np.ndarray
 
     def state_at(self, index: int) -> JointState:
-        return JointState(
-            theta1=float(self.theta1[index]),
-            theta2=float(self.theta2[index]),
-            theta3=float(self.theta3[index]),
-            theta5=float(self.theta5[index]),
-            theta6=float(self.theta6[index]),
-            theta7=float(self.theta7[index]),
-            theta_mcp=float(self.theta_mcp[index]),
-            theta_pip=float(self.theta_pip[index]),
-            theta_dip=float(self.theta_dip[index]),
-        )
-
-
-def _vector_closure_angles(
-    lengths: Sequence[float],
-    theta_in: np.ndarray,
-    theta_out: np.ndarray,
-    fixed_angle: float,
-    atan2=np.arctan2,
-) -> np.ndarray:
-    a, b, _, d = lengths
-    y = (
-        a * np.sin(theta_in + theta_out)
-        + b * np.sin(theta_out)
-        + d * math.sin(fixed_angle)
-    )
-    x = (
-        a * np.cos(theta_in + theta_out)
-        + b * np.cos(theta_out)
-        + d * math.cos(fixed_angle)
-    )
-    return atan2(y, x)
-
-
-def _libm_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return _kernels.libm(math.atan2, y, x)
+        return JointState(**{f.name: float(getattr(self, f.name)[index])
+                             for f in fields(self)})
 
 
 def _chain_sweep(
@@ -645,6 +592,16 @@ def _chain_sweep(
     )
 
 
+def _continuity_sweep(coeffs, theta_in, fixed_angle, reference):
+    """Nearest-branch sweep of one loop, seeded by the positive root at the
+    first sample (which fails here exactly when the seed does)."""
+    _, seed = _closed_form(coeffs, theta_in[:1], fixed_angle)
+    return _kernels.loop_sweep_continuity(
+        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3,
+        theta_in, fixed_angle, float(seed[0]),
+    )
+
+
 def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> ChainSweep:
     """Solve the chain over a monotone sweep of input angles.
 
@@ -668,79 +625,38 @@ def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> ChainSw
             f"sweep sample theta1={bad:.9g} rad outside range "
             f"[{lo:.9g}, {hi:.9g}] rad"
         )
-
-    c1 = loop_coefficients(geometry, 1)
-    c2 = loop_coefficients(geometry, 2)
-    first = float(theta1_values[0])
-    try:
-        seed2 = solve_loop(c1, first, fixed_angle=geometry.theta4_fixed)
-    except NoClosureError as exc:
-        raise NoClosureError(
-            f"loop 1 cannot close at theta1={first:.9g} rad", loop=1,
-            theta_in=first,
-        ) from exc
-    ok1, theta2 = _kernels.loop_sweep_continuity(
-        c1.kappa1, c1.kappa2, c1.kappa3,
-        theta1_values, geometry.theta4_fixed, seed2,
-    )
-    if not ok1.all():
-        bad = float(theta1_values[int(np.argmin(ok1))])
-        raise NoClosureError(
-            f"loop 1 cannot close at theta1={bad:.9g} rad", loop=1,
-            theta_in=bad,
-        )
-    theta5 = theta2 + geometry.sigma
-    try:
-        seed6 = solve_loop(c2, float(theta5[0]), fixed_angle=geometry.theta8_fixed)
-    except NoClosureError as exc:
-        raise NoClosureError(
-            f"loop 2 cannot close at theta5={float(theta5[0]):.9g} rad "
-            f"(theta1={first:.9g} rad)", loop=2, theta_in=float(theta5[0]),
-        ) from exc
-    ok2, theta6 = _kernels.loop_sweep_continuity(
-        c2.kappa1, c2.kappa2, c2.kappa3,
-        theta5, geometry.theta8_fixed, seed6,
-    )
-    if not ok2.all():
-        idx = int(np.argmin(ok2))
-        raise NoClosureError(
-            f"loop 2 cannot close at theta5={float(theta5[idx]):.9g} rad "
-            f"(theta1={float(theta1_values[idx]):.9g} rad)", loop=2,
-            theta_in=float(theta5[idx]),
-        )
-    return _chain_sweep(geometry, theta1_values, theta2, theta6)
-
-
-def _positive_branch(
-    coeffs: LoopCoefficients, theta_in: np.ndarray, fixed_angle: float
-) -> tuple[np.ndarray, np.ndarray]:
-    ok, t_pos, _ = _kernels.half_angle_roots_numpy(
-        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
-    )
-    return ok, 2.0 * _kernels.libm(math.atan, t_pos)
+    # numpy's atan/atan2 here, libm's in the scalar path: they differ in the
+    # last ulp on a few inputs, and each path's emitted bytes are pinned
+    return _chain(geometry, theta1_values, _continuity_sweep, np.arctan2)
 
 
 def solve_chain_batch(geometry: LinkageGeometry, theta1_values) -> ChainSweep:
     """Positive-root :func:`solve_chain` at every input angle, in one pass.
 
-    Each sample gets exactly solve_chain's floats: the arithmetic is the
-    same, elementwise, and atan/atan2 are applied with libm semantics.
-    Unlike :func:`sweep_chain` the inputs need no order.  The first sample
-    that is out of range or cannot close is re-solved by solve_chain, which
-    raises its error.
+    Each sample gets exactly solve_chain's floats, and the first sample that
+    is out of range or cannot close raises solve_chain's error for it.
+    Unlike :func:`sweep_chain` the inputs need no order.
     """
     theta1 = np.asarray(theta1_values, dtype=np.float64)
-    lo, hi = geometry.theta1_range
-    c1 = loop_coefficients(geometry, 1)
-    c2 = loop_coefficients(geometry, 2)
-    ok1, theta2 = _positive_branch(c1, theta1, geometry.theta4_fixed)
-    ok2, theta6 = _positive_branch(
-        c2, theta2 + geometry.sigma, geometry.theta8_fixed
+    return _chain(geometry, theta1, _closed_form, _libm_atan2)
+
+
+def _positive_kernel(coeffs, theta_in, fixed_angle, reference):
+    return _kernels.loop_solve_batch(
+        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle, 1
     )
-    ok = ok1 & ok2 & (lo <= theta1) & (theta1 <= hi)
-    if not ok.all():
-        bad = float(theta1[np.argmin(ok)])
-        solve_chain(geometry, bad)
-        raise NoClosureError(f"chain cannot close at theta1={bad:.9g} rad",
-                             theta_in=bad)
-    return _chain_sweep(geometry, theta1, theta2, theta6, _libm_atan2)
+
+
+def oracle_deviation(
+    geometry: LinkageGeometry, theta1_values
+) -> tuple[float, float]:
+    """Max |closed form - oracle| of theta2 and of theta6, positive root.
+
+    Solves the chain twice over the inputs, once in closed form and once
+    purely by bisection, each loop 2 driven by its own chain's loop 1.
+    """
+    theta1 = np.asarray(theta1_values, dtype=np.float64)
+    closed = _chain(geometry, theta1, _positive_kernel, np.arctan2)
+    numeric = _chain(geometry, theta1, _oracle, np.arctan2)
+    return (float(np.max(np.abs(closed.theta2 - numeric.theta2))),
+            float(np.max(np.abs(closed.theta6 - numeric.theta6))))

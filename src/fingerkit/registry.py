@@ -6,8 +6,9 @@ provenance label, instead of being scattered through the code.  A small
 rule engine cross-checks the registry at load time: ordering relations,
 success-rate arithmetic, fixed key values, and unit/key-suffix agreement.
 
-The shipped ``data/reference_registry.json`` is the canonical serialization
-of :func:`build_default_registry`; regenerating it is deterministic.
+The shipped ``data/reference_registry.json`` is the single source of these
+constants; :func:`default_registry` loads and validates it, and
+:meth:`ReferenceRegistry.to_json` writes it back byte for byte.
 """
 
 from __future__ import annotations
@@ -76,10 +77,7 @@ class ReferenceRegistry:
                 raise ConfigError(f"registry entry {entry.key} lacks a source")
 
     def value(self, key: str) -> float:
-        for entry in self.entries:
-            if entry.key == key:
-                return float(entry.value)
-        raise KeyError(f"registry has no entry {key!r}")
+        return float(self.entry(key).value)
 
     def entry(self, key: str) -> RegistryEntry:
         for entry in self.entries:
@@ -257,162 +255,6 @@ def registry_verify(registry: ReferenceRegistry) -> list[RuleResult]:
         except KeyError as exc:
             report.append(RuleResult(rule.rule_id, False, f"missing entry: {exc}"))
     return report
-
-
-def build_default_registry() -> ReferenceRegistry:
-    """The shipped reference constants, built in canonical order."""
-    e = RegistryEntry
-    entries = (
-        # gripper pinch forces and grasp envelope
-        e("pinch_force_single_n", 7.8, "N", "table2",
-          "single-tendon pinch force"),
-        e("pinch_force_double_n", 11.8, "N", "table2",
-          "double-tendon pinch force"),
-        e("pinch_force_double_measured_n", 11.1, "N", "sec4.2",
-          "double-tendon bench average"),
-        e("pinch_force_max_n", 11.8, "N", "sec4.3",
-          "peak pinch force"),
-        e("pinch_force_worn_trousers_n", 10, "N", "sec6.2",
-          "grasp force on worn waistband"),
-        e("tip_force_gain_over_conventional_pct", 48, "%", "sec4.1",
-          "tip-force gain vs conventional finger"),
-        e("grasp_diameter_min_mm", 30, "mm", "sec4.3",
-          "smallest cylinder held"),
-        e("grasp_diameter_max_mm", 145, "mm", "sec4.3",
-          "largest cylinder held"),
-        # gripper hardware
-        e("gripper_weight_g", 235, "g", "table3", "gripper mass"),
-        e("gripper_width_mm", 60, "mm", "table3", "gripper width"),
-        e("gripper_length_mm", 71, "mm", "table3", "gripper length"),
-        e("gripper_height_mm", 177, "mm", "table3", "gripper height"),
-        e("gripper_dof_count", 2, "count", "table3", "gripper DoF"),
-        e("gripper_motor_torque_nm", 1.5, "Nm", "table3", "servo torque"),
-        e("gripper_motor_max_velocity_rad_s", 12.78, "rad/s", "table3",
-          "servo no-load speed"),
-        e("gripper_fingertip_force_n", 7.8, "N", "table3",
-          "fingertip force"),
-        # safety and environment constants
-        e("iso_contact_force_limit_thigh_knee_n", 220, "N", "sec5.1",
-          "quasi-static contact limit, thighs and knees"),
-        e("toilet_width_mm", 800, "mm", "sec5", "typical toilet width"),
-        e("shoulder_width_mm", 460, "mm", "sec5",
-          "average care-recipient shoulder width"),
-        e("side_clearance_mm", 170, "mm", "sec5",
-          "free width per side"),
-        # manipulators
-        e("primary_arm_length_mm", 844, "mm", "sec5.1",
-          "primary manipulator length"),
-        e("primary_arm_outer_diameter_mm", 175, "mm", "sec5.1",
-          "primary manipulator outer diameter"),
-        e("primary_arm_dof_count", 10, "count", "sec5.1",
-          "primary manipulator DoF"),
-        e("secondary_arm_length_mm", 334, "mm", "sec5.1",
-          "secondary manipulator length"),
-        e("secondary_arm_outer_diameter_mm", 75, "mm", "sec5.1",
-          "secondary manipulator outer diameter"),
-        e("secondary_arm_dof_count", 9, "count", "sec5.1",
-          "secondary manipulator DoF"),
-        e("primary_weight_kg", 4.0, "kg", "table4",
-          "primary manipulator mass with gripper"),
-        e("secondary_weight_kg", 1.5, "kg", "table4",
-          "secondary manipulator mass"),
-        e("primary_extension_mm", 171, "mm", "table4",
-          "primary stroke"),
-        e("secondary_extension_mm", 180, "mm", "sec5.1",
-          "secondary stroke"),
-        e("primary_extension_speed_m_s", 0.038, "m/s", "table4",
-          "primary stroke speed"),
-        e("secondary_extension_speed_m_s", 0.09, "m/s", "table4",
-          "secondary stroke speed"),
-        e("secondary_grasp_speed_m_s", 0.06, "m/s", "table4",
-          "stroke speed while grasping"),
-        e("primary_tip_force_kg", 3.0, "kg", "table4", "primary tip load"),
-        e("secondary_tip_force_kg", 1.5, "kg", "table4", "secondary tip load"),
-        e("primary_tip_rigidity_mm_kg", 6.67, "mm/kg", "table4",
-          "primary tip compliance"),
-        e("secondary_tip_rigidity_mm_kg", 10, "mm/kg", "table4",
-          "secondary tip compliance"),
-        e("primary_tip_accuracy_mm", 20, "mm", "table4",
-          "primary tip position accuracy"),
-        # dressing-task strokes
-        e("required_trouser_travel_mm", 160, "mm", "sec5.1",
-          "travel needed during toilet use"),
-        e("trouser_raise_mm", 170, "mm", "sec6.2",
-          "waistband raise demonstrated"),
-        # trial environment
-        e("toilet_room_width_m", 1.5, "m", "sec6", "test room width"),
-        e("toilet_room_length_m", 1.85, "m", "sec6", "test room length"),
-        e("toilet_wall_clearance_entrance_m", 0.92, "m", "sec6",
-          "entrance-side wall distance"),
-        e("toilet_wall_clearance_right_m", 0.51, "m", "sec6",
-          "right-side wall distance"),
-        e("toilet_wall_clearance_left_m", 0.61, "m", "sec6",
-          "left-side wall distance"),
-        # trial outcomes
-        e("dressing_prior_trials_count", 10, "count", "table5",
-          "dressing trials, earlier system"),
-        e("dressing_prior_successes_count", 9, "count", "table5",
-          "dressing successes, earlier system"),
-        e("dressing_prior_success_rate_pct", 90, "%", "table5",
-          "dressing success rate, earlier system"),
-        e("dressing_system_trials_count", 4, "count", "table5",
-          "dressing trials, this system"),
-        e("dressing_system_successes_count", 4, "count", "table5",
-          "dressing successes, this system"),
-        e("dressing_system_success_rate_pct", 100, "%", "table5",
-          "dressing success rate, this system"),
-        e("dressing_system_time_s", 3.0, "s", "table5",
-          "dressing task time, this system"),
-        e("undressing_prior_trials_count", 7, "count", "table5",
-          "undressing trials, earlier system"),
-        e("undressing_prior_successes_count", 0, "count", "table5",
-          "undressing successes, earlier system"),
-        e("undressing_prior_success_rate_pct", 0, "%", "table5",
-          "undressing success rate, earlier system"),
-        e("undressing_system_trials_count", 4, "count", "table5",
-          "undressing trials, this system"),
-        e("undressing_system_successes_count", 4, "count", "table5",
-          "undressing successes, this system"),
-        e("undressing_system_success_rate_pct", 100, "%", "table5",
-          "undressing success rate, this system"),
-        e("undressing_system_time_s", 3.1, "s", "table5",
-          "undressing task time, this system"),
-        e("dressing_caregiver_trials_count", 4, "count", "table5",
-          "dressing trials, human caregiver"),
-        e("dressing_caregiver_successes_count", 4, "count", "table5",
-          "dressing successes, human caregiver"),
-        e("dressing_caregiver_success_rate_pct", 100, "%", "table5",
-          "dressing success rate, human caregiver"),
-        e("dressing_caregiver_time_s", 2.0, "s", "table5",
-          "dressing task time, human caregiver"),
-        e("undressing_caregiver_trials_count", 4, "count", "table5",
-          "undressing trials, human caregiver"),
-        e("undressing_caregiver_successes_count", 4, "count", "table5",
-          "undressing successes, human caregiver"),
-        e("undressing_caregiver_success_rate_pct", 100, "%", "table5",
-          "undressing success rate, human caregiver"),
-        e("undressing_caregiver_time_s", 2.0, "s", "table5",
-          "undressing task time, human caregiver"),
-    )
-    rules = (
-        RegistryRule(
-            "pinch-ordering",
-            "single-tendon pinch force must stay below the double-tendon "
-            "value; the comparison uses the comparison-table key "
-            "pinch_force_double_n, not the bench average",
-        ),
-        RegistryRule(
-            "success-rates",
-            "every (trials, successes, rate) triple must satisfy "
-            "successes/trials == rate",
-        ),
-        RegistryRule("gripper-weight", "gripper_weight_g must equal 235"),
-        RegistryRule(
-            "unit-suffixes",
-            "every key carries a dimension suffix matching its unit field",
-        ),
-    )
-    return ReferenceRegistry(entries=entries, rules=rules)
 
 
 def default_registry() -> ReferenceRegistry:

@@ -3,13 +3,14 @@ PASS line with its measured figure.  Run with `pytest tests/test_acceptance.py -
 
 import math
 import time
+from importlib import resources
 
 import numpy as np
 
 import fingerkit as fk
 from fingerkit import _kernels
 from fingerkit.cli import main
-from fingerkit.registry import build_default_registry, registry_verify
+from fingerkit.registry import registry_verify
 
 F_VERT = math.pi / 2.0
 
@@ -324,12 +325,13 @@ def test_criterion_10_registry_verification(registry):
     assert registry.value("undressing_prior_trials_count") == 7
     assert registry.value("undressing_prior_success_rate_pct") == 0
     assert registry.value("undressing_system_success_rate_pct") == 100
-    # the shipped file is the canonical serialization
-    regenerated = build_default_registry().to_json()
-    assert registry.to_json() == regenerated
+    # the shipped file is the single source, and loading it round-trips
+    shipped = (resources.files("fingerkit")
+               .joinpath("data/reference_registry.json").read_text(encoding="utf-8"))
+    assert registry.to_json() == shipped
     note(10, f"all {len(report)} registry rules pass; trial-outcome readback "
-             f"(9/10=90%, 4/4=100%, 0/7=0%) consistent; file regeneration "
-             f"deterministic")
+             f"(9/10=90%, 4/4=100%, 0/7=0%) consistent; shipped file "
+             f"round-trips byte for byte")
 
 
 def test_criterion_11_sweep_determinism(tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fingerkit import cli
 from fingerkit.cli import _dumps, main
 from fingerkit.config import default_config_path
 from fingerkit.errors import FingerkitError
@@ -177,8 +178,8 @@ class TestRegistryCommand:
         assert "4/4 rules passed" in out
 
     def test_faulted_registry_fails(self, tmp_path, capsys):
-        from fingerkit.registry import build_default_registry
-        text = build_default_registry().to_json().replace(
+        from fingerkit.registry import default_registry
+        text = default_registry().to_json().replace(
             '"value": 7.8', '"value": 12.5', 1)
         path = tmp_path / "reg.json"
         path.write_text(text, encoding="utf-8")
@@ -199,7 +200,21 @@ class TestExitCodes:
             assert main([command, "--config", str(bad_config),
                          "--out", str(tmp_path / command)]) == 1
             errors.append(capsys.readouterr().err)
-        assert errors == ["error: loop 1 cannot close at theta1=0 rad\n"] * 3
+        assert main(["validate", "--config", str(bad_config)]) == 1
+        errors.append(capsys.readouterr().err)
+        assert errors == ["error: loop 1 cannot close at theta1=0 rad\n"] * 4
+
+    def test_out_of_memory_is_two(self, monkeypatch, tmp_path, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "workspace", exhausted)
+        assert main(["workspace", "--out", str(tmp_path / "ws"),
+                     "--samples", "2", "--psi-samples", "100000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_missing_config_is_two(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "absent.json")]) == 2

@@ -2,9 +2,10 @@
 
 The emitting commands format whole arrays at once and compute the force
 profile in one batch; none of that may change a byte.  These tests pin the
-emitted files to the recorded reference hashes, the batch columns to the
-scalar API, the vectorized continuity sweep to a sequential loop, and the
-bulk writers to per-value formatting.
+stdout and emitted files of every benchmark reference invocation to the
+recorded hashes, the batch columns to the scalar API, the vectorized
+continuity sweep to a sequential loop, and the bulk writers to per-value
+formatting.
 """
 
 import hashlib
@@ -34,13 +35,16 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize(
-    "invocation", references.REFERENCES["emit"], ids=lambda inv: inv.key())
+    "invocation",
+    [inv for invocations in references.REFERENCES.values() for inv in invocations],
+    ids=lambda inv: inv.key())
 def test_reference_invocation_bytes(invocation, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(invocation.argv(out)) == 0
     recorded = RECORDED[invocation.key()]
     assert _sha256(capsys.readouterr().out.encode()) == recorded["stdout_sha256"]
-    emitted = {p.name: _sha256(p.read_bytes()) for p in sorted(out.iterdir())}
+    emitted = ({p.name: _sha256(p.read_bytes()) for p in sorted(out.iterdir())}
+               if out.exists() else {})
     assert emitted == recorded["files"]
 
 
@@ -99,8 +103,8 @@ class TestForceBatchMatchesScalar:
 
 def _sequential_continuity(k1, k2, k3, phi, fixed_angle, seed):
     """The per-sample loop the vectorized continuity sweep replaces."""
-    ok, pos = _kernels.loop_solve_batch_numpy(k1, k2, k3, phi, fixed_angle, 1)
-    _, neg = _kernels.loop_solve_batch_numpy(k1, k2, k3, phi, fixed_angle, -1)
+    ok, pos = _kernels.loop_solve_batch(k1, k2, k3, phi, fixed_angle, 1)
+    _, neg = _kernels.loop_solve_batch(k1, k2, k3, phi, fixed_angle, -1)
 
     def wrap(angle):
         wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
@@ -134,13 +138,13 @@ def test_vectorized_continuity_matches_sequential_loop():
             phi = np.linspace(rng.uniform(-3.0, 0.0), rng.uniform(0.0, 3.0), n)
         fixed = float(rng.uniform(-2.0, 2.0))
         seed = float(rng.uniform(-4.0, 4.0))
-        ok, theta = _kernels.loop_sweep_continuity_numpy(
+        ok, theta = _kernels.loop_sweep_continuity(
             k1, k2, k3, phi, fixed, seed)
         ok_ref, theta_ref = _sequential_continuity(k1, k2, k3, phi, fixed, seed)
         assert np.array_equal(ok, ok_ref)
         assert np.array_equal(theta, theta_ref, equal_nan=True)
         closing_some += 0 < ok.sum() < n
-        _, pos = _kernels.loop_solve_batch_numpy(k1, k2, k3, phi, fixed, 1)
+        _, pos = _kernels.loop_solve_batch(k1, k2, k3, phi, fixed, 1)
         flipping += bool(np.any(ok & (theta != pos)))
     # the cases exercise partly closing inputs and negative-branch picks
     assert closing_some > 20 and flipping > 20

@@ -397,7 +397,7 @@ class TestGraspAssess:
                             self.make_context(cfg))
 
     def test_envelope_is_registry_driven(self, cfg):
-        doc = fk.build_default_registry()
+        doc = fk.default_registry()
         entries = tuple(
             e if e.key != "grasp_diameter_min_mm"
             else fk.registry.RegistryEntry(e.key, 50, e.unit, e.source, e.quote)

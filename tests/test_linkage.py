@@ -212,10 +212,13 @@ class TestSolveLoop:
                 assert min(abs(solved - r) for r in roots) <= 1e-8
 
     def test_continuity_needs_reference(self):
-        c = fk.LoopCoefficients(0.25, 0.4, 0.15)
         policy = fk.BranchPolicy(mode="continuity")
-        with pytest.raises(ValueError):
-            fk.solve_loop(c, math.radians(80.0), policy)
+        # closing, linear-limit and non-closing inputs alike
+        for c, t in ((fk.LoopCoefficients(0.25, 0.4, 0.15), math.radians(80.0)),
+                     (fk.LoopCoefficients(1.0, 1.0, 1.0), math.pi / 2.0),
+                     (fk.LoopCoefficients(0.0, 0.0, 2.0), 0.0)):
+            with pytest.raises(ValueError):
+                fk.solve_loop(c, t, policy)
 
     def test_continuity_picks_nearest(self):
         c = fk.LoopCoefficients(0.25, 0.4, 0.15)
@@ -431,3 +434,54 @@ class TestClosureVectorAngle:
         # all vectors along +x: resultant along +x
         angle = closure_vector_angle((1.0, 1.0, 3.0, 1.0), 0.0, 0.0, 0.0)
         assert angle == pytest.approx(0.0, abs=1e-15)
+
+
+def _error_key(exc):
+    return type(exc), exc.loop, exc.theta_in, str(exc)
+
+
+class TestBatchIsMappedScalar:
+    """solve_chain_batch and sweep_chain behave as solve_chain mapped over
+    their inputs: the same floats, or the first failing sample's error."""
+
+    FIELDS = ("theta1", "theta2", "theta3", "theta5", "theta6", "theta7",
+              "theta_mcp", "theta_pip", "theta_dip")
+
+    def test_random_geometries(self, geometry):
+        rng = np.random.default_rng(31415)
+        outcomes = {"closed": 0, 1: 0, 2: 0}
+        for _ in range(120):
+            v = np.array(geometry.v) * rng.uniform(0.85, 1.15, 8)
+            # a widened input range reaches where the loops cannot close
+            widen = float(rng.uniform(0.0, 0.6)) * (rng.random() < 0.6)
+            lo, hi = geometry.theta1_range
+            g = fk.LinkageGeometry(
+                v=tuple(v.tolist()),
+                sigma=geometry.sigma + float(rng.uniform(-0.5, 0.5)),
+                rho=geometry.rho,
+                theta1_range=(lo - widen, hi + widen),
+            )
+            grid = np.linspace(*g.theta1_range, int(rng.integers(2, 60)))
+            first_error, states = None, []
+            for t in grid.tolist():
+                try:
+                    states.append(fk.solve_chain(g, t))
+                except fk.NoClosureError as exc:
+                    first_error = exc
+                    break
+            if first_error is None:
+                outcomes["closed"] += 1
+                chain = fk.solve_chain_batch(g, grid)
+                for i, state in enumerate(states):
+                    for name in self.FIELDS:
+                        assert getattr(chain, name)[i] == getattr(state, name)
+                continue
+            outcomes[first_error.loop] += 1
+            expected = _error_key(first_error)
+            with pytest.raises(fk.NoClosureError) as batch_error:
+                fk.solve_chain_batch(g, grid)
+            assert _error_key(batch_error.value) == expected
+            with pytest.raises(fk.NoClosureError) as sweep_error:
+                fk.sweep_chain(g, grid)
+            assert _error_key(sweep_error.value) == expected
+        assert min(outcomes.values()) >= 10, outcomes

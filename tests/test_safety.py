@@ -14,7 +14,7 @@ from fingerkit.registry import (
     RegistryEntry,
     RegistryRule,
     ReferenceRegistry,
-    build_default_registry,
+    default_registry,
     registry_verify,
 )
 from fingerkit.safety import clearance_check, iso_contact_check, stroke_check
@@ -120,7 +120,7 @@ class TestRegistry:
             .joinpath("data/reference_registry.json")
             .read_text(encoding="utf-8")
         )
-        assert shipped == build_default_registry().to_json()
+        assert shipped == default_registry().to_json()
 
     def test_roundtrip_is_byte_identical(self, registry):
         text = registry.to_json()
@@ -177,7 +177,7 @@ def _edit_unit(registry: ReferenceRegistry, key: str, unit) -> ReferenceRegistry
 
 class TestRegistryFaultInjection:
     def test_pinch_ordering_fault(self):
-        bad = _edit(build_default_registry(), "pinch_force_single_n", 12.0)
+        bad = _edit(default_registry(), "pinch_force_single_n", 12.0)
         report = {r.rule_id: r for r in registry_verify(bad)}
         assert not report["pinch-ordering"].passed
         with pytest.raises(fk.RuleViolationError) as exc_info:
@@ -185,23 +185,23 @@ class TestRegistryFaultInjection:
         assert "pinch-ordering" in exc_info.value.rules
 
     def test_success_rate_fault(self):
-        bad = _edit(build_default_registry(), "dressing_prior_success_rate_pct", 80)
+        bad = _edit(default_registry(), "dressing_prior_success_rate_pct", 80)
         report = {r.rule_id: r for r in registry_verify(bad)}
         assert not report["success-rates"].passed
         assert "dressing_prior" in report["success-rates"].detail
 
     def test_weight_fault(self):
-        bad = _edit(build_default_registry(), "gripper_weight_g", 234)
+        bad = _edit(default_registry(), "gripper_weight_g", 234)
         report = {r.rule_id: r for r in registry_verify(bad)}
         assert not report["gripper-weight"].passed
 
     def test_unit_fault(self):
-        bad = _edit_unit(build_default_registry(), "toilet_width_mm", "inch")
+        bad = _edit_unit(default_registry(), "toilet_width_mm", "inch")
         report = {r.rule_id: r for r in registry_verify(bad)}
         assert not report["unit-suffixes"].passed
 
     def test_loads_with_validation_raises(self):
-        bad = _edit(build_default_registry(), "pinch_force_single_n", 12.0)
+        bad = _edit(default_registry(), "pinch_force_single_n", 12.0)
         with pytest.raises(fk.RuleViolationError):
             ReferenceRegistry.loads(bad.to_json())
         # validate=False parses the same document fine
@@ -209,7 +209,7 @@ class TestRegistryFaultInjection:
         assert parsed.value("pinch_force_single_n") == 12.0
 
     def test_unknown_rule_reports_failure(self):
-        base = build_default_registry()
+        base = default_registry()
         with_rule = ReferenceRegistry(
             entries=base.entries,
             rules=base.rules + (RegistryRule("phase-of-moon", "unknowable"),),
