@@ -25,7 +25,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +34,11 @@ from .errors import ConfigError, FingerkitError
 from .finger import (
     CylinderObject,
     FlatObject,
-    ForceContext,
     GraspReport,
     TendonModel,
     force_profile,
     grasp_assess,
+    static_tip_force,
     tip_trace,
     workspace,
 )
@@ -55,18 +54,6 @@ from .linkage import (
 from .registry import ReferenceRegistry, default_registry, registry_verify
 from .safety import clearance_check, iso_contact_check, stroke_check
 from .svgplot import Series, format_rows, render_svg
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation, fully resolved."""
-
-    command: str
-    config_path: Path
-    output_dir: Path | None = None
-    format: str = "csv"
-    samples: int = 100
-    extra: dict = field(default_factory=dict)
 
 
 def _fmt(value: float) -> str:
@@ -148,27 +135,37 @@ def _require_finite(value: float, flag: str, minimum: float | None = None,
     raise ConfigError(f"{flag} must be a finite number{bound}, got {value!r}")
 
 
+def _require_counts(message: str, *counts: int) -> None:
+    """CLI boundary check of sample counts: each >= 2, and few enough that
+    numpy can size a float64 table of their product by 9 columns (the
+    widest table emitted); larger counts are reported as out of memory."""
+    if min(counts) < 2:
+        raise ConfigError(message)
+    if math.prod(counts) * 9 * 8 > np.iinfo(np.intp).max:
+        raise MemoryError
+
+
 def _theta1_grid(cfg: FingerConfig, samples: int) -> np.ndarray:
     lo, hi = cfg.geometry.theta1_range
     return np.linspace(lo, hi, samples)
 
 
-def _resolve_tendon(cfg: FingerConfig, run: RunConfig) -> tuple[TendonModel, float]:
+def _resolve_tendon(cfg: FingerConfig,
+                    args: argparse.Namespace) -> tuple[TendonModel, float]:
     """The requested tendon variant and tension (default: its maximum)."""
     tendon = cfg.require_tendon()
-    kind = run.extra.get("tendon_kind")
-    if kind == "double":
+    if args.tendon == "double":
         tendon = tendon.as_double()
-    elif kind not in (None, tendon.kind):
+    elif args.tendon not in (None, tendon.kind):
         raise ConfigError(
             "config ships a double-tendon model; a single-tendon variant needs "
             "spring parameters in the config"
         )
-    tension = run.extra.get("tension_n")
+    tension = args.tension_n
     return tendon, tendon.max_tension if tension is None else tension
 
 
-def _cmd_analyze(cfg: FingerConfig, run: RunConfig) -> int:
+def _cmd_analyze(cfg: FingerConfig, args: argparse.Namespace) -> int:
     mobility = compute_mobility(NUM_LINKS, NUM_JOINTS)
     loops = count_loops(NUM_JOINTS, NUM_LINKS)
     print(f"M={mobility}, loops={loops}")
@@ -188,14 +185,11 @@ _TIP_HEADER = [
 ]
 
 
-def _cmd_sweep(cfg: FingerConfig, run: RunConfig) -> int:
-    if run.samples < 2:
-        raise ConfigError("sweep requires --samples >= 2")
-    if run.output_dir is None:
-        raise ConfigError("sweep requires --out")
+def _cmd_sweep(cfg: FingerConfig, args: argparse.Namespace) -> int:
+    _require_counts("sweep requires --samples >= 2", args.samples)
     finger = cfg.require_finger()
-    psi = math.radians(_require_finite(run.extra.get("psi_deg", 0.0), "--psi-deg"))
-    sweep = sweep_chain(cfg.geometry, _theta1_grid(cfg, run.samples))
+    psi = math.radians(_require_finite(args.psi_deg, "--psi-deg"))
+    sweep = sweep_chain(cfg.geometry, _theta1_grid(cfg, args.samples))
     angle_header = [
         "theta1_deg", "theta2_deg", "theta3_deg", "theta5_deg",
         "theta6_deg", "theta7_deg", "mcp_deg", "pip_deg", "dip_deg",
@@ -206,10 +200,10 @@ def _cmd_sweep(cfg: FingerConfig, run: RunConfig) -> int:
     ]))
     trace = _table(tip_trace(finger, sweep, psi), 2)
 
-    out = run.output_dir
-    _write_table(out, "joint_angles", run.format, angle_header, angles, cfg.sha256)
-    _write_table(out, "tip_trace", run.format, _TIP_HEADER, trace, cfg.sha256)
-    if run.format == "svg":
+    out = args.out
+    _write_table(out, "joint_angles", args.format, angle_header, angles, cfg.sha256)
+    _write_table(out, "tip_trace", args.format, _TIP_HEADER, trace, cfg.sha256)
+    if args.format == "svg":
         _write(out / "joint_angles.svg", [render_svg(
             [
                 Series("theta2", angles[:, 0], angles[:, 1]),
@@ -228,28 +222,26 @@ def _cmd_sweep(cfg: FingerConfig, run: RunConfig) -> int:
     return 0
 
 
-def _cmd_workspace(cfg: FingerConfig, run: RunConfig) -> int:
-    if run.output_dir is None:
-        raise ConfigError("workspace requires --out")
-    psi_samples = run.extra.get("psi_samples", 25)
-    if run.samples < 2 or psi_samples < 2:
-        raise ConfigError("workspace requires --samples and --psi-samples >= 2")
+def _cmd_workspace(cfg: FingerConfig, args: argparse.Namespace) -> int:
+    samples, psi_samples = args.samples, args.psi_samples
+    _require_counts("workspace requires --samples and --psi-samples >= 2",
+                    samples, psi_samples)
     finger = cfg.require_finger()
     thumb = cfg.require_thumb_line()
-    result = workspace(cfg.geometry, finger, run.samples, psi_samples, thumb)
+    result = workspace(cfg.geometry, finger, samples, psi_samples, thumb)
     table = _table(result.points, 2)
 
-    out = run.output_dir
+    out = args.out
     metrics = {
         "max_opening_mm": result.max_opening_mm,
-        "theta1_samples": run.samples,
+        "theta1_samples": samples,
         "psi_samples": psi_samples,
     }
-    _write_table(out, "workspace", run.format, _TIP_HEADER, table, cfg.sha256)
+    _write_table(out, "workspace", args.format, _TIP_HEADER, table, cfg.sha256)
     _write(out / "workspace_metrics.json", [_json_doc(metrics, cfg.sha256)])
-    if run.format == "svg":
+    if args.format == "svg":
         # one series per orientation: rows are theta1-major, psi-minor
-        by_psi = table.reshape(run.samples, psi_samples, table.shape[1])
+        by_psi = table.reshape(samples, psi_samples, table.shape[1])
         series = [
             Series(f"psi {by_psi[0, j, 1]:.0f} deg", by_psi[:, j, 4], by_psi[:, j, 5])
             for j in range(psi_samples)
@@ -265,25 +257,22 @@ def _cmd_workspace(cfg: FingerConfig, run: RunConfig) -> int:
     return 0
 
 
-def _cmd_force(cfg: FingerConfig, run: RunConfig) -> int:
-    if run.samples < 2:
-        raise ConfigError("force requires --samples >= 2")
-    if run.output_dir is None:
-        raise ConfigError("force requires --out")
+def _cmd_force(cfg: FingerConfig, args: argparse.Namespace) -> int:
+    _require_counts("force requires --samples >= 2", args.samples)
     finger = cfg.require_finger()
-    tendon, tension = _resolve_tendon(cfg, run)
+    tendon, tension = _resolve_tendon(cfg, args)
     profile = force_profile(
-        tendon, cfg.geometry, finger, _theta1_grid(cfg, run.samples), tension)
+        tendon, cfg.geometry, finger, _theta1_grid(cfg, args.samples), tension)
     table = _table(profile, 1)
 
     header = [
         "theta1_deg", "excursion_mm", "dexcursion_mm_per_rad",
         "tip_speed_mm_per_rad", "force_n",
     ]
-    out = run.output_dir
-    _write_table(out, "force_profile", run.format, header, table, cfg.sha256,
+    out = args.out
+    _write_table(out, "force_profile", args.format, header, table, cfg.sha256,
                  tendon=tendon.kind, tension_n=tension)
-    if run.format == "svg":
+    if args.format == "svg":
         _write(out / "force_profile.svg", [render_svg(
             [Series(f"{tendon.kind} tendon", table[:, 0], table[:, 4])],
             x_label="theta1 (deg)",
@@ -303,34 +292,28 @@ def _report_dict(report: GraspReport) -> dict:
     }
 
 
-def _cmd_grasp(cfg: FingerConfig, run: RunConfig) -> int:
+def _cmd_grasp(cfg: FingerConfig, args: argparse.Namespace) -> int:
     finger = cfg.require_finger()
-    tendon, tension = _resolve_tendon(cfg, run)
-    theta1_deg = run.extra.get("theta1_deg")
+    tendon, tension = _resolve_tendon(cfg, args)
     theta1 = (
-        math.radians(theta1_deg)
-        if theta1_deg is not None
+        math.radians(args.theta1_deg)
+        if args.theta1_deg is not None
         else cfg.geometry.theta1_range[0]
     )
-    context = ForceContext(
-        geometry=cfg.geometry, finger=finger, tendon=tendon,
-        theta1=theta1, tension=tension,
-    )
-    diameter = run.extra.get("diameter_mm")
     obj = (
-        CylinderObject(diameter_mm=_require_finite(diameter, "--diameter-mm", 0.0))
-        if diameter is not None
-        else FlatObject(thickness_mm=_require_finite(
-            run.extra.get("thickness_mm"), "--thickness-mm", 0.0))
+        CylinderObject(_require_finite(args.diameter_mm, "--diameter-mm", 0.0))
+        if args.diameter_mm is not None
+        else FlatObject(_require_finite(args.thickness_mm, "--thickness-mm", 0.0))
     )
-    report = grasp_assess(obj, default_registry(), context)
+    force = static_tip_force(tendon, cfg.geometry, finger, theta1, tension)
+    report = grasp_assess(obj, default_registry(), force)
     print(_dumps(_report_dict(report)))
     return 0
 
 
-def _cmd_safety(cfg: FingerConfig, run: RunConfig) -> int:
+def _cmd_safety(cfg: FingerConfig, args: argparse.Namespace) -> int:
     registry = default_registry()
-    force = run.extra.get("force_n")
+    force = args.force_n
     if force is None:
         force = registry.value("pinch_force_max_n")
     else:
@@ -367,13 +350,12 @@ def _cmd_safety(cfg: FingerConfig, run: RunConfig) -> int:
     return 0 if (iso.passed and clearance.fits and stroke.passed) else 1
 
 
-def _cmd_validate(cfg: FingerConfig, run: RunConfig) -> int:
-    if run.samples < 2:
-        raise ConfigError("validate requires --samples >= 2")
+def _cmd_validate(cfg: FingerConfig, args: argparse.Namespace) -> int:
+    _require_counts("validate requires --samples >= 2", args.samples)
     started = time.perf_counter()
-    dev2, dev6 = oracle_deviation(cfg.geometry, _theta1_grid(cfg, run.samples))
+    dev2, dev6 = oracle_deviation(cfg.geometry, _theta1_grid(cfg, args.samples))
     elapsed = time.perf_counter() - started
-    print(f"samples={run.samples}")
+    print(f"samples={args.samples}")
     print(f"max |theta2 closed - numeric| = {dev2:.3e} rad")
     print(f"max |theta6 closed - numeric| = {dev6:.3e} rad")
     print(f"max deviation = {max(dev2, dev6):.3e} rad")
@@ -381,12 +363,11 @@ def _cmd_validate(cfg: FingerConfig, run: RunConfig) -> int:
     return 0
 
 
-def _cmd_registry(cfg: FingerConfig, run: RunConfig) -> int:
-    path = run.extra.get("registry_path")
-    if path is None:
+def _cmd_registry(cfg: FingerConfig, args: argparse.Namespace) -> int:
+    if args.registry_path is None:
         registry = default_registry()
     else:
-        registry = ReferenceRegistry.load(path, validate=False)
+        registry = ReferenceRegistry.load(args.registry_path, validate=False)
     report = registry_verify(registry)
     failures = 0
     for result in report:
@@ -410,13 +391,9 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one resolved invocation; raises domain/config errors."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise ConfigError(f"unknown command {config.command!r}")
-    cfg = load_config(config.config_path)
-    return handler(cfg, config)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; raises domain/config errors."""
+    return _COMMANDS[args.command](load_config(args.config), args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -485,28 +462,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_runconfig(args: argparse.Namespace) -> RunConfig:
-    extra: dict = {}
-    for key in ("psi_deg", "psi_samples", "tension_n", "diameter_mm",
-                "thickness_mm", "theta1_deg", "force_n", "registry_path"):
-        if getattr(args, key, None) is not None:
-            extra[key] = getattr(args, key)
-    if getattr(args, "tendon", None) is not None:
-        extra["tendon_kind"] = args.tendon
-    return RunConfig(
-        command=args.command,
-        config_path=args.config,
-        output_dir=getattr(args, "out", None),
-        format=getattr(args, "format", "csv"),
-        samples=getattr(args, "samples", 100),
-        extra=extra,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return run(_to_runconfig(args))
+        return run(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

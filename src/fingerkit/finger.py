@@ -17,7 +17,6 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateGeometryError, OutOfRangeError
 from .linkage import (
-    ChainSweep,
     JointState,
     LinkageGeometry,
     chain_derivatives,
@@ -157,29 +156,23 @@ class FlatObject:
     thickness_mm: float
 
 
-@dataclass(frozen=True)
-class ForceContext:
-    """Everything static_tip_force needs, bundled for grasp assessment."""
-
-    geometry: LinkageGeometry
-    finger: FingerGeometry
-    tendon: TendonModel
-    theta1: float
-    tension: float
-
-
-def _planar_tip(finger: FingerGeometry, state):
-    """Finger-plane fingertip of a JointState (floats) or ChainSweep (arrays)."""
-    p1, p2, p3 = finger.phalanx_lengths
+def _phalanx_angles(state: JointState):
+    """Cumulative anatomical angles of the three phalanges."""
     a1 = state.theta_mcp
     a2 = a1 + state.theta_pip
-    a3 = a2 + state.theta_dip
+    return a1, a2, a2 + state.theta_dip
+
+
+def _planar_tip(finger: FingerGeometry, state: JointState):
+    """Finger-plane fingertip of solved configurations."""
+    p1, p2, p3 = finger.phalanx_lengths
+    a1, a2, a3 = _phalanx_angles(state)
     x = finger.base_offset[0] + p1 * np.cos(a1) + p2 * np.cos(a2) + p3 * np.cos(a3)
     y = finger.base_offset[1] + p1 * np.sin(a1) + p2 * np.sin(a2) + p3 * np.sin(a3)
     return x, y
 
 
-def _tip_rows(finger: FingerGeometry, state, psi) -> np.ndarray:
+def _tip_rows(finger: FingerGeometry, state: JointState, psi) -> np.ndarray:
     """TIP_DTYPE rows for every (sample, psi) pair, sample-major.
 
     The gripper-frame point is the planar point rotated by psi about the
@@ -208,7 +201,7 @@ def tip_position(finger: FingerGeometry, state: JointState, psi: float) -> np.vo
     return _tip_rows(finger, state, psi)[0]
 
 
-def tip_trace(finger: FingerGeometry, sweep: ChainSweep, psi: float) -> np.ndarray:
+def tip_trace(finger: FingerGeometry, sweep: JointState, psi: float) -> np.ndarray:
     """Fingertip trace of a solved sweep at fixed psi: TIP_DTYPE rows in
     sweep order.  Solve the sweep with :func:`sweep_chain`, which raises
     with the offending input angle for a sample that cannot close."""
@@ -253,13 +246,14 @@ def workspace(
     return WorkspaceResult(points=points, max_opening_mm=opening)
 
 
-def tendon_excursion(tendon: TendonModel, geometry: LinkageGeometry, state):
+def tendon_excursion(tendon: TendonModel, geometry: LinkageGeometry,
+                     state: JointState):
     """Tendon length drawn since the range-start configuration, and its
     derivative with respect to the input angle.
 
     Excursion is the moment-arm-weighted sum of anatomical joint angles;
     the derivative chains the implicit loop transmissions through both
-    dependent angles.  ``state`` is a JointState or a ChainSweep.
+    dependent angles.  Floats or arrays back, as ``state`` holds.
     """
     start = solve_chain(geometry, geometry.theta1_range[0])
     r_mcp, r_pip, r_dip = tendon.moment_arms
@@ -273,14 +267,12 @@ def tendon_excursion(tendon: TendonModel, geometry: LinkageGeometry, state):
     return excursion, d_excursion
 
 
-def tip_velocity(geometry: LinkageGeometry, finger: FingerGeometry, state):
-    """d(tip)/d(theta1) of the planar fingertip, mm/rad, of a JointState or
-    a ChainSweep."""
+def tip_velocity(geometry: LinkageGeometry, finger: FingerGeometry,
+                 state: JointState):
+    """d(tip)/d(theta1) of the planar fingertip, mm/rad."""
     d21, d61 = chain_derivatives(geometry, state)
     p1, p2, p3 = finger.phalanx_lengths
-    a1 = state.theta_mcp
-    a2 = a1 + state.theta_pip
-    a3 = a2 + state.theta_dip
+    a1, a2, a3 = _phalanx_angles(state)
     da1 = d61
     da2 = d61 + d21
     da3 = d61 + d21 + 1.0
@@ -346,21 +338,15 @@ def static_tip_force(
 def grasp_assess(
     obj: CylinderObject | FlatObject,
     registry: ReferenceRegistry,
-    force_context: ForceContext,
+    force: float,
 ) -> GraspReport:
-    """Feasibility verdict and predicted force for a candidate object.
+    """Feasibility verdict for a candidate object held with tip ``force``
+    (N, from :func:`static_tip_force`).
 
     Cylinders are feasible inside the registry's closed diameter
     envelope; flat objects are treated as pinch grasps with the predicted
     force capped at the registry pinch maximum.
     """
-    force = static_tip_force(
-        force_context.tendon,
-        force_context.geometry,
-        force_context.finger,
-        force_context.theta1,
-        force_context.tension,
-    )
     if isinstance(obj, CylinderObject):
         if obj.diameter_mm <= 0.0:
             raise ValueError("cylinder diameter must be > 0")

@@ -141,17 +141,23 @@ class QuadraticCoefficients:
 
 @dataclass(frozen=True)
 class JointState:
-    """A fully solved configuration of the two-loop chain."""
+    """Solved configurations of the two-loop chain: floats for one
+    configuration, equal-length arrays for a sweep of input angles."""
 
-    theta1: float
-    theta2: float
-    theta3: float
-    theta5: float
-    theta6: float
-    theta7: float
-    theta_mcp: float
-    theta_pip: float
-    theta_dip: float
+    theta1: float | np.ndarray
+    theta2: float | np.ndarray
+    theta3: float | np.ndarray
+    theta5: float | np.ndarray
+    theta6: float | np.ndarray
+    theta7: float | np.ndarray
+    theta_mcp: float | np.ndarray
+    theta_pip: float | np.ndarray
+    theta_dip: float | np.ndarray
+
+    def state_at(self, index: int) -> "JointState":
+        """Sample ``index`` of a sweep, as floats."""
+        return JointState(*(float(getattr(self, f.name)[index])
+                            for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -435,7 +441,7 @@ def _chain(
     solve,
     atan2,
     references: tuple[float | None, float | None] = (None, None),
-) -> ChainSweep:
+) -> JointState:
     """The one two-loop chain solver every entry point is a view of.
 
     ``solve(coeffs, theta_in, fixed_angle, reference)`` gives one loop's
@@ -521,8 +527,9 @@ def chain_derivatives(geometry: LinkageGeometry, state):
     Differentiates both loop residuals at the solved configuration.  The
     loop-2 input moves one-for-one with the loop-1 output, so the second
     derivative is the product of the per-loop transmission ratios.
-    ``state`` is a :class:`JointState` (floats back) or a
-    :class:`ChainSweep` (arrays back); a singular sample anywhere raises.
+    ``state`` is a :class:`JointState` of floats or of arrays, and the
+    derivatives come back in the same shape; a singular sample anywhere
+    raises.
     """
     c1 = loop_coefficients(geometry, 1)
     c2 = loop_coefficients(geometry, 2)
@@ -547,35 +554,16 @@ def chain_derivatives(geometry: LinkageGeometry, state):
     return d21, d65 * d21
 
 
-@dataclass(frozen=True)
-class ChainSweep:
-    """Vectorized chain solution over an ordered array of input angles."""
-
-    theta1: np.ndarray
-    theta2: np.ndarray
-    theta3: np.ndarray
-    theta5: np.ndarray
-    theta6: np.ndarray
-    theta7: np.ndarray
-    theta_mcp: np.ndarray
-    theta_pip: np.ndarray
-    theta_dip: np.ndarray
-
-    def state_at(self, index: int) -> JointState:
-        return JointState(**{f.name: float(getattr(self, f.name)[index])
-                             for f in fields(self)})
-
-
 def _chain_sweep(
     geometry: LinkageGeometry,
     theta1: np.ndarray,
     theta2: np.ndarray,
     theta6: np.ndarray,
     atan2=np.arctan2,
-) -> ChainSweep:
+) -> JointState:
     """Fill in the eliminated and anatomical angles of solved samples."""
     theta5 = theta2 + geometry.sigma
-    return ChainSweep(
+    return JointState(
         theta1=theta1,
         theta2=theta2,
         theta3=_vector_closure_angles(
@@ -602,7 +590,7 @@ def _continuity_sweep(coeffs, theta_in, fixed_angle, reference):
     )
 
 
-def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> ChainSweep:
+def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> JointState:
     """Solve the chain over a monotone sweep of input angles.
 
     Uses the continuity branch policy seeded by the positive root at the
@@ -630,7 +618,7 @@ def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> ChainSw
     return _chain(geometry, theta1_values, _continuity_sweep, np.arctan2)
 
 
-def solve_chain_batch(geometry: LinkageGeometry, theta1_values) -> ChainSweep:
+def solve_chain_batch(geometry: LinkageGeometry, theta1_values) -> JointState:
     """Positive-root :func:`solve_chain` at every input angle, in one pass.
 
     Each sample gets exactly solve_chain's floats, and the first sample that

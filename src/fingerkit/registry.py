@@ -75,6 +75,10 @@ class ReferenceRegistry:
             seen.add(entry.key)
             if not entry.source:
                 raise ConfigError(f"registry entry {entry.key} lacks a source")
+            # bool is an int subclass; JSON true/false is not a measurement
+            if (not isinstance(entry.value, (int, float))
+                    or isinstance(entry.value, bool)):
+                raise ConfigError(f"registry entry {entry.key} value must be a number")
 
     def value(self, key: str) -> float:
         return float(self.entry(key).value)

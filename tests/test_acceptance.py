@@ -247,18 +247,18 @@ def test_criterion_6_definitional_identities(geometry):
 
 
 def test_criterion_7_grasp_envelope(cfg, registry):
-    context = fk.ForceContext(
-        geometry=cfg.geometry,
-        finger=cfg.require_finger(),
-        tendon=cfg.require_tendon(),
-        theta1=cfg.geometry.theta1_range[0],
-        tension=cfg.require_tendon().max_tension,
+    force = fk.static_tip_force(
+        cfg.require_tendon(),
+        cfg.geometry,
+        cfg.require_finger(),
+        cfg.geometry.theta1_range[0],
+        cfg.require_tendon().max_tension,
     )
     mismatches = 0
     count = 0
     for tenth_mm in range(200, 1601):
         diameter = tenth_mm / 10.0
-        report = fk.grasp_assess(fk.CylinderObject(diameter), registry, context)
+        report = fk.grasp_assess(fk.CylinderObject(diameter), registry, force)
         expected = 30.0 <= diameter <= 145.0
         if report.feasible != expected:
             mismatches += 1

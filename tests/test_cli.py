@@ -186,6 +186,19 @@ class TestRegistryCommand:
         assert main(["registry", "--registry-path", str(path)]) == 1
         assert "FAIL pinch-ordering" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["x", None, True, False])
+    def test_non_numeric_value_is_two(self, value, tmp_path, capsys):
+        from fingerkit.registry import default_registry
+        doc = json.loads(default_registry().to_json())
+        doc["entries"][0]["value"] = value
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["registry", "--registry-path", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: registry entry {doc['entries'][0]['key']}"
+                                " value must be a number\n")
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self, bad_config, tmp_path, capsys):
@@ -215,6 +228,22 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--samples", "4611686018427387904"],
+        ["validate", "--samples", "100000000000000000000"],
+        ["workspace", "--samples", "3", "--psi-samples", "99999999999999999999"],
+    ])
+    def test_oversized_count_is_out_of_memory(self, argv, tmp_path, capsys):
+        # numpy refuses tables this large before allocating anything
+        out = tmp_path / "out"
+        if argv[0] != "validate":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory; use fewer samples\n"
+        assert not out.exists()
 
     def test_missing_config_is_two(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "absent.json")]) == 2
@@ -267,3 +296,33 @@ class TestArgumentChecks:
 
     def test_zero_force_is_still_valid(self, capsys):
         assert main(["safety", "--force-n", "0"]) == 0
+
+
+class TestParserDefaults:
+    """argparse is the one place the defaults live: leaving a flag out
+    equals passing its documented default."""
+
+    @staticmethod
+    def emitted(argv, out):
+        assert main(argv + ["--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def test_sweep_psi_deg_is_zero(self, tmp_path):
+        argv = ["sweep", "--samples", "7", "--format", "json"]
+        assert (self.emitted(argv, tmp_path / "a")
+                == self.emitted(argv + ["--psi-deg", "0"], tmp_path / "b"))
+
+    def test_workspace_psi_samples_is_25(self, tmp_path):
+        files = self.emitted(["workspace", "--samples", "3"], tmp_path)
+        assert len(files["workspace.csv"].splitlines()) == 2 + 3 * 25
+
+    def test_force_tension_is_config_maximum(self, tmp_path):
+        argv = ["force", "--samples", "7", "--format", "json"]
+        assert (self.emitted(argv, tmp_path / "a")
+                == self.emitted(argv + ["--tension-n", "38"], tmp_path / "b"))
+
+    def test_grasp_theta1_is_range_start(self, capsys):
+        assert main(["grasp", "--diameter-mm", "100"]) == 0
+        default = capsys.readouterr().out
+        assert main(["grasp", "--diameter-mm", "100", "--theta1-deg", "30"]) == 0
+        assert capsys.readouterr().out == default

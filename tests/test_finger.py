@@ -339,18 +339,18 @@ class TestStaticTipForce:
 
 
 class TestGraspAssess:
-    def make_context(self, cfg):
-        return fk.ForceContext(
-            geometry=cfg.geometry,
-            finger=cfg.require_finger(),
-            tendon=cfg.require_tendon(),
-            theta1=cfg.geometry.theta1_range[0],
-            tension=cfg.require_tendon().max_tension,
+    def make_force(self, cfg):
+        return fk.static_tip_force(
+            cfg.require_tendon(),
+            cfg.geometry,
+            cfg.require_finger(),
+            cfg.geometry.theta1_range[0],
+            cfg.require_tendon().max_tension,
         )
 
     def test_cylinder_inside_envelope(self, cfg, registry):
         report = fk.grasp_assess(
-            fk.CylinderObject(100.0), registry, self.make_context(cfg))
+            fk.CylinderObject(100.0), registry, self.make_force(cfg))
         assert report.grasp_type == "cylindrical"
         assert report.feasible
         assert report.predicted_force > 0.0
@@ -361,7 +361,7 @@ class TestGraspAssess:
     ])
     def test_cylinder_boundaries(self, cfg, registry, diameter, feasible):
         report = fk.grasp_assess(
-            fk.CylinderObject(diameter), registry, self.make_context(cfg))
+            fk.CylinderObject(diameter), registry, self.make_force(cfg))
         assert report.feasible is feasible
         if not feasible:
             assert report.grasp_type == "infeasible"
@@ -370,7 +370,7 @@ class TestGraspAssess:
 
     def test_flat_sheet_pinch(self, cfg, registry):
         report = fk.grasp_assess(
-            fk.FlatObject(0.5), registry, self.make_context(cfg))
+            fk.FlatObject(0.5), registry, self.make_force(cfg))
         assert report.grasp_type == "pinch"
         assert report.feasible
         assert report.predicted_force <= registry.value("pinch_force_max_n")
@@ -380,10 +380,10 @@ class TestGraspAssess:
         # large moment arms push the raw prediction over the cap
         big = fk.TendonModel(kind="double", moment_arms=(60.0, 50.0, 40.0),
                              max_tension=38.0)
-        context = fk.ForceContext(
-            geometry=cfg.geometry, finger=cfg.require_finger(), tendon=big,
-            theta1=cfg.geometry.theta1_range[0], tension=38.0)
-        report = fk.grasp_assess(fk.FlatObject(1.0), registry, context)
+        force = fk.static_tip_force(
+            big, cfg.geometry, cfg.require_finger(),
+            cfg.geometry.theta1_range[0], 38.0)
+        report = fk.grasp_assess(fk.FlatObject(1.0), registry, force)
         assert report.predicted_force == registry.value("pinch_force_max_n")
         assert report.margin == 0.0
         assert "capped" in report.notes
@@ -391,10 +391,10 @@ class TestGraspAssess:
     def test_nonpositive_dimension_rejected(self, cfg, registry):
         with pytest.raises(ValueError):
             fk.grasp_assess(fk.CylinderObject(0.0), registry,
-                            self.make_context(cfg))
+                            self.make_force(cfg))
         with pytest.raises(ValueError):
             fk.grasp_assess(fk.FlatObject(-1.0), registry,
-                            self.make_context(cfg))
+                            self.make_force(cfg))
 
     def test_envelope_is_registry_driven(self, cfg):
         doc = fk.default_registry()
@@ -406,7 +406,7 @@ class TestGraspAssess:
         import fingerkit.registry as registry_mod
         custom = registry_mod.ReferenceRegistry(entries=entries, rules=doc.rules)
         report = fk.grasp_assess(
-            fk.CylinderObject(40.0), custom, self.make_context(cfg))
+            fk.CylinderObject(40.0), custom, self.make_force(cfg))
         assert not report.feasible
 
 
