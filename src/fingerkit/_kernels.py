@@ -97,6 +97,12 @@ def wrap(angles):
     return np.where(wrapped <= 0.0, wrapped + _TWO_PI, wrapped) - math.pi
 
 
+def positive_nearer(pos, neg, reference):
+    """Whether the positive root is the one nearer ``reference`` on the
+    circle, elementwise; a tie goes to the positive root."""
+    return np.abs(wrap(pos - reference)) <= np.abs(wrap(neg - reference))
+
+
 def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle, seed):
     """Nearest-branch sweep, vectorized.
 
@@ -113,13 +119,10 @@ def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle, seed):
     pos = 2.0 * np.arctan(t_pos[ok])
     neg = 2.0 * np.arctan(t_neg[ok])
 
-    def pos_nearer(prev):
-        return np.abs(wrap(pos - prev)) <= np.abs(wrap(neg - prev))
-
     # the pick at each closing sample, given the pick before it; the first
     # one follows the seed either way
-    after_pos = pos_nearer(np.concatenate(([seed], pos[:-1])))
-    after_neg = pos_nearer(np.concatenate(([seed], neg[:-1])))
+    after_pos = positive_nearer(pos, neg, np.concatenate(([seed], pos[:-1])))
+    after_neg = positive_nearer(pos, neg, np.concatenate(([seed], neg[:-1])))
     constant = after_pos == after_neg
     flips = np.cumsum(after_neg & ~constant)
     last = np.maximum.accumulate(np.where(constant, np.arange(pos.size), 0))

@@ -59,17 +59,24 @@ class FingerConfig:
         return self.thumb_line
 
 
+def _finite(value, key: str) -> float:
+    """``value`` as a float, if it is a finite JSON number (not a bool)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"config key {key!r} takes finite numbers only")
+
+
 def _number(doc: dict, key: str, default=None) -> float:
     if key not in doc:
         if default is None:
             raise ConfigError(f"config missing required key {key!r}")
         return float(default)
-    value = doc[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be a number")
-    if not math.isfinite(float(value)):
-        raise ConfigError(f"config key {key!r} must be finite")
-    return float(value)
+    return _finite(doc[key], key)
 
 
 def _number_list(doc: dict, key: str, length: int) -> list[float]:
@@ -78,14 +85,7 @@ def _number_list(doc: dict, key: str, length: int) -> list[float]:
     value = doc[key]
     if not isinstance(value, list) or len(value) != length:
         raise ConfigError(f"config key {key!r} must be a list of {length} numbers")
-    out = []
-    for item in value:
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise ConfigError(f"config key {key!r} must contain only numbers")
-        if not math.isfinite(float(item)):
-            raise ConfigError(f"config key {key!r} must contain finite numbers")
-        out.append(float(item))
-    return out
+    return [_finite(item, key) for item in value]
 
 
 def _parse_geometry(doc: dict) -> LinkageGeometry:
@@ -138,11 +138,8 @@ def _parse_thumb_line(doc: dict):
         or any(not isinstance(p, list) or len(p) != 2 for p in value)
     ):
         raise ConfigError("thumb_line_mm must be [[x1, y1], [x2, y2]]")
-    try:
-        (x1, y1), (x2, y2) = value
-        return ((float(x1), float(y1)), (float(x2), float(y2)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"thumb_line_mm must contain numbers: {exc}") from exc
+    return tuple(tuple(_finite(c, "thumb_line_mm") for c in point)
+                 for point in value)
 
 
 def parse_config(text: str | bytes) -> FingerConfig:

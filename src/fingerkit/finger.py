@@ -255,6 +255,13 @@ def tendon_excursion(tendon: TendonModel, geometry: LinkageGeometry,
     the derivative chains the implicit loop transmissions through both
     dependent angles.  Floats or arrays back, as ``state`` holds.
     """
+    return _excursion(tendon, geometry, state,
+                      chain_derivatives(geometry, state))
+
+
+def _excursion(tendon: TendonModel, geometry: LinkageGeometry,
+               state: JointState, derivatives):
+    """:func:`tendon_excursion` given ``chain_derivatives`` at ``state``."""
     start = solve_chain(geometry, geometry.theta1_range[0])
     r_mcp, r_pip, r_dip = tendon.moment_arms
     excursion = (
@@ -262,7 +269,7 @@ def tendon_excursion(tendon: TendonModel, geometry: LinkageGeometry,
         + r_pip * (state.theta_pip - start.theta_pip)
         + r_dip * (state.theta_dip - start.theta_dip)
     )
-    d21, d61 = chain_derivatives(geometry, state)
+    d21, d61 = derivatives
     d_excursion = r_mcp * d61 + r_pip * d21 + r_dip * 1.0
     return excursion, d_excursion
 
@@ -270,7 +277,12 @@ def tendon_excursion(tendon: TendonModel, geometry: LinkageGeometry,
 def tip_velocity(geometry: LinkageGeometry, finger: FingerGeometry,
                  state: JointState):
     """d(tip)/d(theta1) of the planar fingertip, mm/rad."""
-    d21, d61 = chain_derivatives(geometry, state)
+    return _velocity(finger, state, chain_derivatives(geometry, state))
+
+
+def _velocity(finger: FingerGeometry, state: JointState, derivatives):
+    """:func:`tip_velocity` given ``chain_derivatives`` at ``state``."""
+    d21, d61 = derivatives
     p1, p2, p3 = finger.phalanx_lengths
     a1, a2, a3 = _phalanx_angles(state)
     da1 = d61
@@ -301,8 +313,9 @@ def force_profile(
             f"tension {tension:.9g} N outside [0, {tendon.max_tension:.9g}] N"
         )
     chain = solve_chain_batch(geometry, theta1_values)
-    excursion, d_excursion = tendon_excursion(tendon, geometry, chain)
-    vx, vy = tip_velocity(geometry, finger, chain)
+    derivatives = chain_derivatives(geometry, chain)
+    excursion, d_excursion = _excursion(tendon, geometry, chain, derivatives)
+    vx, vy = _velocity(finger, chain, derivatives)
     speed = _kernels.libm(math.hypot, vx, vy)
     singular = speed < _TIP_SPEED_MIN
     if singular.any():

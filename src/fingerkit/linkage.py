@@ -6,7 +6,7 @@ reduces, after a tangent half-angle substitution, to a quadratic in
 tan(theta_out / 2).  This module provides:
 
 * mobility / independent-loop counting for planar linkages,
-* dimensionless loop coefficients and the quadratic reduction,
+* dimensionless loop coefficients,
 * a closed-form loop solver with explicit branch control,
 * a chain solver producing anatomical joint angles (MCP / PIP / DIP),
 * an independent bracketing-and-bisection oracle used for validation,
@@ -32,17 +32,9 @@ from .errors import DegenerateGeometryError, NoClosureError, OutOfRangeError
 NUM_LINKS = 6
 NUM_JOINTS = 7
 
-# |loop residual| accepted after a successful solve.
-RESIDUAL_TOL = 1e-10
-
 POSITIVE_ROOT = "positive-root"
 NEGATIVE_ROOT = "negative-root"
 CONTINUITY = "continuity"
-
-
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to the half-open interval (-pi, pi]."""
-    return float(_kernels.wrap(angle))
 
 
 def compute_mobility(num_links: int, num_joints: int) -> int:
@@ -131,15 +123,6 @@ class LoopCoefficients:
 
 
 @dataclass(frozen=True)
-class QuadraticCoefficients:
-    """Coefficients of the half-angle quadratic alpha*t^2 + beta*t + gamma."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-
-@dataclass(frozen=True)
 class JointState:
     """Solved configurations of the two-loop chain: floats for one
     configuration, equal-length arrays for a sweep of input angles."""
@@ -160,41 +143,6 @@ class JointState:
                             for f in fields(self)))
 
 
-@dataclass(frozen=True)
-class BranchPolicy:
-    """Selects between the two assembly branches of a loop solve.
-
-    ``positive-root`` and ``negative-root`` pick a fixed branch of the
-    half-angle quadratic; ``continuity`` picks the branch closest to a
-    previously solved configuration and is what sweeps use to avoid
-    assembly flips between consecutive samples.
-    """
-
-    mode: str = POSITIVE_ROOT
-    previous_solution: JointState | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in (POSITIVE_ROOT, NEGATIVE_ROOT, CONTINUITY):
-            raise ValueError(f"unknown branch mode: {self.mode!r}")
-
-    @classmethod
-    def positive(cls) -> "BranchPolicy":
-        return cls(POSITIVE_ROOT)
-
-    @classmethod
-    def negative(cls) -> "BranchPolicy":
-        return cls(NEGATIVE_ROOT)
-
-    @classmethod
-    def continuity(cls, previous: JointState) -> "BranchPolicy":
-        if previous is None:
-            raise ValueError("continuity mode requires a previous solution")
-        return cls(CONTINUITY, previous)
-
-
-DEFAULT_POLICY = BranchPolicy.positive()
-
-
 def loop_coefficients(geometry: LinkageGeometry, loop: int) -> LoopCoefficients:
     """Dimensionless coefficients of the requested loop (1 or 2).
 
@@ -211,78 +159,45 @@ def loop_coefficients(geometry: LinkageGeometry, loop: int) -> LoopCoefficients:
     )
 
 
-def loop_residual(
-    coeffs: LoopCoefficients,
-    theta_in: float,
-    theta_out: float,
-    fixed_angle: float = math.pi / 2.0,
-) -> float:
-    """Scalar closure residual of one loop; zero iff the loop closes."""
-    return (
-        coeffs.kappa3
-        + math.cos(theta_in)
-        + coeffs.kappa1 * math.cos(theta_in + theta_out - fixed_angle)
-        + coeffs.kappa2 * math.cos(theta_out - fixed_angle)
-    )
-
-
-def quadratic_coefficients(
-    coeffs: LoopCoefficients,
-    theta_in: float,
-    fixed_angle: float = math.pi / 2.0,
-) -> QuadraticCoefficients:
-    """Reduce the closure residual to a quadratic in tan(theta_out / 2).
-
-    The residual is linear in cos/sin of the output angle,
-    A*cos(x) + B*sin(x) + C, which the half-angle substitution turns into
-    (C - A) t^2 + 2B t + (C + A) = 0 with t = tan(x / 2).
-    """
-    return QuadraticCoefficients(*map(float, _kernels.quadratic(
-        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
-    )))
-
-
 def _closed_form(
     coeffs: LoopCoefficients,
     theta_in: np.ndarray,
     fixed_angle: float,
     reference: float | None = None,
-    mode: str = POSITIVE_ROOT,
+    branch: str = POSITIVE_ROOT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(ok, theta_out)`` of one loop over an input array, in closed form.
 
     Both branches come from :func:`_kernels.half_angle_roots` (which takes
-    the exact linear limit where alpha == 0) and libm's atan; continuity
-    mode keeps the root nearer ``reference``, the positive one on a tie.
+    the exact linear limit where alpha == 0) and libm's atan; the continuity
+    branch keeps the root nearer ``reference``, the positive one on a tie.
     """
     ok, t_pos, t_neg = _kernels.half_angle_roots(
         coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
     )
     pos = 2.0 * _kernels.libm(math.atan, t_pos)
-    if mode == POSITIVE_ROOT:
+    if branch == POSITIVE_ROOT:
         return ok, pos
     neg = 2.0 * _kernels.libm(math.atan, t_neg)
-    if mode == NEGATIVE_ROOT:
+    if branch == NEGATIVE_ROOT:
         return ok, neg
-    nearer = (np.abs(_kernels.wrap(pos - reference))
-              <= np.abs(_kernels.wrap(neg - reference)))
-    return ok, np.where(nearer, pos, neg)
+    return ok, np.where(_kernels.positive_nearer(pos, neg, reference), pos, neg)
 
 
-def _require_reference(policy: BranchPolicy, reference: float | None) -> None:
-    if policy.mode == CONTINUITY and reference is None:
-        raise ValueError(
-            "continuity mode requires continuity_reference at the loop level"
-        )
+def _check_branch(branch: str, reference) -> None:
+    if branch not in (POSITIVE_ROOT, NEGATIVE_ROOT, CONTINUITY):
+        raise ValueError(f"unknown branch: {branch!r}")
+    if branch == CONTINUITY and reference is None:
+        raise ValueError("the continuity branch requires a reference")
 
 
 def solve_loop(
     coeffs: LoopCoefficients,
     theta_in: float,
-    policy: BranchPolicy = DEFAULT_POLICY,
+    branch: str = POSITIVE_ROOT,
     *,
     fixed_angle: float = math.pi / 2.0,
-    continuity_reference: float | None = None,
+    reference: float | None = None,
 ) -> float:
     """Closed-form output angle of one loop at the given input angle.
 
@@ -293,26 +208,27 @@ def solve_loop(
     Args:
         coeffs: dimensionless loop coefficients.
         theta_in: input angle, rad.
-        policy: branch selection; continuity mode requires
-            ``continuity_reference``.
+        branch: ``positive-root``, ``negative-root`` or ``continuity``,
+            which picks the root nearer ``reference``.
         fixed_angle: direction of the loop's fixed vector, rad.
-        continuity_reference: previously solved output angle that
-            continuity mode stays closest to.
+        reference: previously solved output angle, rad; required by
+            (and only read by) the continuity branch.
 
     Returns:
         Output angle in (-pi, pi], rad.
     """
     if not math.isfinite(theta_in):
         raise ValueError("theta_in must be finite")
-    _require_reference(policy, continuity_reference)
+    _check_branch(branch, reference)
     ok, theta = _closed_form(
         coeffs, np.array([theta_in], dtype=np.float64), fixed_angle,
-        continuity_reference, policy.mode,
+        reference, branch,
     )
     if ok[0]:
         return float(theta[0])
-    quad = quadratic_coefficients(coeffs, theta_in, fixed_angle)
-    alpha, beta, gamma = quad.alpha, quad.beta, quad.gamma
+    alpha, beta, gamma = map(float, _kernels.quadratic(
+        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
+    ))
     if alpha == 0.0 and beta == 0.0:
         if gamma == 0.0:
             raise DegenerateGeometryError(
@@ -334,44 +250,13 @@ def _oracle(
     theta_in: np.ndarray,
     fixed_angle: float,
     reference: float | None = None,
-    mode: str = POSITIVE_ROOT,
-    n_scan: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(ok, theta_out)`` of one loop over an input array, by bisection."""
-    branch = {POSITIVE_ROOT: 1, NEGATIVE_ROOT: -1, CONTINUITY: 0}[mode]
+    """``(ok, theta_out)`` of one loop's positive root over an input array,
+    by bisection; ``reference`` is unused."""
     return _kernels.loop_bisect_batch(
         coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle,
-        branch, 0.0 if reference is None else reference, n_scan,
+        1, 0.0, 4096,
     )
-
-
-def bisect_loop(
-    coeffs: LoopCoefficients,
-    theta_in: float,
-    *,
-    fixed_angle: float = math.pi / 2.0,
-    policy: BranchPolicy = DEFAULT_POLICY,
-    continuity_reference: float | None = None,
-    n_scan: int = 4096,
-) -> float:
-    """Numeric oracle for one loop: scan the circle and bisect residual roots.
-
-    Never touches the half-angle quadratic roots.  Branch selection relies
-    on the residual value at pi, which equals the quadratic's leading
-    coefficient, so the larger root is the positive branch exactly when
-    that probe is positive.
-    """
-    _require_reference(policy, continuity_reference)
-    ok, theta = _oracle(
-        coeffs, np.array([theta_in], dtype=np.float64), fixed_angle,
-        continuity_reference, policy.mode, n_scan,
-    )
-    if not ok[0]:
-        raise NoClosureError(
-            f"oracle found no sign change at theta_in={theta_in:.9g} rad",
-            theta_in=theta_in,
-        )
-    return float(theta[0])
 
 
 def _vector_closure_angles(
@@ -399,25 +284,6 @@ def _libm_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _kernels.libm(math.atan2, y, x)
 
 
-def closure_vector_angle(
-    lengths: Sequence[float],
-    theta_in: float,
-    theta_out: float,
-    fixed_angle: float,
-) -> float:
-    """Direction of the loop's resultant vector, recovered by atan2.
-
-    The three known vectors of a closed loop sum to the fourth; its
-    direction follows from the summed X and Y components.  Needed for
-    forward-kinematics validation because the squared closure constraint
-    eliminates this angle.
-    """
-    return float(_vector_closure_angles(
-        lengths, np.array([theta_in], dtype=np.float64),
-        np.array([theta_out], dtype=np.float64), fixed_angle, _libm_atan2,
-    )[0])
-
-
 def _check_theta1(geometry: LinkageGeometry, theta1: float) -> None:
     lo, hi = geometry.theta1_range
     if not (lo <= theta1 <= hi):
@@ -425,14 +291,6 @@ def _check_theta1(geometry: LinkageGeometry, theta1: float) -> None:
             f"theta1={theta1:.9g} rad outside admissible range "
             f"[{lo:.9g}, {hi:.9g}] rad"
         )
-
-
-def _continuity_refs(policy: BranchPolicy) -> tuple[float | None, float | None]:
-    if policy.mode != CONTINUITY:
-        return None, None
-    if policy.previous_solution is None:
-        raise ValueError("continuity mode requires a previous solution")
-    return policy.previous_solution.theta2, policy.previous_solution.theta6
 
 
 def _chain(
@@ -474,42 +332,29 @@ def _chain(
     return _chain_sweep(geometry, theta1, theta2, theta6, atan2)
 
 
-def _one_state(geometry, theta1, solve, policy) -> JointState:
-    """One sample of :func:`_chain` with a branch policy."""
-    _check_theta1(geometry, theta1)
-    return _chain(
-        geometry, np.array([theta1], dtype=np.float64),
-        functools.partial(solve, mode=policy.mode), _libm_atan2,
-        _continuity_refs(policy),
-    ).state_at(0)
-
-
 def solve_chain(
     geometry: LinkageGeometry,
     theta1: float,
-    policy: BranchPolicy = DEFAULT_POLICY,
+    branch: str = POSITIVE_ROOT,
+    previous: JointState | None = None,
 ) -> JointState:
     """Solve both loops in series for a full joint state.
 
     Loop 1 maps the input angle to its dependent angle, which (offset by
     sigma) drives loop 2.  The two eliminated vector directions are
     recovered afterwards, and the anatomical MCP / PIP / DIP angles are
-    filled in by their defining identities.
+    filled in by their defining identities.  ``branch`` picks the same root
+    of both loops as :func:`solve_loop`; the continuity branch keeps each
+    loop nearest its angle in ``previous``, a solved state.
     """
-    return _one_state(geometry, theta1, _closed_form, policy)
-
-
-def solve_chain_numeric(
-    geometry: LinkageGeometry,
-    theta1: float,
-    policy: BranchPolicy = DEFAULT_POLICY,
-) -> JointState:
-    """Same contract as solve_chain, computed purely by bisection.
-
-    Exists as an independent cross-check of the closed-form path; used by
-    the test suite; :func:`oracle_deviation` runs the same oracle over grids.
-    """
-    return _one_state(geometry, theta1, _oracle, policy)
+    _check_branch(branch, previous)
+    _check_theta1(geometry, theta1)
+    references = ((previous.theta2, previous.theta6) if branch == CONTINUITY
+                  else (None, None))
+    return _chain(
+        geometry, np.array([theta1], dtype=np.float64),
+        functools.partial(_closed_form, branch=branch), _libm_atan2, references,
+    ).state_at(0)
 
 
 def _residual_partials(coeffs, theta_in, theta_out, fixed_angle):
@@ -593,7 +438,7 @@ def _continuity_sweep(coeffs, theta_in, fixed_angle, reference):
 def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> JointState:
     """Solve the chain over a monotone sweep of input angles.
 
-    Uses the continuity branch policy seeded by the positive root at the
+    Uses the continuity branch seeded by the positive root at the
     first sample, so consecutive configurations never flip assembly
     branches.  Any sample that fails to close aborts the sweep with the
     offending input angle.

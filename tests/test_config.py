@@ -6,6 +6,7 @@ import math
 import pytest
 
 import fingerkit as fk
+from fingerkit.cli import main
 from fingerkit.config import default_config, load_config, parse_config
 
 GOOD = {
@@ -150,11 +151,30 @@ class TestRejection:
         with pytest.raises(fk.ConfigError, match="invalid tendon"):
             parse(doc)
 
-    def test_bad_thumb_line(self):
-        doc = dict(GOOD)
-        doc["thumb_line_mm"] = [[0.0, 0.0]]
+    @pytest.mark.parametrize("text", [
+        "[[0.0, 0.0]]",
+        "[[true, -85], [80, -85]]",
+        '[["-20", -85], [80, -85]]',
+        '[["nan", -85], [80, -85]]',
+        "[[1e999, -85], [80, -85]]",
+        "[[-20, -85], [80, 1%s]]" % ("0" * 400),
+        "[[-20, -85], [80, null]]",
+    ], ids=["one-point", "bool", "string", "nan-string", "overflow",
+            "huge-integer", "null"])
+    def test_bad_thumb_line(self, text, tmp_path, capsys):
+        doc = json.dumps(dict(GOOD, thumb_line_mm=None)).replace(
+            '"thumb_line_mm": null', f'"thumb_line_mm": {text}')
         with pytest.raises(fk.ConfigError):
-            parse(doc)
+            parse_config(doc)
+        path = tmp_path / "finger.json"
+        path.write_text(doc, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["workspace", "--config", str(path), "--samples", "3",
+                     "--psi-samples", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
 
 
 class TestDefaultConfig:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fingerkit as fk
+from fingerkit import linkage
 from fingerkit.finger import _segment_distance
 
 
@@ -119,10 +120,10 @@ class TestTipTrace:
             return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
 
         closed = arc_length(list(zip(trace["tip_x"], trace["tip_y"])))
+        oracle_chain = linkage._chain(geometry, grid, linkage._oracle, np.arctan2)
         oracle_pts = []
-        for theta1 in grid:
-            state = fk.solve_chain_numeric(geometry, float(theta1))
-            s = fk.tip_position(finger, state, 0.0)
+        for i in range(grid.size):
+            s = fk.tip_position(finger, oracle_chain.state_at(i), 0.0)
             oracle_pts.append((s["tip_x"], s["tip_y"]))
         oracle = arc_length(oracle_pts)
         assert closed == pytest.approx(oracle, rel=1e-3)
@@ -336,6 +337,20 @@ class TestStaticTipForce:
         with pytest.raises(fk.DegenerateGeometryError):
             fk.static_tip_force(tendon, geometry, tiny,
                                 geometry.theta1_range[0], 10.0)
+
+    def test_profile_takes_chain_derivatives_once(self, geometry, finger,
+                                                   tendon, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return linkage.chain_derivatives(*args)
+
+        monkeypatch.setattr(fk.finger, "chain_derivatives", counted)
+        grid = np.linspace(*geometry.theta1_range, 50)
+        profile = fk.force_profile(tendon, geometry, finger, grid, 20.0)
+        assert len(profile) == 50
+        assert len(calls) == 1
 
 
 class TestGraspAssess:

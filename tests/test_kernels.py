@@ -11,6 +11,7 @@ import pytest
 import fingerkit as fk
 from fingerkit import _kernels
 from fingerkit._kernels import _merge_roots_py, _select_root_py
+from fingerkit.linkage import NEGATIVE_ROOT
 
 
 def _kappa_cases(rng, n):
@@ -54,7 +55,7 @@ def test_continuity_seed_selects_branch(geometry):
     lo, hi = geometry.theta1_range
     grid = np.linspace(lo, hi, 50)
     pos_seed = fk.solve_loop(c, float(grid[0]))
-    neg_seed = fk.solve_loop(c, float(grid[0]), fk.BranchPolicy.negative())
+    neg_seed = fk.solve_loop(c, float(grid[0]), NEGATIVE_ROOT)
     _, from_pos = _kernels.loop_sweep_continuity(
         c.kappa1, c.kappa2, c.kappa3, grid, geometry.theta4_fixed, pos_seed)
     _, from_neg = _kernels.loop_sweep_continuity(

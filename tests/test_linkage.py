@@ -1,5 +1,5 @@
 """Loop-closure solver tests: counting formulas, coefficients, both solve
-paths, branch policies, and the core invariants."""
+paths, branch selection, and the core invariants."""
 
 import math
 
@@ -9,12 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fingerkit as fk
-from fingerkit.linkage import (
-    DEFAULT_POLICY,
-    bisect_loop,
-    closure_vector_angle,
-    wrap_angle,
-)
+from fingerkit import _kernels, linkage
+from fingerkit.linkage import CONTINUITY, NEGATIVE_ROOT, POSITIVE_ROOT
+
+
+def closure_residual(coeffs, theta_in, theta_out, fixed_angle=math.pi / 2.0):
+    """Scalar closure residual of one loop; zero iff the loop closes."""
+    return (
+        coeffs.kappa3
+        + math.cos(theta_in)
+        + coeffs.kappa1 * math.cos(theta_in + theta_out - fixed_angle)
+        + coeffs.kappa2 * math.cos(theta_out - fixed_angle)
+    )
+
+
+def numeric_chain(geometry, theta1):
+    """The chain at one input angle, both loops solved by the oracle."""
+    return linkage._chain(
+        geometry, np.array([theta1]), linkage._oracle, np.arctan2
+    ).state_at(0)
 
 
 def reference_bisect(coeffs, theta_in, fixed_angle=math.pi / 2.0, n=20000):
@@ -22,12 +35,7 @@ def reference_bisect(coeffs, theta_in, fixed_angle=math.pi / 2.0, n=20000):
     interval bisection of the closure residual.  Returns all roots."""
 
     def residual(x):
-        return (
-            coeffs.kappa3
-            + math.cos(theta_in)
-            + coeffs.kappa1 * math.cos(theta_in + x - fixed_angle)
-            + coeffs.kappa2 * math.cos(x - fixed_angle)
-        )
+        return closure_residual(coeffs, theta_in, x, fixed_angle)
 
     xs = [-math.pi + 2.0 * math.pi * i / n for i in range(n + 1)]
     roots = []
@@ -133,10 +141,11 @@ class TestLoopCoefficients:
 class TestQuadraticReduction:
     def test_linear_degenerate_coefficients(self):
         c = fk.LoopCoefficients(1.0, 1.0, 1.0)
-        q = fk.quadratic_coefficients(c, math.pi / 2.0)
-        assert q.alpha == 0.0
-        assert q.beta == 2.0
-        assert q.gamma == pytest.approx(2.0, abs=1e-15)
+        alpha, beta, gamma = _kernels.quadratic(
+            c.kappa1, c.kappa2, c.kappa3, math.pi / 2.0, math.pi / 2.0)
+        assert alpha == 0.0
+        assert beta == 2.0
+        assert gamma == pytest.approx(2.0, abs=1e-15)
 
     def test_matches_printed_form_at_vertical_fixed_angle(self, rng):
         # alpha = cos(t) - k1 sin(t) + k3, beta = 2 k1 cos(t) + 2 k2,
@@ -144,12 +153,12 @@ class TestQuadraticReduction:
         for _ in range(200):
             k1, k2, k3 = rng.uniform(0.05, 3.0, 3)
             t = rng.uniform(-math.pi, math.pi)
-            q = fk.quadratic_coefficients(fk.LoopCoefficients(k1, k2, k3), t)
-            assert q.alpha == pytest.approx(
+            alpha, beta, gamma = _kernels.quadratic(k1, k2, k3, t, math.pi / 2.0)
+            assert alpha == pytest.approx(
                 math.cos(t) - k1 * math.sin(t) + k3, abs=1e-12)
-            assert q.beta == pytest.approx(
+            assert beta == pytest.approx(
                 2 * k1 * math.cos(t) + 2 * k2, abs=1e-12)
-            assert q.gamma == pytest.approx(
+            assert gamma == pytest.approx(
                 math.cos(t) + k1 * math.sin(t) + k3, abs=1e-12)
 
     def test_roots_solve_residual(self, rng):
@@ -161,7 +170,7 @@ class TestQuadraticReduction:
                 out = fk.solve_loop(c, t)
             except fk.NoClosureError:
                 continue
-            assert abs(fk.loop_residual(c, t, out)) <= 1e-10
+            assert abs(closure_residual(c, t, out)) <= 1e-10
 
 
 class TestSolveLoop:
@@ -169,7 +178,7 @@ class TestSolveLoop:
         c = fk.LoopCoefficients(1.0, 1.0, 1.0)
         out = fk.solve_loop(c, math.pi / 2.0)
         assert out == pytest.approx(-math.pi / 2.0, abs=1e-14)
-        assert abs(fk.loop_residual(c, math.pi / 2.0, out)) <= 1e-10
+        assert abs(closure_residual(c, math.pi / 2.0, out)) <= 1e-10
 
     def test_no_closure(self):
         c = fk.LoopCoefficients(0.0, 0.0, 2.0)
@@ -203,8 +212,8 @@ class TestSolveLoop:
             t = rng.uniform(-math.pi, math.pi)
             c = fk.LoopCoefficients(k1, k2, k3)
             try:
-                pos = fk.solve_loop(c, t, fk.BranchPolicy.positive())
-                neg = fk.solve_loop(c, t, fk.BranchPolicy.negative())
+                pos = fk.solve_loop(c, t, POSITIVE_ROOT)
+                neg = fk.solve_loop(c, t, NEGATIVE_ROOT)
             except (fk.NoClosureError, fk.DegenerateGeometryError):
                 continue
             roots = reference_bisect(c, t, n=4000)
@@ -212,49 +221,55 @@ class TestSolveLoop:
                 assert min(abs(solved - r) for r in roots) <= 1e-8
 
     def test_continuity_needs_reference(self):
-        policy = fk.BranchPolicy(mode="continuity")
         # closing, linear-limit and non-closing inputs alike
         for c, t in ((fk.LoopCoefficients(0.25, 0.4, 0.15), math.radians(80.0)),
                      (fk.LoopCoefficients(1.0, 1.0, 1.0), math.pi / 2.0),
                      (fk.LoopCoefficients(0.0, 0.0, 2.0), 0.0)):
             with pytest.raises(ValueError):
-                fk.solve_loop(c, t, policy)
+                fk.solve_loop(c, t, CONTINUITY)
 
     def test_continuity_picks_nearest(self):
         c = fk.LoopCoefficients(0.25, 0.4, 0.15)
         t = math.radians(80.0)
         pos = fk.solve_loop(c, t)
-        neg = fk.solve_loop(c, t, fk.BranchPolicy.negative())
-        policy = fk.BranchPolicy(mode="continuity")
-        near_pos = fk.solve_loop(c, t, policy, continuity_reference=pos + 0.01)
-        near_neg = fk.solve_loop(c, t, policy, continuity_reference=neg - 0.01)
+        neg = fk.solve_loop(c, t, NEGATIVE_ROOT)
+        near_pos = fk.solve_loop(c, t, CONTINUITY, reference=pos + 0.01)
+        near_neg = fk.solve_loop(c, t, CONTINUITY, reference=neg - 0.01)
         assert near_pos == pos
         assert near_neg == neg
 
-    def test_unknown_mode_rejected(self):
+    def test_unknown_mode_rejected(self, geometry):
+        c = fk.LoopCoefficients(0.25, 0.4, 0.15)
         with pytest.raises(ValueError):
-            fk.BranchPolicy(mode="sideways")
+            fk.solve_loop(c, math.radians(80.0), "sideways")
+        with pytest.raises(ValueError):
+            fk.solve_chain(geometry, geometry.theta1_range[0], "sideways")
 
 
 class TestOracle:
+    @staticmethod
+    def oracle(coeffs, theta_in):
+        ok, theta = linkage._oracle(coeffs, np.array([theta_in]), math.pi / 2.0)
+        return bool(ok[0]), float(theta[0])
+
     def test_oracle_matches_linear_degenerate(self):
         c = fk.LoopCoefficients(1.0, 1.0, 1.0)
-        assert bisect_loop(c, math.pi / 2.0) == pytest.approx(
-            -math.pi / 2.0, abs=1e-9)
+        ok, theta = self.oracle(c, math.pi / 2.0)
+        assert ok
+        assert theta == pytest.approx(-math.pi / 2.0, abs=1e-9)
 
     def test_oracle_no_closure(self):
         c = fk.LoopCoefficients(0.0, 0.0, 2.0)
-        with pytest.raises(fk.NoClosureError):
-            bisect_loop(c, 0.0)
+        ok, theta = self.oracle(c, 0.0)
+        assert not ok and math.isnan(theta)
 
     def test_oracle_vs_reference_bisection(self, rng):
         for _ in range(50):
             k1, k2, k3 = rng.uniform(0.1, 1.5, 3)
             t = rng.uniform(-math.pi, math.pi)
             c = fk.LoopCoefficients(k1, k2, k3)
-            try:
-                ours = bisect_loop(c, t)
-            except fk.NoClosureError:
+            ok, ours = self.oracle(c, t)
+            if not ok:
                 continue
             roots = reference_bisect(c, t, n=4000)
             assert min(abs(ours - r) for r in roots) <= 1e-9
@@ -279,7 +294,7 @@ class TestSolveChain:
     def test_closed_vs_numeric_midrange(self, geometry):
         theta1 = 0.5 * sum(geometry.theta1_range)
         s = fk.solve_chain(geometry, theta1)
-        n = fk.solve_chain_numeric(geometry, theta1)
+        n = numeric_chain(geometry, theta1)
         for name in ("theta2", "theta3", "theta5", "theta6", "theta7"):
             assert getattr(s, name) == pytest.approx(getattr(n, name), abs=1e-9)
 
@@ -289,8 +304,8 @@ class TestSolveChain:
         lo, hi = geometry.theta1_range
         for theta1 in rng.uniform(lo, hi, 100):
             s = fk.solve_chain(geometry, float(theta1))
-            r1 = fk.loop_residual(c1, s.theta1, s.theta2, geometry.theta4_fixed)
-            r2 = fk.loop_residual(c2, s.theta5, s.theta6, geometry.theta8_fixed)
+            r1 = closure_residual(c1, s.theta1, s.theta2, geometry.theta4_fixed)
+            r2 = closure_residual(c2, s.theta5, s.theta6, geometry.theta8_fixed)
             assert abs(r1) <= 1e-10
             assert abs(r2) <= 1e-10
 
@@ -323,20 +338,18 @@ class TestSolveChain:
             fk.solve_chain(g, 0.0)
         assert exc_info.value.loop == 1
         with pytest.raises(fk.NoClosureError) as exc_info:
-            fk.solve_chain_numeric(g, 0.0)
+            numeric_chain(g, 0.0)
         assert exc_info.value.loop == 1
 
     def test_continuity_policy_uses_previous(self, geometry):
         lo, hi = geometry.theta1_range
         prev = fk.solve_chain(geometry, lo)
-        nxt = fk.solve_chain(
-            geometry, lo + 0.01, fk.BranchPolicy.continuity(prev))
+        nxt = fk.solve_chain(geometry, lo + 0.01, CONTINUITY, prev)
         assert abs(nxt.theta2 - prev.theta2) < math.radians(5.0)
 
     def test_continuity_policy_requires_previous(self, geometry):
-        policy = fk.BranchPolicy(mode="continuity")
         with pytest.raises(ValueError):
-            fk.solve_chain(geometry, geometry.theta1_range[0], policy)
+            fk.solve_chain(geometry, geometry.theta1_range[0], CONTINUITY)
 
 
 class TestSweepChain:
@@ -422,7 +435,7 @@ class TestScalingInvariance:
 class TestWrap:
     @given(st.floats(-50.0, 50.0))
     def test_wrap_range(self, angle):
-        w = wrap_angle(angle)
+        w = float(_kernels.wrap(angle))
         assert -math.pi < w <= math.pi
         # same point on the circle
         assert math.cos(w) == pytest.approx(math.cos(angle), abs=1e-9)
@@ -432,7 +445,8 @@ class TestWrap:
 class TestClosureVectorAngle:
     def test_straight_chain(self):
         # all vectors along +x: resultant along +x
-        angle = closure_vector_angle((1.0, 1.0, 3.0, 1.0), 0.0, 0.0, 0.0)
+        angle = linkage._vector_closure_angles(
+            (1.0, 1.0, 3.0, 1.0), np.array([0.0]), np.array([0.0]), 0.0)[0]
         assert angle == pytest.approx(0.0, abs=1e-15)
 
 
