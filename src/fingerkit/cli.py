@@ -311,7 +311,7 @@ def _cmd_grasp(cfg: FingerConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_safety(cfg: FingerConfig, args: argparse.Namespace) -> int:
+def _cmd_safety(args: argparse.Namespace) -> int:
     registry = default_registry()
     force = args.force_n
     if force is None:
@@ -363,7 +363,7 @@ def _cmd_validate(cfg: FingerConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_registry(cfg: FingerConfig, args: argparse.Namespace) -> int:
+def _cmd_registry(args: argparse.Namespace) -> int:
     if args.registry_path is None:
         registry = default_registry()
     else:
@@ -392,7 +392,10 @@ _COMMANDS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed invocation; raises domain/config errors."""
+    """Execute one parsed invocation; raises domain/config errors.  Only the
+    subcommands that take ``--config`` load one."""
+    if "config" not in args:
+        return _COMMANDS[args.command](args)
     return _COMMANDS[args.command](load_config(args.config), args)
 
 
@@ -447,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="contact configuration (default: range start)")
 
     p = sub.add_parser("safety", help="contact/clearance/stroke checks")
-    common(p)
     p.add_argument("--force-n", type=float, default=None,
                    help="contact force to check (default: registry pinch max)")
 
@@ -455,7 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, samples=1000)
 
     p = sub.add_parser("registry", help="registry consistency report")
-    common(p)
     p.add_argument("--registry-path", type=Path, default=None,
                    help="verify a registry file instead of the shipped one")
 

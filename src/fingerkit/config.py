@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_number
 from .finger import FingerGeometry, TendonModel
 from .linkage import LinkageGeometry
 
@@ -60,15 +60,7 @@ class FingerConfig:
 
 
 def _finite(value, key: str) -> float:
-    """``value`` as a float, if it is a finite JSON number (not a bool)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ConfigError(f"config key {key!r} takes finite numbers only")
+    return finite_number(value, f"config key {key!r} takes finite numbers only")
 
 
 def _number(doc: dict, key: str, default=None) -> float:

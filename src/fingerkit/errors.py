@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one rule for a
+number read from a JSON document."""
+
+import math
 
 
 class FingerkitError(Exception):
@@ -37,3 +40,16 @@ class RuleViolationError(FingerkitError):
 
 class ConfigError(FingerkitError):
     """A configuration document is missing, malformed, or violates the schema."""
+
+
+def finite_number(value, message: str) -> float:
+    """``value`` as a float if it is a finite JSON number (not a bool),
+    else :class:`ConfigError` with ``message``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(message)

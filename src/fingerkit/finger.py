@@ -10,7 +10,7 @@ cylindrical grasps against the reference registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .linkage import (
     LinkageGeometry,
     chain_derivatives,
     solve_chain,
-    solve_chain_batch,
     sweep_chain,
 )
 from .registry import ReferenceRegistry
@@ -255,14 +254,14 @@ def tendon_excursion(tendon: TendonModel, geometry: LinkageGeometry,
     the derivative chains the implicit loop transmissions through both
     dependent angles.  Floats or arrays back, as ``state`` holds.
     """
-    return _excursion(tendon, geometry, state,
-                      chain_derivatives(geometry, state))
-
-
-def _excursion(tendon: TendonModel, geometry: LinkageGeometry,
-               state: JointState, derivatives):
-    """:func:`tendon_excursion` given ``chain_derivatives`` at ``state``."""
     start = solve_chain(geometry, geometry.theta1_range[0])
+    return _excursion(tendon, state, start, chain_derivatives(geometry, state))
+
+
+def _excursion(tendon: TendonModel, state: JointState, start: JointState,
+               derivatives):
+    """:func:`tendon_excursion` given the range-start state ``start`` and
+    ``chain_derivatives`` at ``state``."""
     r_mcp, r_pip, r_dip = tendon.moment_arms
     excursion = (
         r_mcp * (state.theta_mcp - start.theta_mcp)
@@ -312,9 +311,14 @@ def force_profile(
         raise OutOfRangeError(
             f"tension {tension:.9g} N outside [0, {tendon.max_tension:.9g}] N"
         )
-    chain = solve_chain_batch(geometry, theta1_values)
+    # the range start rides along as the last sample, so an error for a
+    # requested sample is still the one raised
+    solved = solve_chain(
+        geometry, np.append(theta1_values, geometry.theta1_range[0]))
+    chain = JointState(*(getattr(solved, f.name)[:-1] for f in fields(solved)))
     derivatives = chain_derivatives(geometry, chain)
-    excursion, d_excursion = _excursion(tendon, geometry, chain, derivatives)
+    excursion, d_excursion = _excursion(tendon, chain, solved.state_at(-1),
+                                        derivatives)
     vx, vy = _velocity(finger, chain, derivatives)
     speed = _kernels.libm(math.hypot, vx, vy)
     singular = speed < _TIP_SPEED_MIN

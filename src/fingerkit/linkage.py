@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -81,9 +81,14 @@ class LinkageGeometry:
         lo, hi = self.theta1_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError("theta1_range must be a non-empty closed interval")
-        if compute_mobility(NUM_LINKS, NUM_JOINTS) != 1:
-            raise ValueError("mechanism mobility must be 1")
         object.__setattr__(self, "v", tuple(float(x) for x in self.v))
+        for loop in (1, 2):
+            try:
+                kappas = astuple(loop_coefficients(self, loop))
+            except ZeroDivisionError:  # the product of two lengths underflows
+                kappas = (math.inf,)
+            if not all(map(math.isfinite, kappas)):
+                raise ValueError(f"loop {loop} coefficients must be finite")
 
     def scaled(self, factor: float) -> "LinkageGeometry":
         """Uniformly scale all link lengths; angles are untouched."""
@@ -150,8 +155,6 @@ def loop_coefficients(geometry: LinkageGeometry, loop: int) -> LoopCoefficients:
     (a^2 + b^2 - c^2 + d^2) / (2ab).
     """
     a, b, c, d = geometry.loop_lengths(loop)
-    if a == 0.0 or b == 0.0:
-        raise DegenerateGeometryError(f"loop {loop} has a zero-length link")
     return LoopCoefficients(
         kappa1=d / b,
         kappa2=d / a,
@@ -284,15 +287,6 @@ def _libm_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _kernels.libm(math.atan2, y, x)
 
 
-def _check_theta1(geometry: LinkageGeometry, theta1: float) -> None:
-    lo, hi = geometry.theta1_range
-    if not (lo <= theta1 <= hi):
-        raise OutOfRangeError(
-            f"theta1={theta1:.9g} rad outside admissible range "
-            f"[{lo:.9g}, {hi:.9g}] rad"
-        )
-
-
 def _chain(
     geometry: LinkageGeometry,
     theta1: np.ndarray,
@@ -304,22 +298,30 @@ def _chain(
 
     ``solve(coeffs, theta_in, fixed_angle, reference)`` gives one loop's
     ``(ok, theta_out)`` over an input array.  Loop 1 maps theta1 to theta2,
-    which (offset by sigma) drives loop 2.  The first sample, in input
-    order, that is out of range or cannot close raises what
-    :func:`solve_chain` raises for it: its range error, else the loop that
-    fails there.  ``atan2`` recovers theta3/theta7.
+    which (offset by sigma) drives loop 2.  Samples outside the admissible
+    range reach the loops as NaN, which no loop closes at.  The first
+    sample, in input order, that is out of range or cannot close raises:
+    its range error, else the loop that fails there.  Then ``atan2``
+    recovers theta3/theta7, and the anatomical angles follow from their
+    defining identities.
     """
+    lo, hi = geometry.theta1_range
+    in_range = (lo <= theta1) & (theta1 <= hi)
     c1 = loop_coefficients(geometry, 1)
     c2 = loop_coefficients(geometry, 2)
-    ok1, theta2 = solve(c1, theta1, geometry.theta4_fixed, references[0])
+    ok1, theta2 = solve(c1, np.where(in_range, theta1, np.nan),
+                        geometry.theta4_fixed, references[0])
     theta5 = theta2 + geometry.sigma
     ok2, theta6 = solve(c2, theta5, geometry.theta8_fixed, references[1])
-    lo, hi = geometry.theta1_range
-    ok = ok1 & ok2 & (lo <= theta1) & (theta1 <= hi)
+    ok = ok1 & ok2
     if not ok.all():
         i = int(np.argmin(ok))
         bad = float(theta1[i])
-        _check_theta1(geometry, bad)
+        if not in_range[i]:
+            raise OutOfRangeError(
+                f"theta1={bad:.9g} rad outside admissible range "
+                f"[{lo:.9g}, {hi:.9g}] rad"
+            )
         if not ok1[i]:
             raise NoClosureError(
                 f"loop 1 cannot close at theta1={bad:.9g} rad", loop=1,
@@ -329,12 +331,26 @@ def _chain(
             f"loop 2 cannot close at theta5={float(theta5[i]):.9g} rad "
             f"(theta1={bad:.9g} rad)", loop=2, theta_in=float(theta5[i]),
         )
-    return _chain_sweep(geometry, theta1, theta2, theta6, atan2)
+    return JointState(
+        theta1=theta1,
+        theta2=theta2,
+        theta3=_vector_closure_angles(
+            geometry.loop_lengths(1), theta1, theta2, geometry.theta4_fixed, atan2
+        ),
+        theta5=theta5,
+        theta6=theta6,
+        theta7=_vector_closure_angles(
+            geometry.loop_lengths(2), theta5, theta6, geometry.theta8_fixed, atan2
+        ),
+        theta_mcp=theta6,
+        theta_pip=theta5 - geometry.sigma,
+        theta_dip=theta1 - geometry.rho,
+    )
 
 
 def solve_chain(
     geometry: LinkageGeometry,
-    theta1: float,
+    theta1: float | np.ndarray,
     branch: str = POSITIVE_ROOT,
     previous: JointState | None = None,
 ) -> JointState:
@@ -346,15 +362,20 @@ def solve_chain(
     filled in by their defining identities.  ``branch`` picks the same root
     of both loops as :func:`solve_loop`; the continuity branch keeps each
     loop nearest its angle in ``previous``, a solved state.
+
+    ``theta1`` is a float, giving floats, or a 1-D array in any order,
+    giving arrays whose every sample equals the float solve there
+    (``previous`` broadcasts); the first sample that is out of range or
+    cannot close raises the float solve's error for it.
     """
     _check_branch(branch, previous)
-    _check_theta1(geometry, theta1)
     references = ((previous.theta2, previous.theta6) if branch == CONTINUITY
                   else (None, None))
-    return _chain(
-        geometry, np.array([theta1], dtype=np.float64),
+    state = _chain(
+        geometry, np.atleast_1d(np.asarray(theta1, dtype=np.float64)),
         functools.partial(_closed_form, branch=branch), _libm_atan2, references,
-    ).state_at(0)
+    )
+    return state if np.ndim(theta1) else state.state_at(0)
 
 
 def _residual_partials(coeffs, theta_in, theta_out, fixed_angle):
@@ -399,32 +420,6 @@ def chain_derivatives(geometry: LinkageGeometry, state):
     return d21, d65 * d21
 
 
-def _chain_sweep(
-    geometry: LinkageGeometry,
-    theta1: np.ndarray,
-    theta2: np.ndarray,
-    theta6: np.ndarray,
-    atan2=np.arctan2,
-) -> JointState:
-    """Fill in the eliminated and anatomical angles of solved samples."""
-    theta5 = theta2 + geometry.sigma
-    return JointState(
-        theta1=theta1,
-        theta2=theta2,
-        theta3=_vector_closure_angles(
-            geometry.loop_lengths(1), theta1, theta2, geometry.theta4_fixed, atan2
-        ),
-        theta5=theta5,
-        theta6=theta6,
-        theta7=_vector_closure_angles(
-            geometry.loop_lengths(2), theta5, theta6, geometry.theta8_fixed, atan2
-        ),
-        theta_mcp=theta6,
-        theta_pip=theta5 - geometry.sigma,
-        theta_dip=theta1 - geometry.rho,
-    )
-
-
 def _continuity_sweep(coeffs, theta_in, fixed_angle, reference):
     """Nearest-branch sweep of one loop, seeded by the positive root at the
     first sample (which fails here exactly when the seed does)."""
@@ -436,42 +431,23 @@ def _continuity_sweep(coeffs, theta_in, fixed_angle, reference):
 
 
 def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> JointState:
-    """Solve the chain over a monotone sweep of input angles.
+    """Solve the chain over a sweep of input angles that never changes
+    direction (repeated angles are allowed).
 
     Uses the continuity branch seeded by the positive root at the
     first sample, so consecutive configurations never flip assembly
-    branches.  Any sample that fails to close aborts the sweep with the
-    offending input angle.
+    branches.  The first sample that is out of range or fails to close
+    aborts the sweep with the offending input angle.
     """
     theta1_values = np.asarray(theta1_values, dtype=np.float64)
     if theta1_values.ndim != 1 or theta1_values.size < 2:
         raise ValueError("sweep requires at least two input samples")
     diffs = np.diff(theta1_values)
-    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-        raise ValueError("sweep input angles must be strictly monotone")
-    lo, hi = geometry.theta1_range
-    if theta1_values.min() < lo or theta1_values.max() > hi:
-        bad = theta1_values[
-            (theta1_values < lo) | (theta1_values > hi)
-        ][0]
-        raise OutOfRangeError(
-            f"sweep sample theta1={bad:.9g} rad outside range "
-            f"[{lo:.9g}, {hi:.9g}] rad"
-        )
-    # numpy's atan/atan2 here, libm's in the scalar path: they differ in the
+    if not (np.all(diffs >= 0.0) or np.all(diffs <= 0.0)):
+        raise ValueError("sweep input angles must not change direction")
+    # numpy's atan/atan2 here, libm's in solve_chain: they differ in the
     # last ulp on a few inputs, and each path's emitted bytes are pinned
     return _chain(geometry, theta1_values, _continuity_sweep, np.arctan2)
-
-
-def solve_chain_batch(geometry: LinkageGeometry, theta1_values) -> JointState:
-    """Positive-root :func:`solve_chain` at every input angle, in one pass.
-
-    Each sample gets exactly solve_chain's floats, and the first sample that
-    is out of range or cannot close raises solve_chain's error for it.
-    Unlike :func:`sweep_chain` the inputs need no order.
-    """
-    theta1 = np.asarray(theta1_values, dtype=np.float64)
-    return _chain(geometry, theta1, _closed_form, _libm_atan2)
 
 
 def _positive_kernel(coeffs, theta_in, fixed_angle, reference):

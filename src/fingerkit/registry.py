@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, RuleViolationError
+from .errors import ConfigError, RuleViolationError, finite_number
 
 # key suffix -> required unit string; longest suffixes first so that e.g.
 # "_mm_kg" is not shadowed by "_mm" or "_kg"
@@ -75,10 +75,8 @@ class ReferenceRegistry:
             seen.add(entry.key)
             if not entry.source:
                 raise ConfigError(f"registry entry {entry.key} lacks a source")
-            # bool is an int subclass; JSON true/false is not a measurement
-            if (not isinstance(entry.value, (int, float))
-                    or isinstance(entry.value, bool)):
-                raise ConfigError(f"registry entry {entry.key} value must be a number")
+            finite_number(entry.value,
+                          f"registry entry {entry.key} value must be a number")
 
     def value(self, key: str) -> float:
         return float(self.entry(key).value)

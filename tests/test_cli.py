@@ -7,7 +7,7 @@ import pytest
 from fingerkit import cli
 from fingerkit.cli import _dumps, main
 from fingerkit.config import default_config_path
-from fingerkit.errors import FingerkitError
+from fingerkit.errors import ConfigError, FingerkitError
 
 BAD_GEOMETRY = {
     # loop 1 cannot close anywhere near theta1 = 0
@@ -26,6 +26,15 @@ BAD_GEOMETRY = {
     },
     "thumb_line_mm": [[-20.0, -85.0], [80.0, -85.0]],
 }
+
+
+def edited_config(tmp_path, edit):
+    """The shipped config after ``edit(doc)``, written under ``tmp_path``."""
+    doc = json.loads(default_config_path().read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 @pytest.fixture()
@@ -77,6 +86,19 @@ class TestSweep:
 
     def test_sample_count_validated(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path), "--samples", "1"]) == 2
+
+    @pytest.mark.parametrize("range_deg, samples", [
+        ([30.0, 30.0], 5), ([30.0, 30.000000000000004], 1000)])
+    def test_zero_width_range(self, range_deg, samples, tmp_path):
+        # a linspace over a range this narrow repeats angles
+        config = edited_config(
+            tmp_path, lambda doc: doc.update(theta1_range_deg=range_deg))
+        for command in ("sweep", "workspace", "force"):
+            argv = [command, "--config", str(config), "--format", "svg",
+                    "--samples", str(samples), "--out", str(tmp_path / command)]
+            if command == "workspace":
+                argv += ["--psi-samples", "2"]
+            assert main(argv) == 0
 
 
 class TestWorkspace:
@@ -186,7 +208,9 @@ class TestRegistryCommand:
         assert main(["registry", "--registry-path", str(path)]) == 1
         assert "FAIL pinch-ordering" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["x", None, True, False])
+    @pytest.mark.parametrize("value", ["x", None, True, False, float("nan"),
+                                       float("inf"), float("-inf"),
+                                       pytest.param(10**400, id="400-digits")])
     def test_non_numeric_value_is_two(self, value, tmp_path, capsys):
         from fingerkit.registry import default_registry
         doc = json.loads(default_registry().to_json())
@@ -244,6 +268,44 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: out of memory; use fewer samples\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("theta1", [
+        ["--theta1-deg", "inf"], ["--theta1-deg=-inf"],
+        ["--theta1-deg", "1e309"]])
+    def test_non_finite_theta1_is_one_line(self, theta1, capsys):
+        assert main(["grasp", "--diameter-mm", "80", *theta1]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "outside admissible range" in lines[0]
+
+    @pytest.mark.parametrize("scale", [2.06e152, 1.47e153, 1e-170])
+    def test_non_finite_coefficients_are_two(self, scale, tmp_path, capsys):
+        # kappa3 overflows to inf, to inf/inf, or divides by an underflow
+        config = edited_config(
+            tmp_path, lambda doc: doc.update(v=[scale * x for x in doc["v"]]))
+        assert main(["analyze", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: invalid geometry: loop 1 coefficients "
+                                "must be finite\n")
+
+    def test_single_tendon_on_double_config_is_two(self, tmp_path, capsys):
+        config = edited_config(tmp_path, lambda doc: doc["tendon"].update(
+            kind="double", spring_nmm_per_rad=0.0, preload_nmm=0.0))
+        assert main(["grasp", "--config", str(config), "--diameter-mm", "100",
+                     "--tendon", "single"]) == 2
+        assert "single-tendon variant needs spring" in capsys.readouterr().err
+
+    def test_safety_and_registry_read_no_config(self, monkeypatch, capsys):
+        def unreadable(path):
+            raise ConfigError(f"cannot read config {path}")
+
+        monkeypatch.setattr(cli, "load_config", unreadable)
+        assert main(["safety"]) == 0
+        assert main(["registry"]) == 0
+        assert main(["analyze"]) == 2
 
     def test_missing_config_is_two(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "absent.json")]) == 2

@@ -73,7 +73,7 @@ class TestForceBatchMatchesScalar:
 
     def test_chain_batch_equals_solve_chain(self, geometry, rng):
         theta1 = rng.uniform(*geometry.theta1_range, 200)  # unsorted on purpose
-        chain = fk.solve_chain_batch(geometry, theta1)
+        chain = fk.solve_chain(geometry, theta1)
         for i, t in enumerate(theta1.tolist()):
             state = fk.solve_chain(geometry, t)
             for name in ("theta1", "theta2", "theta3", "theta5", "theta6",
@@ -83,12 +83,12 @@ class TestForceBatchMatchesScalar:
     def test_chain_batch_raises_the_scalar_error(self, geometry):
         lo, hi = geometry.theta1_range
         with pytest.raises(fk.OutOfRangeError, match="outside admissible range"):
-            fk.solve_chain_batch(geometry, [lo, hi + 0.1])
+            fk.solve_chain(geometry, [lo, hi + 0.1])
         g = fk.LinkageGeometry(
             v=(25, 40, 45, 10, 25, 40, 45, 10), sigma=0.0, rho=0.0,
             theta1_range=(0.0, math.radians(75.0)))
         with pytest.raises(fk.NoClosureError, match="theta1=0 rad") as exc_info:
-            fk.solve_chain_batch(g, np.linspace(0.0, 1.0, 5))
+            fk.solve_chain(g, np.linspace(0.0, 1.0, 5))
         assert exc_info.value.loop == 1
 
     def test_tension_and_tip_speed_guards_hold(self, cfg, geometry, finger):

@@ -352,6 +352,21 @@ class TestStaticTipForce:
         assert len(profile) == 50
         assert len(calls) == 1
 
+    def test_force_solves_the_chain_once(self, geometry, finger, tendon,
+                                         monkeypatch):
+        # the range start is solved in the same pass as the requested angle
+        calls = []
+        chain = linkage._chain
+
+        def counted(*args):
+            calls.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(linkage, "_chain", counted)
+        fk.static_tip_force(tendon, geometry, finger,
+                            0.5 * sum(geometry.theta1_range), 20.0)
+        assert len(calls) == 1
+
 
 class TestGraspAssess:
     def make_force(self, cfg):

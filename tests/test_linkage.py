@@ -1,6 +1,7 @@
 """Loop-closure solver tests: counting formulas, coefficients, both solve
 paths, branch selection, and the core invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -387,7 +388,7 @@ class TestSweepChain:
 
     def test_rejects_out_of_range(self, geometry):
         lo, hi = geometry.theta1_range
-        with pytest.raises(fk.OutOfRangeError):
+        with pytest.raises(fk.OutOfRangeError, match="outside admissible range"):
             fk.sweep_chain(geometry, np.linspace(lo - 0.2, hi, 10))
 
     def test_descending_sweep_allowed(self, geometry):
@@ -414,6 +415,20 @@ class TestGeometryValidation:
     def test_scaled_rejects_nonpositive(self, geometry):
         with pytest.raises(ValueError):
             geometry.scaled(0.0)
+
+
+class TestChainDerivatives:
+    @pytest.mark.parametrize("loop, inputs, outputs", [
+        (1, "theta1", "theta2"), (2, "theta5", "theta6")])
+    def test_singular_jacobian_raises(self, geometry, loop, inputs, outputs):
+        # d residual / d theta_out is zero where the input angle is zero and
+        # the output angle points along the loop's fixed vector
+        fixed = geometry.fixed_angle(loop)
+        state = dataclasses.replace(
+            fk.solve_chain(geometry, 1.0), **{inputs: 0.0, outputs: fixed})
+        with pytest.raises(fk.DegenerateGeometryError,
+                           match=f"loop {loop} residual Jacobian is singular"):
+            fk.chain_derivatives(geometry, state)
 
 
 class TestScalingInvariance:
@@ -455,11 +470,24 @@ def _error_key(exc):
 
 
 class TestBatchIsMappedScalar:
-    """solve_chain_batch and sweep_chain behave as solve_chain mapped over
-    their inputs: the same floats, or the first failing sample's error."""
+    """solve_chain over an array, and sweep_chain, behave as solve_chain
+    mapped over their inputs: the same floats, or the first failing
+    sample's error."""
 
     FIELDS = ("theta1", "theta2", "theta3", "theta5", "theta6", "theta7",
               "theta_mcp", "theta_pip", "theta_dip")
+
+    @pytest.mark.parametrize("branch", [NEGATIVE_ROOT, CONTINUITY])
+    def test_branches_over_an_array(self, geometry, branch):
+        # the continuity reference of one solved state broadcasts
+        lo, hi = geometry.theta1_range
+        previous = fk.solve_chain(geometry, lo)
+        grid = np.linspace(lo, hi, 17)
+        chain = fk.solve_chain(geometry, grid, branch, previous)
+        for i, theta1 in enumerate(grid.tolist()):
+            state = fk.solve_chain(geometry, theta1, branch, previous)
+            for name in self.FIELDS:
+                assert getattr(chain, name)[i] == getattr(state, name)
 
     def test_random_geometries(self, geometry):
         rng = np.random.default_rng(31415)
@@ -485,7 +513,7 @@ class TestBatchIsMappedScalar:
                     break
             if first_error is None:
                 outcomes["closed"] += 1
-                chain = fk.solve_chain_batch(g, grid)
+                chain = fk.solve_chain(g, grid)
                 for i, state in enumerate(states):
                     for name in self.FIELDS:
                         assert getattr(chain, name)[i] == getattr(state, name)
@@ -493,7 +521,7 @@ class TestBatchIsMappedScalar:
             outcomes[first_error.loop] += 1
             expected = _error_key(first_error)
             with pytest.raises(fk.NoClosureError) as batch_error:
-                fk.solve_chain_batch(g, grid)
+                fk.solve_chain(g, grid)
             assert _error_key(batch_error.value) == expected
             with pytest.raises(fk.NoClosureError) as sweep_error:
                 fk.sweep_chain(g, grid)
