@@ -83,11 +83,12 @@ class LinkageGeometry:
             raise ValueError("theta1_range must be a non-empty closed interval")
         object.__setattr__(self, "v", tuple(float(x) for x in self.v))
         for loop in (1, 2):
-            try:
-                kappas = astuple(loop_coefficients(self, loop))
-            except ZeroDivisionError:  # the product of two lengths underflows
-                kappas = (math.inf,)
-            if not all(map(math.isfinite, kappas)):
+            a, b, _, _ = self.loop_lengths(loop)
+            # 2ab, kappa3's divisor, underflows to 0 for tiny lengths
+            finite = 2.0 * a * b > 0.0 and all(
+                map(math.isfinite, astuple(loop_coefficients(self, loop)))
+            )
+            if not finite:
                 raise ValueError(f"loop {loop} coefficients must be finite")
 
     def scaled(self, factor: float) -> "LinkageGeometry":
