@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -86,7 +86,7 @@ class LinkageGeometry:
             a, b, _, _ = self.loop_lengths(loop)
             # 2ab, kappa3's divisor, underflows to 0 for tiny lengths
             finite = 2.0 * a * b > 0.0 and all(
-                map(math.isfinite, astuple(loop_coefficients(self, loop)))
+                map(math.isfinite, vars(loop_coefficients(self, loop)).values())
             )
             if not finite:
                 raise ValueError(f"loop {loop} coefficients must be finite")
