@@ -17,8 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, finite_number
-from .finger import FingerGeometry, TendonModel
-from .linkage import LinkageGeometry
+from .geometry import FingerGeometry, LinkageGeometry, TendonModel
 
 GEOMETRY_KEYS = {
     "v", "sigma_deg", "rho_deg", "theta4_deg", "theta8_deg", "theta1_range_deg",

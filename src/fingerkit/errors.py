@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the toolkit, and the one rule for a
-number read from a JSON document."""
+"""Exception hierarchy shared across the toolkit, and the rules for numbers
+crossing its boundary: read from a JSON document or a command-line flag,
+or written as JSON."""
 
+import json
 import math
 
 
@@ -53,3 +55,22 @@ def finite_number(value, message: str) -> float:
         if math.isfinite(number):
             return number
     raise ConfigError(message)
+
+
+def require_finite(value: float, flag: str, minimum: float | None = None,
+                   strict: bool = True) -> float:
+    """CLI boundary check: a finite number, optionally bounded below."""
+    if math.isfinite(value) and (
+        minimum is None or value > minimum or (not strict and value == minimum)
+    ):
+        return value
+    bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum:g}"
+    raise ConfigError(f"{flag} must be a finite number{bound}, got {value!r}")
+
+
+def strict_json(doc: dict) -> str:
+    """RFC 8259 JSON text: a non-finite number is an error, never ``NaN``."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FingerkitError(f"non-finite value in JSON output: {exc}") from exc

@@ -16,17 +16,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateGeometryError, OutOfRangeError
-from .linkage import (
-    JointState,
-    LinkageGeometry,
-    chain_derivatives,
-    solve_chain,
-    sweep_chain,
-)
+from .geometry import FingerGeometry, LinkageGeometry, TendonModel
+from .linkage import JointState, chain_derivatives, solve_chain, sweep_chain
 from .registry import ReferenceRegistry
-
-SINGLE = "single"
-DOUBLE = "double"
 
 # tip Jacobians below this magnitude (mm/rad) count as singular
 _TIP_SPEED_MIN = 1e-9
@@ -44,83 +36,6 @@ TIP_DTYPE = _float_rows("theta1", "psi", "tip_x", "tip_y", "grip_x", "grip_y")
 FORCE_DTYPE = _float_rows(
     "theta1", "excursion", "d_excursion", "tip_speed", "force"
 )
-
-
-@dataclass(frozen=True)
-class FingerGeometry:
-    """Phalanx lengths and mounting of the finger in the gripper frame.
-
-    ``base_offset`` locates the MCP axis in the rotating finger plane;
-    the whole plane swings about the gripper origin by the orientation
-    angle psi, bounded by ``orientation_range``.
-    """
-
-    phalanx_lengths: tuple[float, float, float]
-    base_offset: tuple[float, float] = (0.0, 0.0)
-    orientation_range: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0)
-
-    def __post_init__(self) -> None:
-        if len(self.phalanx_lengths) != 3:
-            raise ValueError("finger requires exactly three phalanx lengths")
-        for i, length in enumerate(self.phalanx_lengths):
-            if not (math.isfinite(length) and length > 0.0):
-                raise ValueError(f"phalanx length {i} must be finite and > 0")
-        lo, hi = self.orientation_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError("orientation_range must be a non-empty interval")
-
-    def scaled(self, factor: float) -> "FingerGeometry":
-        if factor <= 0.0:
-            raise ValueError("scale factor must be > 0")
-        return FingerGeometry(
-            phalanx_lengths=tuple(factor * x for x in self.phalanx_lengths),
-            base_offset=tuple(factor * x for x in self.base_offset),
-            orientation_range=self.orientation_range,
-        )
-
-
-@dataclass(frozen=True)
-class TendonModel:
-    """Pulley-idealized tendon routing with constant per-joint moment arms.
-
-    The single-tendon variant closes against extension springs lumped into
-    one equivalent torsional return spring about the input angle; the
-    double-tendon variant actively drives both directions and carries no
-    spring terms.
-    """
-
-    kind: str
-    moment_arms: tuple[float, float, float]
-    spring_stiffness: float = 0.0
-    spring_preload: float = 0.0
-    max_tension: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (SINGLE, DOUBLE):
-            raise ValueError(f"tendon kind must be 'single' or 'double', got {self.kind!r}")
-        if len(self.moment_arms) != 3:
-            raise ValueError("tendon requires three moment arms (MCP, PIP, DIP)")
-        for arm in self.moment_arms:
-            if not (math.isfinite(arm) and arm >= 0.0):
-                raise ValueError("moment arms must be finite and >= 0")
-        if self.kind == SINGLE and self.spring_stiffness <= 0.0:
-            raise ValueError("single-tendon model requires spring_stiffness > 0")
-        if self.kind == DOUBLE and (
-            self.spring_stiffness != 0.0 or self.spring_preload != 0.0
-        ):
-            raise ValueError("double-tendon model must have zero spring terms")
-        if not (math.isfinite(self.max_tension) and self.max_tension > 0.0):
-            raise ValueError("max_tension must be finite and > 0")
-
-    def as_double(self) -> "TendonModel":
-        """Double-tendon variant of this routing (spring terms removed)."""
-        return TendonModel(
-            kind=DOUBLE,
-            moment_arms=self.moment_arms,
-            spring_stiffness=0.0,
-            spring_preload=0.0,
-            max_tension=self.max_tension,
-        )
 
 
 @dataclass(frozen=True)

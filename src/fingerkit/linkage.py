@@ -3,10 +3,9 @@
 The finger mechanism is a chain of two four-bar loops sharing one DoF.
 Each loop closes as a vector polygon whose squared-magnitude constraint
 reduces, after a tangent half-angle substitution, to a quadratic in
-tan(theta_out / 2).  This module provides:
+tan(theta_out / 2).  Over the geometry of :mod:`fingerkit.geometry`, this
+module provides:
 
-* mobility / independent-loop counting for planar linkages,
-* dimensionless loop coefficients,
 * a closed-form loop solver with explicit branch control,
 * a chain solver producing anatomical joint angles (MCP / PIP / DIP),
 * an independent bracketing-and-bisection oracle used for validation,
@@ -26,106 +25,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateGeometryError, NoClosureError, OutOfRangeError
-
-# The finger linkage is always the same topology: six links, seven revolute
-# joints, giving mobility 1 and two independent loops.
-NUM_LINKS = 6
-NUM_JOINTS = 7
+from .geometry import LinkageGeometry, LoopCoefficients, loop_coefficients
 
 POSITIVE_ROOT = "positive-root"
 NEGATIVE_ROOT = "negative-root"
 CONTINUITY = "continuity"
-
-
-def compute_mobility(num_links: int, num_joints: int) -> int:
-    """Degrees of freedom of a planar linkage: 3*(L-1) - 2*j."""
-    if num_links < 1:
-        raise ValueError("num_links must be >= 1")
-    if num_joints < 0:
-        raise ValueError("num_joints must be >= 0")
-    return 3 * (num_links - 1) - 2 * num_joints
-
-
-def count_loops(num_joints: int, num_links: int) -> int:
-    """Number of independent closure loops: j - L + 1."""
-    if num_joints < num_links - 1:
-        raise ValueError("num_joints must be >= num_links - 1")
-    return num_joints - num_links + 1
-
-
-@dataclass(frozen=True)
-class LinkageGeometry:
-    """One finger mechanism: eight loop vector lengths plus fixed angles.
-
-    ``v`` holds the vector lengths of both loops, loop 1 first
-    (v1..v4) then loop 2 (v5..v8), in millimetres.  ``sigma`` is the
-    angular offset carrying the loop-1 output into the loop-2 input,
-    ``rho`` the offset defining the distal joint angle.  The fourth
-    vector of each loop points at a fixed angle (``theta4_fixed`` /
-    ``theta8_fixed``, normally vertical).
-    """
-
-    v: tuple[float, float, float, float, float, float, float, float]
-    sigma: float
-    rho: float
-    theta4_fixed: float = math.pi / 2.0
-    theta8_fixed: float = math.pi / 2.0
-    theta1_range: tuple[float, float] = (0.0, math.radians(75.0))
-
-    def __post_init__(self) -> None:
-        if len(self.v) != 8:
-            raise ValueError("geometry requires exactly eight link lengths")
-        for i, length in enumerate(self.v):
-            if not (math.isfinite(length) and length > 0.0):
-                raise ValueError(f"link length v{i + 1} must be finite and > 0")
-        lo, hi = self.theta1_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError("theta1_range must be a non-empty closed interval")
-        object.__setattr__(self, "v", tuple(float(x) for x in self.v))
-        for loop in (1, 2):
-            a, b, _, _ = self.loop_lengths(loop)
-            # 2ab, kappa3's divisor, underflows to 0 for tiny lengths
-            finite = 2.0 * a * b > 0.0 and all(
-                map(math.isfinite, vars(loop_coefficients(self, loop)).values())
-            )
-            if not finite:
-                raise ValueError(f"loop {loop} coefficients must be finite")
-
-    def scaled(self, factor: float) -> "LinkageGeometry":
-        """Uniformly scale all link lengths; angles are untouched."""
-        if factor <= 0.0:
-            raise ValueError("scale factor must be > 0")
-        return LinkageGeometry(
-            v=tuple(factor * x for x in self.v),
-            sigma=self.sigma,
-            rho=self.rho,
-            theta4_fixed=self.theta4_fixed,
-            theta8_fixed=self.theta8_fixed,
-            theta1_range=self.theta1_range,
-        )
-
-    def loop_lengths(self, loop: int) -> tuple[float, float, float, float]:
-        if loop == 1:
-            return self.v[0:4]
-        if loop == 2:
-            return self.v[4:8]
-        raise ValueError("loop must be 1 or 2")
-
-    def fixed_angle(self, loop: int) -> float:
-        if loop == 1:
-            return self.theta4_fixed
-        if loop == 2:
-            return self.theta8_fixed
-        raise ValueError("loop must be 1 or 2")
-
-
-@dataclass(frozen=True)
-class LoopCoefficients:
-    """Dimensionless ratios of one loop; invariant under uniform scaling."""
-
-    kappa1: float
-    kappa2: float
-    kappa3: float
 
 
 @dataclass(frozen=True)
@@ -147,20 +51,6 @@ class JointState:
         """Sample ``index`` of a sweep, as floats."""
         return JointState(*(float(getattr(self, f.name)[index])
                             for f in fields(self)))
-
-
-def loop_coefficients(geometry: LinkageGeometry, loop: int) -> LoopCoefficients:
-    """Dimensionless coefficients of the requested loop (1 or 2).
-
-    For loop lengths (a, b, c, d) the ratios are d/b, d/a and
-    (a^2 + b^2 - c^2 + d^2) / (2ab).
-    """
-    a, b, c, d = geometry.loop_lengths(loop)
-    return LoopCoefficients(
-        kappa1=d / b,
-        kappa2=d / a,
-        kappa3=(a * a + b * b - c * c + d * d) / (2.0 * a * b),
-    )
 
 
 def _closed_form(

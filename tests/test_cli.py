@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from fingerkit import cli
-from fingerkit.cli import _dumps, main
+from fingerkit import _array_cli, cli
+from fingerkit.cli import main
 from fingerkit.config import default_config_path
-from fingerkit.errors import ConfigError, FingerkitError
+from fingerkit.errors import ConfigError, FingerkitError, strict_json
 
 BAD_GEOMETRY = {
     # loop 1 cannot close anywhere near theta1 = 0
@@ -26,6 +26,8 @@ BAD_GEOMETRY = {
     },
     "thumb_line_mm": [[-20.0, -85.0], [80.0, -85.0]],
 }
+COEFFICIENT_ERROR = ("error: invalid geometry: loop 1 coefficients must "
+                     "satisfy |kappa1| + |kappa2| + |kappa3| + 1 <= 1e+153\n")
 
 
 def edited_config(tmp_path, edit):
@@ -177,7 +179,7 @@ class TestSafety:
 
     def test_non_finite_json_is_a_domain_error(self):
         with pytest.raises(FingerkitError):
-            _dumps({"x": float("inf")})
+            strict_json({"x": float("inf")})
 
 
 class TestValidate:
@@ -245,7 +247,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "workspace", exhausted)
+        monkeypatch.setattr(_array_cli, "workspace", exhausted)
         assert main(["workspace", "--out", str(tmp_path / "ws"),
                      "--samples", "2", "--psi-samples", "100000000000"]) == 2
         captured = capsys.readouterr()
@@ -288,8 +290,23 @@ class TestExitCodes:
         assert main(["analyze", "--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: invalid geometry: loop 1 coefficients "
-                                "must be finite\n")
+        assert captured.err == COEFFICIENT_ERROR
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_overflowing_coefficients_are_two(self, command, tmp_path, capsys):
+        # kappa2 = v4 / v1 = 1.35e161 is finite, but the discriminant of the
+        # half-angle quadratic would overflow
+        def tiny_v1(doc):
+            doc["v"][0] = 1e-160
+
+        config = edited_config(tmp_path, tiny_v1)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config)]
+        assert main(argv + (["--out", str(out)] if command == "sweep" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == COEFFICIENT_ERROR
+        assert not out.exists()
 
     def test_single_tendon_on_double_config_is_two(self, tmp_path, capsys):
         config = edited_config(tmp_path, lambda doc: doc["tendon"].update(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import fingerkit as fk
-from fingerkit import _kernels, cli, svgplot
+from fingerkit import _array_cli, _kernels, svgplot
 from fingerkit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,7 +170,7 @@ def test_csv_matches_per_value_format(block_rows):
         ["# config_sha256=abc", ",".join(HEADER)]
         + [",".join(f"{x:.9g}" for x in row) for row in EDGE_TABLE.tolist()]
     ) + "\n"
-    assert "".join(cli._csv(HEADER, EDGE_TABLE, "abc")) == expected
+    assert "".join(_array_cli._csv(HEADER, EDGE_TABLE, "abc")) == expected
 
 
 @pytest.mark.parametrize("rows", [EDGE_TABLE, EDGE_TABLE[:0]])
@@ -179,7 +179,7 @@ def test_json_matches_json_dumps(block_rows, rows):
     doc = {"config_sha256": "abc", "columns": HEADER, "rows": rows.tolist(),
            **extra}
     expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert "".join(cli._json_table(HEADER, rows, "abc", extra)) == expected
+    assert "".join(_array_cli._json_table(HEADER, rows, "abc", extra)) == expected
 
 
 def test_svg_points_match_per_value_format(block_rows):
@@ -196,5 +196,5 @@ def test_table_writer_rejects_non_finite(tmp_path, bad, fmt):
     table = EDGE_TABLE.copy()
     table[2, 3] = bad
     with pytest.raises(fk.FingerkitError, match="non-finite"):
-        cli._write_table(tmp_path, "t", fmt, HEADER, table, "abc")
+        _array_cli._write_table(tmp_path, "t", fmt, HEADER, table, "abc")
     assert not list(tmp_path.iterdir())

@@ -34,9 +34,8 @@ def test_batch_solve_matches_scalar(rng):
 
 
 def test_batch_bisect_matches_closed_form(geometry):
-    for loop in (1, 2):
+    for loop, f in ((1, geometry.theta4_fixed), (2, geometry.theta8_fixed)):
         c = fk.loop_coefficients(geometry, loop)
-        f = geometry.fixed_angle(loop)
         lo, hi = geometry.theta1_range
         if loop == 2:
             lo, hi = lo - 2.2, hi - 2.2  # loop-2 operating window

@@ -316,12 +316,11 @@ class TestSolveChain:
         lo, hi = geometry.theta1_range
         for theta1 in rng.uniform(lo, hi, 25):
             s = fk.solve_chain(geometry, float(theta1))
-            for loop, t_in, t_out, t_rec in (
-                (1, s.theta1, s.theta2, s.theta3),
-                (2, s.theta5, s.theta6, s.theta7),
+            for loop, t_in, t_out, t_rec, f in (
+                (1, s.theta1, s.theta2, s.theta3, geometry.theta4_fixed),
+                (2, s.theta5, s.theta6, s.theta7, geometry.theta8_fixed),
             ):
                 a, b, c, d = geometry.loop_lengths(loop)
-                f = geometry.fixed_angle(loop)
                 x = (a * math.cos(t_in + t_out) + b * math.cos(t_out)
                      + d * math.cos(f))
                 y = (a * math.sin(t_in + t_out) + b * math.sin(t_out)
@@ -423,7 +422,7 @@ class TestChainDerivatives:
     def test_singular_jacobian_raises(self, geometry, loop, inputs, outputs):
         # d residual / d theta_out is zero where the input angle is zero and
         # the output angle points along the loop's fixed vector
-        fixed = geometry.fixed_angle(loop)
+        fixed = (geometry.theta4_fixed, geometry.theta8_fixed)[loop - 1]
         state = dataclasses.replace(
             fk.solve_chain(geometry, 1.0), **{inputs: 0.0, outputs: fixed})
         with pytest.raises(fk.DegenerateGeometryError,
