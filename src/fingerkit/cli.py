@@ -65,7 +65,8 @@ def _cmd_safety(args: argparse.Namespace) -> int:
         force = registry.value("pinch_force_max_n")
     else:
         require_finite(force, "--force-n", 0.0, strict=False)
-    iso = iso_contact_check(force, "thigh_knee", registry)
+    iso = iso_contact_check(
+        force, registry.value("iso_contact_force_limit_thigh_knee_n"))
     clearance = clearance_check(
         registry.value("toilet_width_mm"),
         registry.value("shoulder_width_mm"),
@@ -80,7 +81,7 @@ def _cmd_safety(args: argparse.Namespace) -> int:
             "passed": iso.passed,
             "applied_limit_n": iso.applied_limit,
             "measured_n": iso.measured,
-            # null: zero force has no finite margin
+            # null: limit/force overflows at zero or tiny force
             "margin_ratio": (iso.margin_ratio if math.isfinite(iso.margin_ratio)
                              else None),
         },
@@ -101,7 +102,7 @@ def _cmd_registry(args: argparse.Namespace) -> int:
     if args.registry_path is None:
         registry = default_registry()
     else:
-        registry = ReferenceRegistry.load(args.registry_path, validate=False)
+        registry = ReferenceRegistry.load(args.registry_path)
     report = registry_verify(registry)
     failures = 0
     for result in report:

@@ -139,7 +139,7 @@ def parse_config(text: str | bytes) -> FingerConfig:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")

@@ -2,11 +2,10 @@
 
 Every measured constant the toolkit relies on (force envelopes, grasp
 diameter bounds, manipulator stroke, trial outcomes) lives here with its
-provenance label, instead of being scattered through the code.  A small
-rule engine cross-checks the registry at load time: ordering relations,
-success-rate arithmetic, fixed key values, and unit/key-suffix agreement.
-
-The shipped ``data/reference_registry.json`` is the single source of these
+provenance label, instead of being scattered through the code.  The
+consistency rules (ordering relations, success-rate arithmetic, fixed key
+values, unit/key-suffix agreement) are code, and all of them run on any
+registry.  The shipped ``data/reference_registry.json`` holds only the
 constants; :func:`default_registry` loads and validates it, and
 :meth:`ReferenceRegistry.to_json` writes it back byte for byte.
 """
@@ -14,7 +13,7 @@ constants; :func:`default_registry` loads and validates it, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -48,12 +47,6 @@ class RegistryEntry:
 
 
 @dataclass(frozen=True)
-class RegistryRule:
-    rule_id: str
-    description: str
-
-
-@dataclass(frozen=True)
 class RuleResult:
     rule_id: str
     passed: bool
@@ -62,10 +55,9 @@ class RuleResult:
 
 @dataclass(frozen=True)
 class ReferenceRegistry:
-    """Immutable collection of reference entries plus consistency rules."""
+    """Immutable collection of reference entries."""
 
     entries: tuple[RegistryEntry, ...]
-    rules: tuple[RegistryRule, ...]
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -91,26 +83,21 @@ class ReferenceRegistry:
         return any(entry.key == key for entry in self.entries)
 
     def to_json(self) -> str:
-        doc = {
-            "entries": [
-                {
-                    "key": e.key,
-                    "value": e.value,
-                    "unit": e.unit,
-                    "source": e.source,
-                    "quote": e.quote,
-                }
-                for e in self.entries
-            ],
-            "rules": [
-                {"id": r.rule_id, "description": r.description}
-                for r in self.rules
-            ],
-        }
+        doc = {"entries": [asdict(e) for e in self.entries]}
         return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, doc: dict, validate: bool = True) -> "ReferenceRegistry":
+    def loads(cls, text: str | bytes) -> "ReferenceRegistry":
+        """Parse a ``{"entries": [...]}`` document without running the
+        consistency rules (:meth:`validate` runs them)."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"registry is not valid JSON: {exc}") from exc
+        if not (isinstance(doc, dict) and list(doc) == ["entries"]
+                and isinstance(doc["entries"], list)):
+            raise ConfigError(
+                'registry root must be {"entries": [...]} with no other key')
         try:
             entries = tuple(
                 RegistryEntry(
@@ -122,32 +109,17 @@ class ReferenceRegistry:
                 )
                 for e in doc["entries"]
             )
-            rules = tuple(
-                RegistryRule(rule_id=str(r["id"]), description=str(r["description"]))
-                for r in doc["rules"]
-            )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed registry document: {exc}") from exc
-        registry = cls(entries=entries, rules=rules)
-        if validate:
-            registry.validate()
-        return registry
+        return cls(entries=entries)
 
     @classmethod
-    def loads(cls, text: str, validate: bool = True) -> "ReferenceRegistry":
+    def load(cls, path: str | Path) -> "ReferenceRegistry":
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"registry is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc, validate=validate)
-
-    @classmethod
-    def load(cls, path: str | Path, validate: bool = True) -> "ReferenceRegistry":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
+            raw = Path(path).read_bytes()
         except OSError as exc:
             raise ConfigError(f"cannot read registry {path}: {exc}") from exc
-        return cls.loads(text, validate=validate)
+        return cls.loads(raw)
 
     def validate(self) -> None:
         """Raise RuleViolationError if any consistency rule fails."""
@@ -160,18 +132,17 @@ class ReferenceRegistry:
             )
 
 
-def _check_pinch_ordering(registry: ReferenceRegistry) -> RuleResult:
+def _check_pinch_ordering(registry: ReferenceRegistry) -> tuple[bool, str]:
+    """Single-tendon pinch force stays below the double-tendon table value
+    (pinch_force_double_n, not the bench average)."""
     single = registry.value("pinch_force_single_n")
     double = registry.value("pinch_force_double_n")
     ok = single < double
-    return RuleResult(
-        rule_id="pinch-ordering",
-        passed=ok,
-        detail=f"single {single:g} N {'<' if ok else '>='} double {double:g} N",
-    )
+    return ok, f"single {single:g} N {'<' if ok else '>='} double {double:g} N"
 
 
-def _check_success_rates(registry: ReferenceRegistry) -> RuleResult:
+def _check_success_rates(registry: ReferenceRegistry) -> tuple[bool, str]:
+    """Every (trials, successes, rate) triple has successes/trials == rate."""
     problems = []
     checked = 0
     for entry in registry.entries:
@@ -193,20 +164,14 @@ def _check_success_rates(registry: ReferenceRegistry) -> RuleResult:
                 f"{stem}: {successes:g}/{trials:g} trials is not {rate:g}%"
             )
     if problems:
-        return RuleResult("success-rates", False, "; ".join(problems))
-    return RuleResult(
-        "success-rates", True, f"{checked} trial triples consistent"
-    )
+        return False, "; ".join(problems)
+    return True, f"{checked} trial triples consistent"
 
 
-def _check_gripper_weight(registry: ReferenceRegistry) -> RuleResult:
+def _check_gripper_weight(registry: ReferenceRegistry) -> tuple[bool, str]:
+    """gripper_weight_g equals 235."""
     weight = registry.value("gripper_weight_g")
-    ok = weight == 235
-    return RuleResult(
-        rule_id="gripper-weight",
-        passed=ok,
-        detail=f"gripper_weight_g = {weight:g} (expected 235)",
-    )
+    return weight == 235, f"gripper_weight_g = {weight:g} (expected 235)"
 
 
 def _unit_for_key(key: str) -> str | None:
@@ -216,7 +181,8 @@ def _unit_for_key(key: str) -> str | None:
     return None
 
 
-def _check_unit_suffixes(registry: ReferenceRegistry) -> RuleResult:
+def _check_unit_suffixes(registry: ReferenceRegistry) -> tuple[bool, str]:
+    """Every key carries a dimension suffix matching its unit field."""
     problems = []
     for entry in registry.entries:
         expected = _unit_for_key(entry.key)
@@ -228,12 +194,11 @@ def _check_unit_suffixes(registry: ReferenceRegistry) -> RuleResult:
                 f"({expected!r})"
             )
     if problems:
-        return RuleResult("unit-suffixes", False, "; ".join(problems))
-    return RuleResult(
-        "unit-suffixes", True, f"{len(registry.entries)} entries dimensioned"
-    )
+        return False, "; ".join(problems)
+    return True, f"{len(registry.entries)} entries dimensioned"
 
 
+# every rule, in report order; a checker returns (passed, detail)
 _RULE_CHECKS = {
     "pinch-ordering": _check_pinch_ordering,
     "success-rates": _check_success_rates,
@@ -243,26 +208,23 @@ _RULE_CHECKS = {
 
 
 def registry_verify(registry: ReferenceRegistry) -> list[RuleResult]:
-    """Evaluate every declared consistency rule; never raises on failure."""
+    """Evaluate every consistency rule, in order; never raises on failure."""
     report = []
-    for rule in registry.rules:
-        check = _RULE_CHECKS.get(rule.rule_id)
-        if check is None:
-            report.append(
-                RuleResult(rule.rule_id, False, "no checker registered for rule")
-            )
-            continue
+    for rule_id, check in _RULE_CHECKS.items():
         try:
-            report.append(check(registry))
+            passed, detail = check(registry)
         except KeyError as exc:
-            report.append(RuleResult(rule.rule_id, False, f"missing entry: {exc}"))
+            passed, detail = False, f"missing entry: {exc}"
+        report.append(RuleResult(rule_id, passed, detail))
     return report
 
 
 def default_registry() -> ReferenceRegistry:
-    """Load the shipped registry file (validated)."""
+    """Load the shipped registry file and validate it."""
     text = (
         resources.files("fingerkit").joinpath("data/reference_registry.json")
         .read_text(encoding="utf-8")
     )
-    return ReferenceRegistry.loads(text)
+    registry = ReferenceRegistry.loads(text)
+    registry.validate()
+    return registry

@@ -1,21 +1,14 @@
 """Contact-force, clearance, and stroke checks for the dressing-assist task.
 
-The numeric limits come from the reference registry; these functions only
-encode the comparisons, so fuzz tests can re-derive every verdict with
-inline arithmetic.
+The caller passes the limits (the CLI reads them from the registry); these
+functions only encode the comparisons, so fuzz tests can re-derive every
+verdict with inline arithmetic.  NaN or infinite input raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .registry import ReferenceRegistry, default_registry
-
-# body region -> registry key of the applicable quasi-static force limit
-REGION_LIMIT_KEYS = {
-    "thigh_knee": "iso_contact_force_limit_thigh_knee_n",
-}
 
 
 @dataclass(frozen=True)
@@ -38,26 +31,15 @@ class StrokeResult:
     slack: float
 
 
-def iso_contact_check(
-    force: float,
-    region: str = "thigh_knee",
-    registry: ReferenceRegistry | None = None,
-) -> SafetyVerdict:
-    """Quasi-static contact force check against the region's limit.
+def iso_contact_check(force: float, limit: float) -> SafetyVerdict:
+    """Quasi-static contact force check against a body region's limit.
 
     The limit is inclusive: a force exactly at the limit passes.
-    ``margin_ratio`` is limit/measured (infinite for zero force).
+    ``margin_ratio`` is limit/force: infinite at zero force, and also
+    whenever the quotient overflows (``5e-324`` N against 220 N).
     """
-    if force < 0.0:
-        raise ValueError("force must be >= 0")
-    key = REGION_LIMIT_KEYS.get(region)
-    if key is None:
-        raise ValueError(
-            f"unknown body region {region!r}; known: {sorted(REGION_LIMIT_KEYS)}"
-        )
-    if registry is None:
-        registry = default_registry()
-    limit = registry.value(key)
+    if not (0.0 <= force < math.inf and 0.0 <= limit < math.inf):
+        raise ValueError("force and limit must be finite and >= 0")
     return SafetyVerdict(
         passed=force <= limit,
         applied_limit=limit,
@@ -76,8 +58,8 @@ def clearance_check(
 
     A body wider than the space yields a negative clearance and fits=False.
     """
-    if space_width <= 0.0 or body_width <= 0.0 or device_width <= 0.0:
-        raise ValueError("widths must be > 0")
+    if not all(0.0 < w < math.inf for w in (space_width, body_width, device_width)):
+        raise ValueError("widths must be finite and > 0")
     per_side = (space_width - body_width) / 2.0
     return ClearanceResult(
         per_side_clearance=per_side,
@@ -87,8 +69,9 @@ def clearance_check(
 
 def stroke_check(required_travel: float, available_extension: float) -> StrokeResult:
     """Whether the available extension covers the required travel."""
-    if required_travel < 0.0 or available_extension < 0.0:
-        raise ValueError("travel values must be >= 0")
+    if not (0.0 <= required_travel < math.inf
+            and 0.0 <= available_extension < math.inf):
+        raise ValueError("travel values must be finite and >= 0")
     return StrokeResult(
         passed=available_extension >= required_travel,
         slack=available_extension - required_travel,

@@ -298,7 +298,8 @@ def test_criterion_9_safety_constants(cfg, registry):
         for theta1 in grid
         for t in (single, double)
     )
-    verdict = fk.iso_contact_check(max_force, "thigh_knee", registry)
+    verdict = fk.iso_contact_check(
+        max_force, registry.value("iso_contact_force_limit_thigh_knee_n"))
     assert verdict.passed
     assert verdict.margin_ratio >= 18.0
 

@@ -1,8 +1,17 @@
 """CLI surface: commands, emitted files, exit-code contract, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fingerkit import _array_cli, cli
 from fingerkit.cli import main
@@ -173,9 +182,11 @@ class TestSafety:
         def refuse(constant):
             raise ValueError(f"{constant} is not RFC 8259 JSON")
 
-        assert main(["safety", "--force-n", "0"]) == 0
-        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
-        assert doc["iso_contact"]["margin_ratio"] is None
+        # limit/force is infinite at zero force, and overflows at 5e-324
+        for force in ("0", "5e-324"):
+            assert main(["safety", "--force-n", force]) == 0
+            doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+            assert doc["iso_contact"]["margin_ratio"] is None
 
     def test_non_finite_json_is_a_domain_error(self):
         with pytest.raises(FingerkitError):
@@ -209,6 +220,38 @@ class TestRegistryCommand:
         path.write_text(text, encoding="utf-8")
         assert main(["registry", "--registry-path", str(path)]) == 1
         assert "FAIL pinch-ordering" in capsys.readouterr().out
+
+    def test_rules_cannot_be_dropped_by_the_file(self, tmp_path, capsys):
+        from fingerkit.registry import default_registry
+        doc = {"entries": json.loads(default_registry().to_json())["entries"]}
+        for entry in doc["entries"]:
+            if entry["key"] == "gripper_weight_g":
+                entry["value"] = 99
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["registry", "--registry-path", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL gripper-weight: gripper_weight_g = 99 (expected 235)" in out
+        assert out.endswith("\n3/4 rules passed\n")
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"entries": [], "rules": []}', id="rules-key"),
+        pytest.param('[]', id="list-root"),
+        pytest.param('{}', id="no-entries"),
+        pytest.param('{"entries": {}}', id="entries-object"),
+        pytest.param(b'\xff{"entries": []}', id="not-utf8"),
+    ])
+    def test_non_entries_document_is_two(self, text, tmp_path, capsys):
+        path = tmp_path / "reg.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        assert main(["registry", "--registry-path", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: registry ")
 
     @pytest.mark.parametrize("value", ["x", None, True, False, float("nan"),
                                        float("inf"), float("-inf"),
@@ -339,6 +382,14 @@ class TestExitCodes:
         path.write_text("{oops", encoding="utf-8")
         assert main(["analyze", "--config", str(path)]) == 2
 
+    def test_non_utf8_config_is_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"v": [1\xff]}')
+        assert main(["analyze", "--config", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: config is not valid JSON: ")
+
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["sweep", "--format", "pdf", "--out", "x"])
@@ -405,3 +456,91 @@ class TestParserDefaults:
         default = capsys.readouterr().out
         assert main(["grasp", "--diameter-mm", "100", "--theta1-deg", "30"]) == 0
         assert capsys.readouterr().out == default
+
+
+# the edge values every numeric flag is fuzzed with, among ordinary ones
+EDGE_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308, -1e308,
+                5e-324, 2.2250738585072014e-308, 1e-310)
+NUMBERS = st.sampled_from(EDGE_NUMBERS) | st.floats(-1e3, 1e3)
+COUNTS = st.integers(-2, 50)
+NON_FINITE_TOKEN = re.compile(r"(?<![A-Za-z_])[-+]?(nan|inf)(?![A-Za-z_])",
+                              re.IGNORECASE)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """One invocation of any subcommand, numeric flags drawn from NUMBERS
+    (as ``--flag=value``, so that argparse reads ``-inf`` as a value) and
+    counts from COUNTS."""
+    command = draw(st.sampled_from(["analyze", "sweep", "workspace", "force",
+                                    "grasp", "safety", "validate", "registry"]))
+    argv = [command]
+
+    def flag(name, values=NUMBERS, optional=True):
+        if not optional or draw(st.booleans()):
+            argv.append(f"{name}={draw(values)!r}")
+
+    if command in ("sweep", "workspace", "force", "validate"):
+        flag("--samples", COUNTS, optional=False)
+    if command in ("sweep", "workspace", "force"):
+        argv.append(f"--format={draw(st.sampled_from(['csv', 'json', 'svg']))}")
+    if command == "sweep":
+        flag("--psi-deg")
+    if command == "workspace":
+        flag("--psi-samples", COUNTS, optional=False)
+    if command in ("force", "grasp"):
+        flag("--tension-n")
+        if draw(st.booleans()):
+            argv.append(f"--tendon={draw(st.sampled_from(['single', 'double']))}")
+    if command == "grasp":
+        flag(draw(st.sampled_from(["--diameter-mm", "--thickness-mm"])),
+             optional=False)
+        flag("--theta1-deg")
+    if command == "safety":
+        flag("--force-n")
+    return argv
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+
+class TestFuzzedFlags:
+    """Every invocation has one of two outcomes: exit 0 with finite,
+    strictly parsed output (or exit 1 with a failed safety verdict), or
+    exit 1 or 2 with one ``error:`` line, no stdout and no output files."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fuzzed_argv())
+    def test_two_outcomes(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            if argv[0] in ("sweep", "workspace", "force"):
+                argv = argv + ["--out", str(out)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(stdout),
+                  contextlib.redirect_stderr(stderr),
+                  warnings.catch_warnings(record=True) as caught):
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert [str(w.message) for w in caught] == []
+            lines = stderr.getvalue().splitlines()
+            if code == 2 or lines[:1] and lines[0].startswith("error: "):
+                assert code in (1, 2)
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+                assert stdout.getvalue() == ""
+                assert not out.exists()
+                return
+            # a failed safety verdict exits 1 with its report; validate
+            # times itself on stderr, and nothing else writes there
+            assert code == 0 or (code == 1 and argv[0] == "safety")
+            assert lines == [] or (argv[0] == "validate" and len(lines) == 1
+                                   and lines[0].startswith("elapsed: "))
+            texts = {"stdout": stdout.getvalue()}
+            if out.exists():
+                texts.update((p.name, p.read_text(encoding="utf-8"))
+                             for p in out.iterdir())
+            for name, text in texts.items():
+                if name.endswith(".json") or text.startswith("{"):
+                    json.loads(text, parse_constant=_refuse)
+                assert not NON_FINITE_TOKEN.search(text), (name, text[:200])

@@ -434,7 +434,7 @@ class TestGraspAssess:
             for e in doc.entries
         )
         import fingerkit.registry as registry_mod
-        custom = registry_mod.ReferenceRegistry(entries=entries, rules=doc.rules)
+        custom = registry_mod.ReferenceRegistry(entries=entries)
         report = fk.grasp_assess(
             fk.CylinderObject(40.0), custom, self.make_force(cfg))
         assert not report.feasible

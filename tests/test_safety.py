@@ -12,43 +12,52 @@ from hypothesis import strategies as st
 import fingerkit as fk
 from fingerkit.registry import (
     RegistryEntry,
-    RegistryRule,
     ReferenceRegistry,
     default_registry,
     registry_verify,
 )
 from fingerkit.safety import clearance_check, iso_contact_check, stroke_check
 
+# every argument of a safety check rejects these, as it rejects a negative
+NON_FINITE = (math.nan, math.inf, -math.inf)
+RULE_IDS = ["pinch-ordering", "success-rates", "gripper-weight", "unit-suffixes"]
+
+
+@pytest.fixture(scope="module")
+def limit(registry) -> float:
+    return registry.value("iso_contact_force_limit_thigh_knee_n")
+
 
 class TestIsoContactCheck:
-    def test_fingertip_force_passes_with_wide_margin(self, registry):
-        verdict = iso_contact_check(7.8, "thigh_knee", registry)
+    def test_fingertip_force_passes_with_wide_margin(self, limit):
+        verdict = iso_contact_check(7.8, limit)
         assert verdict.passed
         assert verdict.applied_limit == 220.0
         assert verdict.margin_ratio == pytest.approx(220.0 / 7.8)
 
-    def test_boundary_inclusive(self, registry):
-        assert iso_contact_check(220.0, "thigh_knee", registry).passed
+    def test_boundary_inclusive(self, limit):
+        assert iso_contact_check(220.0, limit).passed
 
-    def test_over_limit_fails(self, registry):
-        verdict = iso_contact_check(221.0, "thigh_knee", registry)
+    def test_over_limit_fails(self, limit):
+        verdict = iso_contact_check(221.0, limit)
         assert not verdict.passed
         assert verdict.margin_ratio < 1.0
 
-    def test_zero_force_infinite_margin(self, registry):
-        assert iso_contact_check(0.0, "thigh_knee", registry).margin_ratio == math.inf
+    def test_zero_force_infinite_margin(self, limit):
+        assert iso_contact_check(0.0, limit).margin_ratio == math.inf
+        # limit/force overflows long before the force reaches zero
+        assert iso_contact_check(5e-324, limit).margin_ratio == math.inf
 
-    def test_unknown_region(self, registry):
-        with pytest.raises(ValueError):
-            iso_contact_check(10.0, "elbow", registry)
-
-    def test_negative_force_rejected(self, registry):
-        with pytest.raises(ValueError):
-            iso_contact_check(-1.0, "thigh_knee", registry)
+    def test_negative_force_rejected(self, limit):
+        for bad in (-1.0, *NON_FINITE):
+            with pytest.raises(ValueError):
+                iso_contact_check(bad, limit)
+            with pytest.raises(ValueError):
+                iso_contact_check(10.0, bad)
 
     @given(st.floats(0.0, 500.0))
     def test_verdict_is_the_comparison(self, force):
-        verdict = iso_contact_check(force, "thigh_knee")
+        verdict = iso_contact_check(force, 220.0)
         assert verdict.passed == (force <= 220.0)
 
 
@@ -74,8 +83,11 @@ class TestClearanceCheck:
         assert not result.fits
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            clearance_check(0.0, 460.0, 75.0)
+        for bad in (0.0, *NON_FINITE):
+            for args in ((bad, 460.0, 75.0), (800.0, bad, 75.0),
+                         (800.0, 460.0, bad)):
+                with pytest.raises(ValueError):
+                    clearance_check(*args)
 
     @given(
         st.floats(1.0, 5000.0), st.floats(1.0, 5000.0), st.floats(1.0, 5000.0)
@@ -98,8 +110,11 @@ class TestStrokeCheck:
         assert result.slack == pytest.approx(slack)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            stroke_check(-1.0, 100.0)
+        for bad in (-1.0, *NON_FINITE):
+            with pytest.raises(ValueError):
+                stroke_check(bad, 100.0)
+            with pytest.raises(ValueError):
+                stroke_check(170.0, bad)
 
     @given(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0))
     def test_verdict_is_the_comparison(self, required, available):
@@ -113,6 +128,24 @@ class TestRegistry:
         report = registry_verify(registry)
         assert len(report) == 4
         assert all(r.passed for r in report)
+
+    @given(st.data())
+    def test_every_rule_runs_on_any_registry(self, data):
+        shipped = default_registry().entries
+        picked = data.draw(st.lists(st.sampled_from(shipped),
+                                    unique_by=lambda e: e.key))
+        values = [data.draw(st.integers(-300, 300) | st.floats(-1e9, 1e9))
+                  for _ in picked]
+        registry = ReferenceRegistry(entries=tuple(
+            dataclasses.replace(e, value=v) for e, v in zip(picked, values)))
+        assert [r.rule_id for r in registry_verify(registry)] == RULE_IDS
+
+    def test_empty_registry_fails_entry_rules(self):
+        report = {r.rule_id: r
+                  for r in registry_verify(ReferenceRegistry(entries=()))}
+        assert report["gripper-weight"].detail == (
+            "missing entry: \"registry has no entry 'gripper_weight_g'\"")
+        assert not report["pinch-ordering"].passed
 
     def test_shipped_file_is_canonical(self, registry):
         shipped = (
@@ -149,12 +182,12 @@ class TestRegistry:
     def test_duplicate_key_rejected(self):
         entry = RegistryEntry("x_mm", 1, "mm", "table1", "x")
         with pytest.raises(fk.ConfigError):
-            ReferenceRegistry(entries=(entry, entry), rules=())
+            ReferenceRegistry(entries=(entry, entry))
 
     def test_missing_source_rejected(self):
         entry = RegistryEntry("x_mm", 1, "mm", "", "x")
         with pytest.raises(fk.ConfigError):
-            ReferenceRegistry(entries=(entry,), rules=())
+            ReferenceRegistry(entries=(entry,))
 
 
 def _edit(registry: ReferenceRegistry, key: str, value) -> ReferenceRegistry:
@@ -163,7 +196,7 @@ def _edit(registry: ReferenceRegistry, key: str, value) -> ReferenceRegistry:
         if e.key == key else e
         for e in registry.entries
     )
-    return ReferenceRegistry(entries=entries, rules=registry.rules)
+    return ReferenceRegistry(entries=entries)
 
 
 def _edit_unit(registry: ReferenceRegistry, key: str, unit) -> ReferenceRegistry:
@@ -172,7 +205,7 @@ def _edit_unit(registry: ReferenceRegistry, key: str, unit) -> ReferenceRegistry
         if e.key == key else e
         for e in registry.entries
     )
-    return ReferenceRegistry(entries=entries, rules=registry.rules)
+    return ReferenceRegistry(entries=entries)
 
 
 class TestRegistryFaultInjection:
@@ -202,17 +235,8 @@ class TestRegistryFaultInjection:
 
     def test_loads_with_validation_raises(self):
         bad = _edit(default_registry(), "pinch_force_single_n", 12.0)
-        with pytest.raises(fk.RuleViolationError):
-            ReferenceRegistry.loads(bad.to_json())
-        # validate=False parses the same document fine
-        parsed = ReferenceRegistry.loads(bad.to_json(), validate=False)
+        # loads parses the faulted document; validate runs the rules
+        parsed = ReferenceRegistry.loads(bad.to_json())
         assert parsed.value("pinch_force_single_n") == 12.0
-
-    def test_unknown_rule_reports_failure(self):
-        base = default_registry()
-        with_rule = ReferenceRegistry(
-            entries=base.entries,
-            rules=base.rules + (RegistryRule("phase-of-moon", "unknowable"),),
-        )
-        report = {r.rule_id: r for r in registry_verify(with_rule)}
-        assert not report["phase-of-moon"].passed
+        with pytest.raises(fk.RuleViolationError):
+            parsed.validate()
