@@ -6,7 +6,10 @@ They need numpy and the solver stack (finger, linkage, svgplot), so
 of them loads the whole stack; analyze, registry and safety start without
 numpy.  The emitting commands stay columnar from the solver to the file:
 tables are float arrays, formatted a row block at a time and streamed to
-disk.
+disk.  Every command runs with numpy's floating-point warnings off and
+checks what it emits instead: all tables and JSON documents are checked
+finite before the first file is opened, so an overflow or NaN from an
+extreme config number ends in one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -74,12 +77,17 @@ def _json_table(header: list[str], table: np.ndarray, sha256: str, extra: dict):
     yield "\n  ]" + after
 
 
+def _require_finite(**tables: np.ndarray) -> None:
+    for stem, table in tables.items():
+        if not np.isfinite(table).all():
+            raise FingerkitError(f"{stem} has non-finite values; nothing written")
+
+
 def _write_table(out: Path, stem: str, fmt: str, header: list[str],
                  table: np.ndarray, sha256: str, **extra) -> None:
     """``<stem>.json`` (with ``extra`` fields) for the json format, else
     ``<stem>.csv``."""
-    if not np.isfinite(table).all():
-        raise FingerkitError(f"{stem} has non-finite values; nothing written")
+    _require_finite(**{stem: table})
     if fmt == "json":
         _write(out / f"{stem}.json", _json_table(header, table, sha256, extra))
     else:
@@ -142,6 +150,7 @@ def _cmd_sweep(cfg: FingerConfig, args: argparse.Namespace) -> int:
         sweep.theta7, sweep.theta_mcp, sweep.theta_pip, sweep.theta_dip,
     ]))
     trace = _table(tip_trace(finger, sweep, psi), 2)
+    _require_finite(joint_angles=angles, tip_trace=trace)
 
     out = args.out
     _write_table(out, "joint_angles", args.format, angle_header, angles, cfg.sha256)
@@ -180,8 +189,9 @@ def _cmd_workspace(cfg: FingerConfig, args: argparse.Namespace) -> int:
         "theta1_samples": samples,
         "psi_samples": psi_samples,
     }
+    metrics_doc = _json_doc(metrics, cfg.sha256)
     _write_table(out, "workspace", args.format, _TIP_HEADER, table, cfg.sha256)
-    _write(out / "workspace_metrics.json", [_json_doc(metrics, cfg.sha256)])
+    _write(out / "workspace_metrics.json", [metrics_doc])
     if args.format == "svg":
         # one series per orientation: rows are theta1-major, psi-minor
         by_psi = table.reshape(samples, psi_samples, table.shape[1])
@@ -274,3 +284,9 @@ COMMANDS = {
     "grasp": _cmd_grasp,
     "validate": _cmd_validate,
 }
+
+
+def run(cfg: FingerConfig, args: argparse.Namespace) -> int:
+    """Execute the array subcommand ``args.command``."""
+    with np.errstate(all="ignore"):
+        return COMMANDS[args.command](cfg, args)

@@ -7,10 +7,9 @@ through three batch kernels:
 * ``loop_sweep_continuity`` sequential nearest-root sweep (no branch flips),
 * ``loop_bisect_batch``     scan-and-bisect oracle over an input array.
 
-All kernels return ``(ok, theta)`` where ``ok`` is a boolean mask and
-``theta`` holds NaN wherever the loop cannot close.  ``branch`` is +1 for
-the positive quadratic branch, -1 for the negative one, and 0 (oracle only)
-for nearest-to-reference selection.
+Each kernel returns the output angles, NaN exactly where the loop cannot
+close.  ``branch`` is +1 for the positive quadratic branch, -1 for the
+negative one, and 0 (oracle only) for nearest-to-reference selection.
 """
 
 from __future__ import annotations
@@ -45,50 +44,34 @@ def quadratic(k1, k2, k3, phi, fixed_angle):
 
 
 def half_angle_roots(k1, k2, k3, phi, fixed_angle):
-    """``(ok, t_pos, t_neg)``: tan(theta_out / 2) of both quadratic branches.
+    """``(t_pos, t_neg)``: tan(theta_out / 2) of both quadratic branches,
+    NaN exactly where the loop cannot close.
 
     Uses the cancellation-safe pairing q = -(beta + sign(beta)*sqrt(disc))/2
-    so neither branch loses precision when alpha or gamma is small; where
-    the quadratic degenerates (alpha == 0) both entries hold the linear
-    limit -gamma/beta.  Both are NaN wherever the loop cannot close.
+    so neither branch loses precision when alpha or gamma is small; a
+    negative discriminant makes q, and so both roots, NaN.  Where the
+    quadratic degenerates (alpha == 0) both hold the linear limit
+    -gamma/beta, and NaN when beta == 0 too.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    alpha, beta, gamma = quadratic(k1, k2, k3, phi, fixed_angle)
-
-    t_pos = np.full(phi.shape, np.nan)
-    t_neg = np.full(phi.shape, np.nan)
-    ok = np.zeros(phi.shape, dtype=bool)
-
-    linear = alpha == 0.0
-    lin_ok = linear & (beta != 0.0)
-    if lin_ok.any():
-        t_pos[lin_ok] = t_neg[lin_ok] = -gamma[lin_ok] / beta[lin_ok]
-        ok[lin_ok] = True
-
-    disc = beta * beta - 4.0 * alpha * gamma
-    quad_ok = ~linear & (disc >= 0.0)
-    if quad_ok.any():
-        a = alpha[quad_ok]
-        b = beta[quad_ok]
-        g = gamma[quad_ok]
-        sq = np.sqrt(disc[quad_ok])
-        q = np.where(b >= 0.0, -0.5 * (b + sq), -0.5 * (b - sq))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pos = np.where(b >= 0.0, g / q, q / a)
-            neg = np.where(b >= 0.0, q / a, g / q)
+    with np.errstate(all="ignore"):
+        alpha, beta, gamma = quadratic(
+            k1, k2, k3, np.asarray(phi, dtype=np.float64), fixed_angle)
+        sq = np.sqrt(beta * beta - 4.0 * alpha * gamma)
+        up = beta >= 0.0
+        q = np.where(up, -0.5 * (beta + sq), -0.5 * (beta - sq))
         # q == 0 only when beta == 0 and disc == 0: double root at zero
-        zero_q = q == 0.0
-        pos[zero_q] = 0.0
-        neg[zero_q] = 0.0
-        t_pos[quad_ok] = pos
-        t_neg[quad_ok] = neg
-        ok[quad_ok] = True
-    return ok, t_pos, t_neg
+        double = q == 0.0
+        far = np.where(double, 0.0, gamma / q)
+        near = np.where(double, 0.0, q / alpha)
+        linear = np.where(beta != 0.0, -gamma / beta, np.nan)
+        t_pos = np.where(alpha == 0.0, linear, np.where(up, far, near))
+        t_neg = np.where(alpha == 0.0, linear, np.where(up, near, far))
+    return t_pos, t_neg
 
 
 def loop_solve_batch(k1, k2, k3, phi, fixed_angle, branch):
-    ok, t_pos, t_neg = half_angle_roots(k1, k2, k3, phi, fixed_angle)
-    return ok, 2.0 * np.arctan(t_pos if branch > 0 else t_neg)
+    t_pos, t_neg = half_angle_roots(k1, k2, k3, phi, fixed_angle)
+    return 2.0 * np.arctan(t_pos if branch > 0 else t_neg)
 
 
 def wrap(angles):
@@ -115,9 +98,10 @@ def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle, seed):
     once per flip step since.  Only already computed roots are selected,
     so the result is the sequential loop's, bit for bit.
     """
-    ok, t_pos, t_neg = half_angle_roots(k1, k2, k3, phi, fixed_angle)
-    pos = 2.0 * np.arctan(t_pos[ok])
-    neg = 2.0 * np.arctan(t_neg[ok])
+    t_pos, t_neg = half_angle_roots(k1, k2, k3, phi, fixed_angle)
+    closes = ~np.isnan(t_pos)
+    pos = 2.0 * np.arctan(t_pos[closes])
+    neg = 2.0 * np.arctan(t_neg[closes])
 
     # the pick at each closing sample, given the pick before it; the first
     # one follows the seed either way
@@ -128,9 +112,9 @@ def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle, seed):
     last = np.maximum.accumulate(np.where(constant, np.arange(pos.size), 0))
     take_pos = after_pos[last] ^ ((flips - flips[last]) % 2 == 1)
 
-    theta = np.full(ok.shape, np.nan)
-    theta[ok] = np.where(take_pos, pos, neg)
-    return ok, theta
+    theta = np.full(closes.shape, np.nan)
+    theta[closes] = np.where(take_pos, pos, neg)
+    return theta
 
 
 def libm(fn, *arrays):
@@ -187,8 +171,8 @@ def _worker_count() -> int:
 
 
 def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, grid,
-                  branch, ref, alpha_tol, ok, theta):
-    """The oracle on one block of rows; fills this block's ``ok``/``theta``.
+                  branch, ref, alpha_tol, theta):
+    """The oracle on one block of rows; fills this block's ``theta``.
 
     ``grid`` is the caller's buffer for this block's residual scan and
     ``x_term`` the column term ``k2 * cos(xs - fixed_angle)``.  Every
@@ -240,11 +224,8 @@ def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, grid,
     # the residual at pi is the quadratic's leading coefficient
     probe = grid[:, -1].tolist()
     for i, roots in enumerate(per_row):
-        chosen = _select_root_py(
+        theta[i] = _select_root_py(
             _merge_roots_py(roots), probe[i], alpha_tol, branch, ref)
-        if not math.isnan(chosen):
-            theta[i] = chosen
-            ok[i] = True
 
 
 def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
@@ -262,8 +243,7 @@ def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
     xs = np.linspace(-math.pi, math.pi, n_scan + 1)
     x_term = k2 * np.cos(xs - fixed_angle)
     alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
-    theta = np.full(n, np.nan)
-    ok = np.zeros(n, dtype=bool)
+    theta = np.empty(n)
     starts = range(0, n, BISECT_BLOCK_ROWS)
 
     def run(block_starts):
@@ -273,18 +253,18 @@ def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
             _bisect_block(
                 k1, k2, k3, phi[start:stop], fixed_angle, xs, x_term,
                 buffer[:stop - start], branch, ref, alpha_tol,
-                ok[start:stop], theta[start:stop],
+                theta[start:stop],
             )
 
     workers = min(_worker_count(), len(starts))
     if workers <= 1:
         run(starts)
-        return ok, theta
+        return theta
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run, starts[w::workers]) for w in range(workers)]
         for future in futures:
             future.result()
-    return ok, theta
+    return theta
 

@@ -129,14 +129,23 @@ def run(args: argparse.Namespace) -> int:
     if command is None:
         from . import _array_cli
 
-        command = _array_cli.COMMANDS[args.command]
+        command = _array_cli.run
     if "config" not in args:
         return command(args)
     return command(load_config(args.config), args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`ConfigError`, so
+    that :func:`main` reports them as one ``error:`` line (exit 2); its
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fingerkit",
         description="Kinematics and static-force analyses of a tendon-driven "
                     "linkage finger gripper.",
@@ -200,9 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return run(args)
+        return run(_build_parser().parse_args(argv))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

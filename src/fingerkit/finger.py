@@ -236,11 +236,12 @@ def force_profile(
                                         derivatives)
     vx, vy = _velocity(finger, chain, derivatives)
     speed = _kernels.libm(math.hypot, vx, vy)
-    singular = speed < _TIP_SPEED_MIN
-    if singular.any():
+    bad = ~np.isfinite(speed) | (speed < _TIP_SPEED_MIN)
+    if bad.any():
+        s = float(speed[np.argmax(bad)])
         raise DegenerateGeometryError(
-            f"tip Jacobian magnitude {speed[np.argmax(singular)]:.3e} mm/rad "
-            "is singular"
+            f"tip Jacobian magnitude {s:.3e} mm/rad is "
+            + ("singular" if s < _TIP_SPEED_MIN else "not finite")
         )
     spring_torque = tendon.spring_preload + tendon.spring_stiffness * (
         chain.theta1 - geometry.theta1_range[0]
@@ -251,7 +252,8 @@ def force_profile(
     profile["excursion"] = excursion
     profile["d_excursion"] = d_excursion
     profile["tip_speed"] = speed
-    profile["force"] = np.where(force > 0.0, force, 0.0)
+    # clamped at zero; NaN stays NaN for the caller's finiteness check
+    profile["force"] = np.where(force <= 0.0, 0.0, force)
     return profile
 
 

@@ -59,23 +59,24 @@ def _closed_form(
     fixed_angle: float,
     reference: float | None = None,
     branch: str = POSITIVE_ROOT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(ok, theta_out)`` of one loop over an input array, in closed form.
+) -> np.ndarray:
+    """One loop's output angles over an input array, in closed form, NaN
+    where it cannot close.
 
     Both branches come from :func:`_kernels.half_angle_roots` (which takes
     the exact linear limit where alpha == 0) and libm's atan; the continuity
     branch keeps the root nearer ``reference``, the positive one on a tie.
     """
-    ok, t_pos, t_neg = _kernels.half_angle_roots(
+    t_pos, t_neg = _kernels.half_angle_roots(
         coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
     )
     pos = 2.0 * _kernels.libm(math.atan, t_pos)
     if branch == POSITIVE_ROOT:
-        return ok, pos
+        return pos
     neg = 2.0 * _kernels.libm(math.atan, t_neg)
     if branch == NEGATIVE_ROOT:
-        return ok, neg
-    return ok, np.where(_kernels.positive_nearer(pos, neg, reference), pos, neg)
+        return neg
+    return np.where(_kernels.positive_nearer(pos, neg, reference), pos, neg)
 
 
 def _check_branch(branch: str, reference) -> None:
@@ -114,12 +115,12 @@ def solve_loop(
     if not math.isfinite(theta_in):
         raise ValueError("theta_in must be finite")
     _check_branch(branch, reference)
-    ok, theta = _closed_form(
+    theta = float(_closed_form(
         coeffs, np.array([theta_in], dtype=np.float64), fixed_angle,
         reference, branch,
-    )
-    if ok[0]:
-        return float(theta[0])
+    )[0])
+    if not math.isnan(theta):
+        return theta
     alpha, beta, gamma = map(float, _kernels.quadratic(
         coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
     ))
@@ -144,9 +145,9 @@ def _oracle(
     theta_in: np.ndarray,
     fixed_angle: float,
     reference: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(ok, theta_out)`` of one loop's positive root over an input array,
-    by bisection; ``reference`` is unused."""
+) -> np.ndarray:
+    """One loop's positive root over an input array, by bisection, NaN
+    where it cannot close; ``reference`` is unused."""
     return _kernels.loop_bisect_batch(
         coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle,
         1, 0.0, 4096,
@@ -188,32 +189,33 @@ def _chain(
     """The one two-loop chain solver every entry point is a view of.
 
     ``solve(coeffs, theta_in, fixed_angle, reference)`` gives one loop's
-    ``(ok, theta_out)`` over an input array.  Loop 1 maps theta1 to theta2,
-    which (offset by sigma) drives loop 2.  Samples outside the admissible
-    range reach the loops as NaN, which no loop closes at.  The first
-    sample, in input order, that is out of range or cannot close raises:
-    its range error, else the loop that fails there.  Then ``atan2``
-    recovers theta3/theta7, and the anatomical angles follow from their
-    defining identities.
+    output angles over an input array, NaN where it cannot close.  Loop 1
+    maps theta1 to theta2, which (offset by sigma) drives loop 2.  Samples
+    outside the admissible range reach the loops as NaN, which no loop
+    closes at.  The first sample, in input order, that is out of range or
+    cannot close raises: its range error, else the loop that fails there.
+    Then ``atan2`` recovers theta3/theta7, and the anatomical angles follow
+    from their defining identities.
     """
     lo, hi = geometry.theta1_range
     in_range = (lo <= theta1) & (theta1 <= hi)
     c1 = loop_coefficients(geometry, 1)
     c2 = loop_coefficients(geometry, 2)
-    ok1, theta2 = solve(c1, np.where(in_range, theta1, np.nan),
-                        geometry.theta4_fixed, references[0])
+    theta2 = solve(c1, np.where(in_range, theta1, np.nan),
+                   geometry.theta4_fixed, references[0])
     theta5 = theta2 + geometry.sigma
-    ok2, theta6 = solve(c2, theta5, geometry.theta8_fixed, references[1])
-    ok = ok1 & ok2
-    if not ok.all():
-        i = int(np.argmin(ok))
+    # a NaN theta2 reaches loop 2 as a NaN input, so theta6 is NaN too
+    theta6 = solve(c2, theta5, geometry.theta8_fixed, references[1])
+    failed = np.flatnonzero(np.isnan(theta6))
+    if failed.size:
+        i = int(failed[0])
         bad = float(theta1[i])
         if not in_range[i]:
             raise OutOfRangeError(
                 f"theta1={bad:.9g} rad outside admissible range "
                 f"[{lo:.9g}, {hi:.9g}] rad"
             )
-        if not ok1[i]:
+        if math.isnan(theta2[i]):
             raise NoClosureError(
                 f"loop 1 cannot close at theta1={bad:.9g} rad", loop=1,
                 theta_in=bad,
@@ -314,7 +316,7 @@ def chain_derivatives(geometry: LinkageGeometry, state):
 def _continuity_sweep(coeffs, theta_in, fixed_angle, reference):
     """Nearest-branch sweep of one loop, seeded by the positive root at the
     first sample (which fails here exactly when the seed does)."""
-    _, seed = _closed_form(coeffs, theta_in[:1], fixed_angle)
+    seed = _closed_form(coeffs, theta_in[:1], fixed_angle)
     return _kernels.loop_sweep_continuity(
         coeffs.kappa1, coeffs.kappa2, coeffs.kappa3,
         theta_in, fixed_angle, float(seed[0]),

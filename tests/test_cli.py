@@ -159,9 +159,11 @@ class TestGrasp:
         assert doc["predicted_force_n"] <= 11.8
 
     def test_requires_exactly_one_object(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["grasp"])
-        assert exc_info.value.code == 2
+        assert main(["grasp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestSafety:
@@ -390,10 +392,14 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error: config is not valid JSON: ")
 
-    def test_usage_error_is_two(self):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["sweep", "--format", "pdf", "--out", "x"])
-        assert exc_info.value.code == 2
+    def test_usage_error_is_two(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["sweep", "--format", "pdf", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
 
     def test_success_is_zero(self, capsys):
         assert main(["analyze"]) == 0
@@ -412,6 +418,10 @@ class TestArgumentChecks:
         ["grasp", "--thickness-mm", "inf"],
         ["safety", "--force-n", "nan"],
         ["safety", "--force-n", "-1"],
+        ["safety", "--force-n", "-1e308"],
+        ["sweep", "--samples", "abc"],
+        ["grasp"],
+        ["frobnicate"],
     ])
     def test_rejected_with_one_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -505,10 +515,43 @@ def _refuse(constant):
     raise ValueError(f"{constant} is not RFC 8259 JSON")
 
 
+def assert_two_outcomes(argv, out):
+    """Run ``argv`` and check its outcome, with no warning either way.
+
+    It exits 0 with finite, strictly parsed output, or with a failed
+    verdict (exit 1, the report on stdout, no ``error:`` line).  Or it
+    exits 1 or 2 with one ``error:`` line, no stdout and no ``out``.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    lines = stderr.getvalue().splitlines()
+    if code == 2 or lines[:1] and lines[0].startswith("error: "):
+        assert code in (1, 2)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert stdout.getvalue() == ""
+        assert not out.exists()
+        return
+    assert code == 0 or (code == 1 and stdout.getvalue())
+    # validate times itself on stderr, and nothing else writes there
+    assert lines == [] or (argv[0] == "validate" and len(lines) == 1
+                           and lines[0].startswith("elapsed: "))
+    texts = {"stdout": stdout.getvalue()}
+    if out.exists():
+        texts.update((p.name, p.read_text(encoding="utf-8"))
+                     for p in out.iterdir())
+    for name, text in texts.items():
+        if name.endswith(".json") or text.startswith("{"):
+            json.loads(text, parse_constant=_refuse)
+        assert not NON_FINITE_TOKEN.search(text), (name, text[:200])
+
+
 class TestFuzzedFlags:
-    """Every invocation has one of two outcomes: exit 0 with finite,
-    strictly parsed output (or exit 1 with a failed safety verdict), or
-    exit 1 or 2 with one ``error:`` line, no stdout and no output files."""
+    """Every invocation has one of the outcomes of ``assert_two_outcomes``."""
 
     @settings(max_examples=150, deadline=None)
     @given(fuzzed_argv())
@@ -517,30 +560,36 @@ class TestFuzzedFlags:
             out = Path(tmp) / "out"
             if argv[0] in ("sweep", "workspace", "force"):
                 argv = argv + ["--out", str(out)]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with (contextlib.redirect_stdout(stdout),
-                  contextlib.redirect_stderr(stderr),
-                  warnings.catch_warnings(record=True) as caught):
-                warnings.simplefilter("always")
-                code = main(argv)
-            assert [str(w.message) for w in caught] == []
-            lines = stderr.getvalue().splitlines()
-            if code == 2 or lines[:1] and lines[0].startswith("error: "):
-                assert code in (1, 2)
-                assert len(lines) == 1 and lines[0].startswith("error: ")
-                assert stdout.getvalue() == ""
-                assert not out.exists()
-                return
-            # a failed safety verdict exits 1 with its report; validate
-            # times itself on stderr, and nothing else writes there
-            assert code == 0 or (code == 1 and argv[0] == "safety")
-            assert lines == [] or (argv[0] == "validate" and len(lines) == 1
-                                   and lines[0].startswith("elapsed: "))
-            texts = {"stdout": stdout.getvalue()}
-            if out.exists():
-                texts.update((p.name, p.read_text(encoding="utf-8"))
-                             for p in out.iterdir())
-            for name, text in texts.items():
-                if name.endswith(".json") or text.startswith("{"):
-                    json.loads(text, parse_constant=_refuse)
-                assert not NON_FINITE_TOKEN.search(text), (name, text[:200])
+            assert_two_outcomes(argv, out)
+
+
+def _set(path, value):
+    """A config edit that sets the item at ``path`` to ``value``."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+class TestExtremeConfigNumbers:
+    """A finite config number so large that the arithmetic overflows has
+    the same outcomes as a fuzzed flag, with the table files checked before
+    the first one is written."""
+
+    @pytest.mark.parametrize("command", ["sweep", "workspace", "force", "grasp"])
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("phalanx_mm",), [1e308] * 3, id="phalanx"),
+        pytest.param(("thumb_line_mm", 0, 0), 1e308, id="thumb-x"),
+        pytest.param(("thumb_line_mm", 0, 0), -1e308, id="thumb-minus-x"),
+        pytest.param(("base_offset_mm", 0), 1e308, id="base-x"),
+        pytest.param(("tendon", "arms_mm"), [1e308] * 3, id="arms"),
+        pytest.param(("tendon", "max_tension_n"), 1e308, id="max-tension"),
+    ])
+    def test_two_outcomes(self, path, value, command, tmp_path):
+        config = edited_config(tmp_path, _set(path, value))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config)]
+        argv += ["--diameter-mm", "80"] if command == "grasp" else ["--out", str(out)]
+        assert_two_outcomes(argv, out)

@@ -338,6 +338,23 @@ class TestStaticTipForce:
             fk.static_tip_force(tendon, geometry, tiny,
                                 geometry.theta1_range[0], 10.0)
 
+    def test_non_finite_tip_jacobian_detected(self, geometry, tendon):
+        huge = fk.FingerGeometry(phalanx_lengths=(1e308, 1e308, 1e308))
+        with np.errstate(all="ignore"), pytest.raises(
+                fk.DegenerateGeometryError, match="not finite"):
+            fk.static_tip_force(tendon, geometry, huge,
+                                geometry.theta1_range[0], 10.0)
+
+    def test_nan_force_is_not_clamped_to_zero(self, geometry, finger):
+        # tension * d_excursion and the spring torque both overflow to inf
+        t = fk.TendonModel(kind="single", moment_arms=(1e307,) * 3,
+                           spring_stiffness=1e308, spring_preload=1e308,
+                           max_tension=38.0)
+        with np.errstate(all="ignore"):
+            force = fk.static_tip_force(t, geometry, finger,
+                                        math.radians(100.0), 38.0)
+        assert math.isnan(force)
+
     def test_profile_takes_chain_derivatives_once(self, geometry, finger,
                                                    tendon, monkeypatch):
         calls = []

@@ -7,11 +7,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fingerkit as fk
-from fingerkit import _kernels
+from fingerkit import _kernels, linkage
 from fingerkit._kernels import _merge_roots_py, _select_root_py
-from fingerkit.linkage import NEGATIVE_ROOT
+from fingerkit.linkage import CONTINUITY, NEGATIVE_ROOT, POSITIVE_ROOT
 
 
 def _kappa_cases(rng, n):
@@ -22,7 +24,8 @@ def test_batch_solve_matches_scalar(rng):
     phi = rng.uniform(-math.pi, math.pi, 64)
     for k1, k2, k3 in _kappa_cases(rng, 10):
         c = fk.LoopCoefficients(k1, k2, k3)
-        ok, theta = _kernels.loop_solve_batch(k1, k2, k3, phi, math.pi / 2, 1)
+        theta = _kernels.loop_solve_batch(k1, k2, k3, phi, math.pi / 2, 1)
+        ok = ~np.isnan(theta)
         for i, t in enumerate(phi):
             try:
                 expected = fk.solve_loop(c, float(t))
@@ -40,11 +43,11 @@ def test_batch_bisect_matches_closed_form(geometry):
         if loop == 2:
             lo, hi = lo - 2.2, hi - 2.2  # loop-2 operating window
         grid = np.linspace(lo, hi, 200)
-        ok_c, t_c = _kernels.loop_solve_batch(
+        t_c = _kernels.loop_solve_batch(
             c.kappa1, c.kappa2, c.kappa3, grid, f, 1)
-        ok_b, t_b = _kernels.loop_bisect_batch(
+        t_b = _kernels.loop_bisect_batch(
             c.kappa1, c.kappa2, c.kappa3, grid, f, 1, 0.0, 4096)
-        both = ok_c & ok_b
+        both = ~np.isnan(t_c) & ~np.isnan(t_b)
         assert both.any()
         assert np.max(np.abs(t_c[both] - t_b[both])) <= 1e-9
 
@@ -55,13 +58,96 @@ def test_continuity_seed_selects_branch(geometry):
     grid = np.linspace(lo, hi, 50)
     pos_seed = fk.solve_loop(c, float(grid[0]))
     neg_seed = fk.solve_loop(c, float(grid[0]), NEGATIVE_ROOT)
-    _, from_pos = _kernels.loop_sweep_continuity(
+    from_pos = _kernels.loop_sweep_continuity(
         c.kappa1, c.kappa2, c.kappa3, grid, geometry.theta4_fixed, pos_seed)
-    _, from_neg = _kernels.loop_sweep_continuity(
+    from_neg = _kernels.loop_sweep_continuity(
         c.kappa1, c.kappa2, c.kappa3, grid, geometry.theta4_fixed, neg_seed)
     assert from_pos[0] == pytest.approx(pos_seed, abs=1e-13)
     assert from_neg[0] == pytest.approx(neg_seed, abs=1e-13)
     assert not np.allclose(from_pos, from_neg)
+
+
+# (k1, k2, k3, fixed_angle, phi) of one loop, and whether it closes there
+CONTRACT_CASES = {
+    # alpha == 0, beta == 2: the linear limit, theta = -pi/2
+    "linear": ((1.0, 1.0, 1.0, math.pi / 2), math.pi / 2, True),
+    # alpha == beta == 0, gamma == 2: an unsatisfiable constant
+    "alpha-beta-zero": ((0.0, 1.0, 0.0, 0.0), 0.0, False),
+    # alpha == -1, beta == gamma == 0: disc == 0 and the double root t = 0
+    "double-root-at-zero": ((0.0, 0.5, -1.5, 0.0), 0.0, True),
+    # alpha == gamma == 3, beta == 0: disc == -36
+    "negative-discriminant": ((0.0, 0.0, 2.0, math.pi / 2), 0.0, False),
+    "nan-input": ((0.9, 0.7, 1.3, 0.4), math.nan, False),
+}
+
+
+def _closed_form_solver(branch):
+    def solve(k1, k2, k3, phi, fixed):
+        return linkage._closed_form(fk.LoopCoefficients(k1, k2, k3), phi,
+                                    fixed, 0.0, branch)
+    return solve
+
+
+CONTRACT_KERNELS = {
+    "solve-positive": lambda *a: _kernels.loop_solve_batch(*a, 1),
+    "solve-negative": lambda *a: _kernels.loop_solve_batch(*a, -1),
+    "continuity": lambda *a: _kernels.loop_sweep_continuity(*a, 0.0),
+    "oracle-positive": lambda *a: _kernels.loop_bisect_batch(*a, 1, 0.0, 4096),
+    "oracle-negative": lambda *a: _kernels.loop_bisect_batch(*a, -1, 0.0, 4096),
+    "closed-form-positive": _closed_form_solver(POSITIVE_ROOT),
+    "closed-form-negative": _closed_form_solver(NEGATIVE_ROOT),
+    "closed-form-continuity": _closed_form_solver(CONTINUITY),
+}
+
+
+@pytest.mark.parametrize("kernel", CONTRACT_KERNELS)
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_nan_exactly_where_the_loop_cannot_close(case, kernel):
+    (k1, k2, k3, fixed), phi, closes = CONTRACT_CASES[case]
+    theta = CONTRACT_KERNELS[kernel](k1, k2, k3, np.array([phi]), fixed)
+    assert theta.shape == (1,)
+    assert math.isnan(theta[0]) != closes
+
+
+def _half_angle_roots_py(alpha, beta, gamma):
+    """``half_angle_roots`` of one sample in Python floats, the same
+    operations in the same order."""
+    if alpha == 0.0:
+        t = -gamma / beta if beta != 0.0 else math.nan
+        return t, t
+    disc = beta * beta - 4.0 * alpha * gamma
+    if not disc >= 0.0:
+        return math.nan, math.nan
+    sq = math.sqrt(disc)
+    q = -0.5 * (beta + sq) if beta >= 0.0 else -0.5 * (beta - sq)
+    if q == 0.0:
+        return 0.0, 0.0
+    return (gamma / q, q / alpha) if beta >= 0.0 else (q / alpha, gamma / q)
+
+
+def _bits(x: float):
+    """Equal for equal floats, signed zeros apart; every NaN alike."""
+    return "nan" if math.isnan(x) else x.hex()
+
+
+# small exact values, so that alpha, beta or the discriminant is often
+# exactly zero, among ordinary ones
+EXACT = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, -1.5, 2.0])
+ANGLES = st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.tuples(*[EXACT | st.floats(-1e3, 1e3)] * 3),
+       fixed=ANGLES | st.floats(-4.0, 4.0),
+       phi=st.lists(ANGLES | st.floats(-4.0, 4.0), min_size=1, max_size=8))
+def test_half_angle_roots_match_per_element_python(coeffs, fixed, phi):
+    phi = np.array(phi)
+    t_pos, t_neg = _kernels.half_angle_roots(*coeffs, phi, fixed)
+    alpha, beta, gamma = _kernels.quadratic(*coeffs, phi, fixed)
+    expected = [_half_angle_roots_py(a, b, g) for a, b, g
+                in zip(alpha.tolist(), beta.tolist(), gamma.tolist())]
+    assert [_bits(t) for t in t_pos.tolist()] == [_bits(p) for p, _ in expected]
+    assert [_bits(t) for t in t_neg.tolist()] == [_bits(n) for _, n in expected]
 
 
 def test_active_backend_reported():
@@ -138,7 +224,8 @@ TANGENT = (0.0, 0.5, -1.5, 0.0)
 
 
 def _assert_same(args):
-    ok, theta = _kernels.loop_bisect_batch(*args)
+    theta = _kernels.loop_bisect_batch(*args)
+    ok = ~np.isnan(theta)
     ok_ref, theta_ref = dense_bisect_reference(*args)
     assert np.array_equal(ok, ok_ref)
     assert np.array_equal(theta, theta_ref, equal_nan=True)

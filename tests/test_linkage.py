@@ -250,7 +250,8 @@ class TestSolveLoop:
 class TestOracle:
     @staticmethod
     def oracle(coeffs, theta_in):
-        ok, theta = linkage._oracle(coeffs, np.array([theta_in]), math.pi / 2.0)
+        theta = linkage._oracle(coeffs, np.array([theta_in]), math.pi / 2.0)
+        ok = ~np.isnan(theta)
         return bool(ok[0]), float(theta[0])
 
     def test_oracle_matches_linear_degenerate(self):
