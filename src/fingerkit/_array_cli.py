@@ -95,9 +95,14 @@ def _write_table(out: Path, stem: str, fmt: str, header: list[str],
 
 
 def _table(rows: np.ndarray, angle_columns: int) -> np.ndarray:
-    """Structured float rows as a 2-D table, the leading angles in degrees."""
-    table = rows.view(np.float64).reshape(len(rows), -1).copy()
-    table[:, :angle_columns] = np.degrees(table[:, :angle_columns])
+    """Structured float rows as a 2-D table, the leading angles in degrees.
+
+    The table is a view of ``rows``, converted in place: the rows are the
+    caller's own and not used again.
+    """
+    table = rows.view(np.float64).reshape(len(rows), -1)
+    angles = table[:, :angle_columns]
+    np.degrees(angles, out=angles)
     return table
 
 
@@ -145,10 +150,11 @@ def _cmd_sweep(cfg: FingerConfig, args: argparse.Namespace) -> int:
         "theta1_deg", "theta2_deg", "theta3_deg", "theta5_deg",
         "theta6_deg", "theta7_deg", "mcp_deg", "pip_deg", "dip_deg",
     ]
-    angles = np.degrees(np.column_stack([
+    angles = np.column_stack([
         sweep.theta1, sweep.theta2, sweep.theta3, sweep.theta5, sweep.theta6,
         sweep.theta7, sweep.theta_mcp, sweep.theta_pip, sweep.theta_dip,
-    ]))
+    ])
+    np.degrees(angles, out=angles)
     trace = _table(tip_trace(finger, sweep, psi), 2)
     _require_finite(joint_angles=angles, tip_trace=trace)
 

@@ -9,7 +9,9 @@ through three batch kernels:
 
 Each kernel returns the output angles, NaN exactly where the loop cannot
 close.  ``branch`` is +1 for the positive quadratic branch, -1 for the
-negative one, and 0 (oracle only) for nearest-to-reference selection.
+negative one, and 0 for the root nearer ``ref``, the positive one on a tie
+(both ``loop_solve_batch`` and ``loop_bisect_batch``).  Every angle comes
+from numpy's ``arctan``; nothing here goes through libm.
 """
 
 from __future__ import annotations
@@ -69,9 +71,13 @@ def half_angle_roots(k1, k2, k3, phi, fixed_angle):
     return t_pos, t_neg
 
 
-def loop_solve_batch(k1, k2, k3, phi, fixed_angle, branch):
-    t_pos, t_neg = half_angle_roots(k1, k2, k3, phi, fixed_angle)
-    return 2.0 * np.arctan(t_pos if branch > 0 else t_neg)
+def loop_solve_batch(k1, k2, k3, phi, fixed_angle, branch, ref=None):
+    """Closed-form output angles over an input array: the positive root
+    (``branch`` +1), the negative one (-1), or the one nearer ``ref`` (0)."""
+    pos, neg = 2.0 * np.arctan(half_angle_roots(k1, k2, k3, phi, fixed_angle))
+    if branch:
+        return pos if branch > 0 else neg
+    return np.where(positive_nearer(pos, neg, ref), pos, neg)
 
 
 def wrap(angles):
@@ -115,17 +121,6 @@ def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle, seed):
     theta = np.full(closes.shape, np.nan)
     theta[closes] = np.where(take_pos, pos, neg)
     return theta
-
-
-def libm(fn, *arrays):
-    """``fn``, a scalar :mod:`math` function, applied elementwise.
-
-    numpy's vectorized atan, atan2 and hypot may differ from libm in the
-    last ulp.  Paths whose floats are pinned to libm's (the closed-form
-    chain behind ``solve_chain`` and ``force``) apply them through here.
-    """
-    return np.fromiter(map(fn, *(np.asarray(a).tolist() for a in arrays)),
-                       np.float64, count=len(arrays[0]))
 
 
 def _select_root_py(roots, alpha_probe, alpha_tol, branch, ref):

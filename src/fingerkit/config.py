@@ -189,11 +189,7 @@ def load_config(path: str | Path) -> FingerConfig:
 
 def default_config() -> FingerConfig:
     """The shipped demonstration finger configuration."""
-    raw = (
-        resources.files("fingerkit").joinpath("data/default_finger.json")
-        .read_bytes()
-    )
-    return parse_config(raw)
+    return load_config(default_config_path())
 
 
 def default_config_path() -> Path:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateGeometryError, OutOfRangeError
 from .geometry import FingerGeometry, LinkageGeometry, TendonModel
 from .linkage import JointState, chain_derivatives, solve_chain, sweep_chain
@@ -235,7 +234,10 @@ def force_profile(
     excursion, d_excursion = _excursion(tendon, chain, solved.state_at(-1),
                                         derivatives)
     vx, vy = _velocity(finger, chain, derivatives)
-    speed = _kernels.libm(math.hypot, vx, vy)
+    # libm's hypot, not numpy's: they differ in the last ulp, and the
+    # emitted tip speeds are pinned to libm's
+    speed = np.fromiter(map(math.hypot, vx.tolist(), vy.tolist()),
+                        np.float64, count=vx.size)
     bad = ~np.isfinite(speed) | (speed < _TIP_SPEED_MIN)
     if bad.any():
         s = float(speed[np.argmax(bad)])

@@ -30,6 +30,8 @@ from .geometry import LinkageGeometry, LoopCoefficients, loop_coefficients
 POSITIVE_ROOT = "positive-root"
 NEGATIVE_ROOT = "negative-root"
 CONTINUITY = "continuity"
+# each branch as :func:`_kernels.loop_solve_batch` takes it
+_BRANCHES = {POSITIVE_ROOT: 1, NEGATIVE_ROOT: -1, CONTINUITY: 0}
 
 
 @dataclass(frozen=True)
@@ -61,26 +63,16 @@ def _closed_form(
     branch: str = POSITIVE_ROOT,
 ) -> np.ndarray:
     """One loop's output angles over an input array, in closed form, NaN
-    where it cannot close.
-
-    Both branches come from :func:`_kernels.half_angle_roots` (which takes
-    the exact linear limit where alpha == 0) and libm's atan; the continuity
-    branch keeps the root nearer ``reference``, the positive one on a tie.
-    """
-    t_pos, t_neg = _kernels.half_angle_roots(
-        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
+    where it cannot close; the continuity branch keeps the root nearer
+    ``reference``, the positive one on a tie."""
+    return _kernels.loop_solve_batch(
+        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle,
+        _BRANCHES[branch], reference,
     )
-    pos = 2.0 * _kernels.libm(math.atan, t_pos)
-    if branch == POSITIVE_ROOT:
-        return pos
-    neg = 2.0 * _kernels.libm(math.atan, t_neg)
-    if branch == NEGATIVE_ROOT:
-        return neg
-    return np.where(_kernels.positive_nearer(pos, neg, reference), pos, neg)
 
 
 def _check_branch(branch: str, reference) -> None:
-    if branch not in (POSITIVE_ROOT, NEGATIVE_ROOT, CONTINUITY):
+    if branch not in _BRANCHES:
         raise ValueError(f"unknown branch: {branch!r}")
     if branch == CONTINUITY and reference is None:
         raise ValueError("the continuity branch requires a reference")
@@ -159,7 +151,6 @@ def _vector_closure_angles(
     theta_in: np.ndarray,
     theta_out: np.ndarray,
     fixed_angle: float,
-    atan2=np.arctan2,
 ) -> np.ndarray:
     a, b, _, d = lengths
     y = (
@@ -172,18 +163,13 @@ def _vector_closure_angles(
         + b * np.cos(theta_out)
         + d * math.cos(fixed_angle)
     )
-    return atan2(y, x)
-
-
-def _libm_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return _kernels.libm(math.atan2, y, x)
+    return np.arctan2(y, x)
 
 
 def _chain(
     geometry: LinkageGeometry,
     theta1: np.ndarray,
     solve,
-    atan2,
     references: tuple[float | None, float | None] = (None, None),
 ) -> JointState:
     """The one two-loop chain solver every entry point is a view of.
@@ -194,7 +180,7 @@ def _chain(
     outside the admissible range reach the loops as NaN, which no loop
     closes at.  The first sample, in input order, that is out of range or
     cannot close raises: its range error, else the loop that fails there.
-    Then ``atan2`` recovers theta3/theta7, and the anatomical angles follow
+    Then atan2 recovers theta3/theta7, and the anatomical angles follow
     from their defining identities.
     """
     lo, hi = geometry.theta1_range
@@ -228,12 +214,12 @@ def _chain(
         theta1=theta1,
         theta2=theta2,
         theta3=_vector_closure_angles(
-            geometry.loop_lengths(1), theta1, theta2, geometry.theta4_fixed, atan2
+            geometry.loop_lengths(1), theta1, theta2, geometry.theta4_fixed
         ),
         theta5=theta5,
         theta6=theta6,
         theta7=_vector_closure_angles(
-            geometry.loop_lengths(2), theta5, theta6, geometry.theta8_fixed, atan2
+            geometry.loop_lengths(2), theta5, theta6, geometry.theta8_fixed
         ),
         theta_mcp=theta6,
         theta_pip=theta5 - geometry.sigma,
@@ -266,7 +252,7 @@ def solve_chain(
                   else (None, None))
     state = _chain(
         geometry, np.atleast_1d(np.asarray(theta1, dtype=np.float64)),
-        functools.partial(_closed_form, branch=branch), _libm_atan2, references,
+        functools.partial(_closed_form, branch=branch), references,
     )
     return state if np.ndim(theta1) else state.state_at(0)
 
@@ -338,15 +324,7 @@ def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> JointSt
     diffs = np.diff(theta1_values)
     if not (np.all(diffs >= 0.0) or np.all(diffs <= 0.0)):
         raise ValueError("sweep input angles must not change direction")
-    # numpy's atan/atan2 here, libm's in solve_chain: they differ in the
-    # last ulp on a few inputs, and each path's emitted bytes are pinned
-    return _chain(geometry, theta1_values, _continuity_sweep, np.arctan2)
-
-
-def _positive_kernel(coeffs, theta_in, fixed_angle, reference):
-    return _kernels.loop_solve_batch(
-        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle, 1
-    )
+    return _chain(geometry, theta1_values, _continuity_sweep)
 
 
 def oracle_deviation(
@@ -358,7 +336,7 @@ def oracle_deviation(
     purely by bisection, each loop 2 driven by its own chain's loop 1.
     """
     theta1 = np.asarray(theta1_values, dtype=np.float64)
-    closed = _chain(geometry, theta1, _positive_kernel, np.arctan2)
-    numeric = _chain(geometry, theta1, _oracle, np.arctan2)
+    closed = _chain(geometry, theta1, _closed_form)
+    numeric = _chain(geometry, theta1, _oracle)
     return (float(np.max(np.abs(closed.theta2 - numeric.theta2))),
             float(np.max(np.abs(closed.theta6 - numeric.theta6))))

@@ -120,7 +120,7 @@ class TestTipTrace:
             return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
 
         closed = arc_length(list(zip(trace["tip_x"], trace["tip_y"])))
-        oracle_chain = linkage._chain(geometry, grid, linkage._oracle, np.arctan2)
+        oracle_chain = linkage._chain(geometry, grid, linkage._oracle)
         oracle_pts = []
         for i in range(grid.size):
             s = fk.tip_position(finger, oracle_chain.state_at(i), 0.0)

@@ -27,7 +27,7 @@ def closure_residual(coeffs, theta_in, theta_out, fixed_angle=math.pi / 2.0):
 def numeric_chain(geometry, theta1):
     """The chain at one input angle, both loops solved by the oracle."""
     return linkage._chain(
-        geometry, np.array([theta1]), linkage._oracle, np.arctan2
+        geometry, np.array([theta1]), linkage._oracle
     ).state_at(0)
 
 
@@ -364,6 +364,18 @@ class TestSweepChain:
             assert sweep.theta6[i] == pytest.approx(s.theta6, abs=1e-12)
             assert sweep.theta3[i] == pytest.approx(s.theta3, abs=1e-12)
             assert sweep.theta7[i] == pytest.approx(s.theta7, abs=1e-12)
+
+    @pytest.mark.parametrize("samples", [100, 1000, 27000])
+    def test_equals_solve_chain_bit_for_bit(self, geometry, samples):
+        # one closed-form kernel and one atan behind both entry points
+        lo, hi = geometry.theta1_range
+        grid = np.linspace(lo, hi, samples)
+        sweep = fk.sweep_chain(geometry, grid)
+        chain = fk.solve_chain(geometry, grid)
+        for field in dataclasses.fields(fk.JointState):
+            np.testing.assert_array_equal(
+                getattr(sweep, field.name), getattr(chain, field.name),
+                err_msg=field.name, strict=True)
 
     def test_state_at_identities(self, geometry):
         lo, hi = geometry.theta1_range
