@@ -5,7 +5,7 @@ through three batch kernels:
 
 * ``loop_solve_batch``      closed-form loop solve over an input array,
 * ``loop_sweep_continuity`` sequential nearest-root sweep (no branch flips),
-* ``loop_bisect_batch``     scan-and-bisect oracle over an input array.
+* ``loop_bisect_batch``     coarse-to-fine scan-and-bisect oracle, one thread.
 
 Each kernel returns the output angles, NaN exactly where the loop cannot
 close.  ``branch`` is +1 for the positive quadratic branch, -1 for the
@@ -17,9 +17,9 @@ from numpy's ``arctan``; nothing here goes through libm.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 ACTIVE_BACKEND = "numpy"
 
@@ -28,8 +28,11 @@ _TWO_PI = 2.0 * math.pi
 _ROOT_MERGE_TOL = 1e-8
 # roots this close to +/-pi are the vanishing-leading-coefficient artifact
 _PI_ROOT_TOL = 1e-6
-# oracle rows scanned at once: one (rows x (n_scan + 1)) grid per worker
-BISECT_BLOCK_ROWS = 256
+# oracle rows scanned at once; the coarse scan takes every SCAN_STRIDE-th
+# grid point, and the fine pass evaluates at most FINE_CELLS cells at once
+BISECT_BLOCK_ROWS = 1024
+SCAN_STRIDE = 32
+FINE_CELLS = 8192
 
 
 def quadratic(k1, k2, k3, phi, fixed_angle):
@@ -158,66 +161,74 @@ def _merge_roots_py(roots):
     return merged
 
 
-def _worker_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
+def _residual(k1, fixed_angle, phi, c, x, x_term):
+    """The residual ``(c + k1 * cos((phi + x) - fixed_angle)) + x_term``,
+    broadcast, where ``c = k3 + cos(phi)`` and ``x_term = k2 * cos(x -
+    fixed_angle)``: the oracle's only formula for it, so a grid point's
+    float does not depend on the pass or the block that evaluates it."""
+    r = np.add(phi, x)
+    np.subtract(r, fixed_angle, out=r)
+    np.cos(r, out=r)
+    np.multiply(r, k1, out=r)
+    np.add(r, c, out=r)
+    return np.add(r, x_term, out=r)
 
 
-def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, grid,
+def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, cell_change,
                   branch, ref, alpha_tol, theta):
     """The oracle on one block of rows; fills this block's ``theta``.
-
-    ``grid`` is the caller's buffer for this block's residual scan and
-    ``x_term`` the column term ``k2 * cos(xs - fixed_angle)``.  Every
-    residual is ``((k3 + cos phi) + k1 * cos((phi + x) - fixed_angle))
-    + k2 * cos(x - fixed_angle)``, the same operations in the same order
-    whether the grid is evaluated per block or whole, so the floats do not
-    depend on how the rows are split.
-    """
+    ``xs`` is the scan grid padded with copies of pi to whole cells of
+    ``SCAN_STRIDE`` steps, ``x_term`` its column term and ``cell_change``
+    the most the exact residual can change across one cell."""
     c = k3 + np.cos(phi)
-    np.add(phi[:, None], xs, out=grid)
-    np.subtract(grid, fixed_angle, out=grid)
-    np.cos(grid, out=grid)
-    np.multiply(grid, k1, out=grid)
-    np.add(grid, c[:, None], out=grid)
-    np.add(grid, x_term, out=grid)
+    coarse = _residual(k1, fixed_angle, phi[:, None], c[:, None],
+                       xs[::SCAN_STRIDE], x_term[::SCAN_STRIDE])
+    # several times the rounding error of one residual, which grows with
+    # |phi| and |fixed_angle| through (phi + x) - fixed_angle
+    err = 2.0**-48 * (abs(k1) * (np.abs(phi) + abs(fixed_angle) + 4.0)
+                      + abs(k2) * (abs(fixed_angle) + 4.0) + np.abs(c))
+    # Shubert's bound: no fine point of a cell is zero or of the other sign if
+    # its ends share a sign and sum to more than the residual can change across
+    # it, four rounding errors and an underflow floor; NaN clears nothing
+    sign = np.sign(coarse)
+    bound = cell_change + 4.0 * err[:, None] + 2.0**-1000
+    cell_rows, cells = np.nonzero(~((sign[:, :-1] == sign[:, 1:]) & (
+        np.abs(coarse[:, :-1] + coarse[:, 1:]) > bound)))
 
-    # brackets: strict sign changes between grid points, neither one zero
-    neg = grid < 0.0
-    change = neg[:, :-1] != neg[:, 1:]
-    zero = grid == 0.0
-    has_zero = zero.any()
-    if has_zero:
-        change &= ~zero[:, :-1]
-        change &= ~zero[:, 1:]
-    rows, cols = np.divmod(np.flatnonzero(change), change.shape[1])
-
-    lo = xs[cols]
-    hi = xs[cols + 1]
-    flo = grid[rows, cols]
-    phi_b = phi[rows]
-    c_b = c[rows]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = (c_b + k1 * np.cos(phi_b + mid - fixed_angle)
-              + k2 * np.cos(mid - fixed_angle))
-        go_hi = (flo < 0.0) != (fm < 0.0)
-        hi = np.where(go_hi, mid, hi)
-        lo = np.where(go_hi, lo, mid)
-        flo = np.where(go_hi, flo, fm)
-
+    # the fine pass: every grid point of the uncleared cells, FINE_CELLS
+    # cells at a time; a zero on an end two cells share, or on a copy of
+    # pi, shows twice, and the merge drops the copy
     per_row: list[list[float]] = [[] for _ in range(len(phi))]
-    for r, root in zip(rows.tolist(), (0.5 * (lo + hi)).tolist()):
-        per_row[r].append(root)
-    if has_zero:
-        zero_rows, zero_cols = np.nonzero(zero)
-        for r, x in zip(zero_rows.tolist(), xs[zero_cols].tolist()):
-            per_row[r].append(x)
+    xs_cells, term_cells = (sliding_window_view(a, SCAN_STRIDE + 1)[::SCAN_STRIDE]
+                            for a in (xs, x_term))
+    for s in range(0, cells.size, FINE_CELLS):
+        rows, at = cell_rows[s:s + FINE_CELLS], cells[s:s + FINE_CELLS]
+        fine = _residual(k1, fixed_angle, phi[rows, None], c[rows, None],
+                         xs_cells[at], term_cells[at])
+        # brackets: strict sign changes between grid points, neither one zero
+        neg = fine < 0.0
+        i, j = np.nonzero(neg[:, :-1] != neg[:, 1:])
+        strict = (fine[i, j] != 0.0) & (fine[i, j + 1] != 0.0)
+        i, j = i[strict], j[strict]
+        col = at[i] * SCAN_STRIDE + j
+        lo, hi, flo = xs[col], xs[col + 1], fine[i, j]
+        phi_b, c_b = phi[rows[i]], c[rows[i]]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = _residual(k1, fixed_angle, phi_b, c_b, mid,
+                           k2 * np.cos(mid - fixed_angle))
+            go_hi = (flo < 0.0) != (fm < 0.0)
+            hi = np.where(go_hi, mid, hi)
+            lo = np.where(go_hi, lo, mid)
+            flo = np.where(go_hi, flo, fm)
+        zi, zj = np.nonzero(fine == 0.0)
+        roots = np.concatenate((0.5 * (lo + hi), xs_cells[at[zi], zj]))
+        for r, root in zip(np.concatenate((rows[i], rows[zi])).tolist(),
+                           roots.tolist()):
+            per_row[r].append(root)
 
     # the residual at pi is the quadratic's leading coefficient
-    probe = grid[:, -1].tolist()
+    probe = coarse[:, -1].tolist()
     for i, roots in enumerate(per_row):
         theta[i] = _select_root_py(
             _merge_roots_py(roots), probe[i], alpha_tol, branch, ref)
@@ -226,40 +237,28 @@ def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, grid,
 def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
     """Scan-and-bisect oracle: never forms the quadratic's roots.
 
-    Each input scans the residual at ``n_scan + 1`` points of [-pi, pi],
-    bisects every sign change 60 times and adds the grid points where the
-    residual is exactly zero; the branch rule then picks one root.  Rows go
-    in blocks of ``BISECT_BLOCK_ROWS``, each worker thread reusing one grid
-    buffer, so memory does not grow with the number of inputs.  numpy
-    releases the GIL in its ufuncs, so the blocks run on all CPUs.
+    The roots are those of a residual scan at ``n_scan + 1`` points of
+    [-pi, pi]: each sign change bisected 60 times, and each point where the
+    residual is exactly zero; the branch rule then picks one.  The scan
+    takes every ``SCAN_STRIDE``-th point, then every point of the cells
+    between them that a Lipschitz bound, rounding included, cannot clear of
+    sign changes and zeros: so every angle is the full scan's, bit for bit.
+    Rows go in blocks of ``BISECT_BLOCK_ROWS`` on one thread, so memory
+    does not grow with the number of inputs.
     """
     phi = np.asarray(phi, dtype=np.float64)
     n = phi.shape[0]
-    xs = np.linspace(-math.pi, math.pi, n_scan + 1)
+    n_cells = max(-(-n_scan // SCAN_STRIDE), 1)
+    xs = np.linspace(-math.pi, math.pi, n_scan + 1)[
+        np.minimum(np.arange(n_cells * SCAN_STRIDE + 1), n_scan)]
     x_term = k2 * np.cos(xs - fixed_angle)
+    # the Lipschitz constant times the widest cell, rounded up
+    cell_change = 1.001 * (abs(k1) + abs(k2)) * np.diff(
+        xs[::SCAN_STRIDE]).max(initial=0.0)
     alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
     theta = np.empty(n)
-    starts = range(0, n, BISECT_BLOCK_ROWS)
-
-    def run(block_starts):
-        buffer = np.empty((min(n, BISECT_BLOCK_ROWS), n_scan + 1))
-        for start in block_starts:
-            stop = min(start + BISECT_BLOCK_ROWS, n)
-            _bisect_block(
-                k1, k2, k3, phi[start:stop], fixed_angle, xs, x_term,
-                buffer[:stop - start], branch, ref, alpha_tol,
-                theta[start:stop],
-            )
-
-    workers = min(_worker_count(), len(starts))
-    if workers <= 1:
-        run(starts)
-        return theta
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, starts[w::workers]) for w in range(workers)]
-        for future in futures:
-            future.result()
+    for start in range(0, n, BISECT_BLOCK_ROWS):
+        stop = min(start + BISECT_BLOCK_ROWS, n)
+        _bisect_block(k1, k2, k3, phi[start:stop], fixed_angle, xs, x_term,
+                      cell_change, branch, ref, alpha_tol, theta[start:stop])
     return theta
-

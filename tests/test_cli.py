@@ -573,10 +573,17 @@ def _set(path, value):
     return edit
 
 
+def _scale_v(factor):
+    """A config edit that multiplies every link length by ``factor``."""
+    def edit(doc):
+        doc["v"] = [factor * length for length in doc["v"]]
+    return edit
+
+
 class TestExtremeConfigNumbers:
-    """A finite config number so large that the arithmetic overflows has
-    the same outcomes as a fuzzed flag, with the table files checked before
-    the first one is written."""
+    """A finite config number so large, or so small, that the arithmetic
+    overflows or underflows has the same outcomes as a fuzzed flag, with the
+    table files checked before the first one is written."""
 
     @pytest.mark.parametrize("command", ["sweep", "workspace", "force", "grasp"])
     @pytest.mark.parametrize("path, value", [
@@ -593,3 +600,20 @@ class TestExtremeConfigNumbers:
         argv = [command, "--config", str(config)]
         argv += ["--diameter-mm", "80"] if command == "grasp" else ["--out", str(out)]
         assert_two_outcomes(argv, out)
+
+    @pytest.mark.parametrize("edit", [
+        *(pytest.param(_set(("v", i), value), id=f"v{i}-{value:g}")
+          for value in (1e160, 1e-160, 5e-324) for i in range(8)),
+        pytest.param(_scale_v(1e160), id="v-times-1e160"),
+        pytest.param(_scale_v(1e-160), id="v-times-1e-160"),
+        pytest.param(_scale_v(5e-324), id="v-times-5e-324"),
+        pytest.param(_set(("v", 0), 1e-150), id="v0-1e-150"),
+    ])
+    def test_validate_two_outcomes(self, edit, tmp_path):
+        """Most of these lengths fail the geometry check or leave a loop
+        that cannot close; a 1e-150 first length reaches the oracle with
+        coefficients near 1e151, close to the geometry check's 1e153 limit."""
+        config = edited_config(tmp_path, edit)
+        assert_two_outcomes(
+            ["validate", "--config", str(config), "--samples", "64"],
+            tmp_path / "out")

@@ -1,8 +1,7 @@
-"""The batch kernels against the scalar solver, and the row-blocked
-bisection oracle against the dense one it replaced."""
+"""The batch kernels against the scalar solver, and the bisection oracle's
+coarse-to-fine scan against a dense scan of every grid point."""
 
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -155,10 +154,10 @@ def test_active_backend_reported():
 
 
 # ---------------------------------------------------------------------------
-# The dense oracle as it was before row blocks: the whole (n x (n_scan + 1))
-# residual grid at once, then one bisection over every bracket, with the
-# same per-row root merge and branch rule.  The blocked kernel must give its
-# floats bit for bit.
+# The dense oracle as it was before row blocks and the coarse scan: the whole
+# (n x (n_scan + 1)) residual grid at once, then one bisection over every
+# bracket, with the same per-row root merge and branch rule.  The kernel
+# must give its floats bit for bit.
 # ---------------------------------------------------------------------------
 
 def _residual_numpy(k1, k2, k3, phi, x, fixed_angle):
@@ -215,6 +214,7 @@ def dense_bisect_reference(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
 
 
 BLOCK = _kernels.BISECT_BLOCK_ROWS
+STRIDE = _kernels.SCAN_STRIDE
 SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 # closes for part of the circle only, so every size has non-closing rows
 PARTIAL = (0.9, 0.7, 1.3, 0.4)
@@ -266,43 +266,79 @@ def test_random_coefficients_match_dense(rng):
             _assert_same((k1, k2, k3, phi, fixed, branch, -1.1, 256))
 
 
-def test_more_workers_than_cores_match_dense(monkeypatch):
-    monkeypatch.setattr(_kernels, "_worker_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def test_many_blocks_match_dense():
+    phi = np.linspace(-math.pi, math.pi, 2 * BLOCK + 3)
+    _assert_same((*PARTIAL[:3], phi, PARTIAL[3], 1, 0.0, 512))
+
+
+def test_two_roots_in_one_coarse_cell():
+    """Both roots lie inside one coarse cell whose ends are negative: the
+    residual is positive only within 0.02 rad of ``fixed``, mid-cell."""
+    n_scan = 4096
+    xs = np.linspace(-math.pi, math.pi, n_scan + 1)
+    a, b = xs[40 * STRIDE], xs[41 * STRIDE]
+    fixed = 0.5 * (a + b)
+    k1, k2, k3 = 0.0, 0.5, -0.5 * math.cos(0.02) - 1.0
+    ends = _residual_numpy(k1, k2, k3, 0.0, np.array([a, b]), fixed)
+    assert (ends < 0.0).all()
+    phi = np.array([0.0, 0.1, -0.1])
+    roots = []
+    for branch in (1, -1, 0):
+        args = (k1, k2, k3, phi, fixed, branch, fixed + 0.01, n_scan)
+        assert _assert_same(args)[0]
+        roots.append(_kernels.loop_bisect_batch(*args)[0])
+    assert sorted(roots[:2]) == pytest.approx([fixed - 0.02, fixed + 0.02],
+                                              abs=1e-9)
+    assert roots[2] == pytest.approx(fixed + 0.02, abs=1e-9)
+
+
+def test_cells_beyond_one_fine_chunk_match_dense():
+    """At |phi| ~ 1e15 the rounding bound clears no cell, so these rows
+    hold more uncleared cells than one fine-pass chunk."""
+    n_scan = 4096
+    phi = np.random.default_rng(7).uniform(1e15, 1e16, 70)
+    assert phi.size * (n_scan // STRIDE) > _kernels.FINE_CELLS
+    for branch in (1, -1, 0):
+        _assert_same((*PARTIAL[:3], phi, PARTIAL[3], branch, 0.3, n_scan))
+
+
+COEFF = EXACT | st.floats(-3.0, 3.0)
+# ordinary angles, and angles so large that rounding (phi + x) dominates
+PHI = ANGLES | st.floats(-4.0, 4.0) | st.floats(-1e12, 1e12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k1=COEFF, k2=COEFF, k3=EXACT | st.floats(-4.0, 4.0),
+       fixed=ANGLES | st.floats(-4.0, 4.0),
+       phi=st.lists(PHI, min_size=1, max_size=6),
+       branch=st.sampled_from([1, -1, 0]), ref=st.floats(-4.0, 4.0),
+       n_scan=st.sampled_from([8, 33, 64, 100, 4096]))
+def test_coarse_scan_matches_dense(k1, k2, k3, fixed, phi, branch, ref, n_scan):
+    _assert_same((k1, k2, k3, np.array(phi), fixed, branch, ref, n_scan))
+
+
+def _oracle_peak(phi):
+    """Peak traced allocation of one oracle call over ``phi``."""
+    tracemalloc.start()
     try:
-        phi = np.linspace(-math.pi, math.pi, 9 * BLOCK + 3)
-        _assert_same((*PARTIAL[:3], phi, PARTIAL[3], 1, 0.0, 512))
+        _kernels.loop_bisect_batch(0.9, 0.7, 1.3, phi, 0.4, 1, 0.0, 4096)
+        return tracemalloc.get_traced_memory()[1]
     finally:
-        sys.setswitchinterval(interval)
+        tracemalloc.stop()
 
 
-def test_one_block_starts_no_thread(monkeypatch):
-    import concurrent.futures
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a one-block call must run inline")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-    phi = np.linspace(-1.0, 1.0, BLOCK)
-    _assert_same((*PARTIAL[:3], phi, PARTIAL[3], 1, 0.0, 64))
-
-
-def test_oracle_memory_does_not_grow_with_rows(monkeypatch):
-    """Peak traced allocation stays bounded: one block grid per worker."""
-    monkeypatch.setattr(_kernels, "_worker_count", lambda: 4)
-    c = (0.9, 0.7, 1.3)
-
-    def peak(n):
-        phi = np.linspace(-math.pi, math.pi, n)
-        tracemalloc.start()
-        try:
-            _kernels.loop_bisect_batch(*c, phi, 0.4, 1, 0.0, 4096)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
+def test_oracle_memory_does_not_grow_with_rows():
+    """Peak traced allocation stays bounded: one block at a time."""
     # the dense grid took 32 KB per row: about 1 GB at 30 000 rows
-    small, large = peak(3_000), peak(30_000)
+    small, large = (_oracle_peak(np.linspace(-math.pi, math.pi, n))
+                    for n in (3_000, 30_000))
+    assert large < 64 * 2**20
+    assert large < 1.5 * small
+
+
+def test_oracle_memory_with_no_cell_cleared():
+    """NaN inputs clear no cell, the fine pass's worst case, and the peak
+    stays under the same bound."""
+    small, large = (_oracle_peak(np.full(n, np.nan)) for n in (3_000, 30_000))
     assert large < 64 * 2**20
     assert large < 1.5 * small
