@@ -8,8 +8,8 @@ numpy.  The emitting commands stay columnar from the solver to the file:
 tables are float arrays, formatted a row block at a time and streamed to
 disk.  Every command runs with numpy's floating-point warnings off and
 checks what it emits instead: all tables and JSON documents are checked
-finite before the first file is opened, so an overflow or NaN from an
-extreme config number ends in one ``error:`` line.
+finite, and all plots rendered, before the first file is opened, so an
+overflow or NaN from an extreme config number ends in one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .finger import (
 from .geometry import TendonModel
 from .linkage import oracle_deviation, sweep_chain
 from .registry import default_registry
-from .svgplot import Series, format_rows, render_svg
+from .svgplot import Series, format_csv, format_rows, render_svg
 
 
 def _write(path: Path, chunks) -> None:
@@ -49,8 +49,24 @@ def _write(path: Path, chunks) -> None:
 def _csv(header: list[str], table: np.ndarray, sha256: str):
     """CSV chunks, numbers as ``f"{x:.9g}"``."""
     yield f"# config_sha256={sha256}\n" + ",".join(header) + "\n"
-    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
-    yield from format_rows(table, row, "")
+    yield from format_csv(table)
+
+
+def _plot(series: list[Series], x_label: str, y_label: str, title: str) -> str:
+    """``render_svg``, with data it cannot plot reported as a domain error.
+
+    Commands render their plots before they write any file, so such data
+    leaves no file behind.
+    """
+    try:
+        return render_svg(series, x_label=x_label, y_label=y_label, title=title)
+    except ValueError as exc:
+        raise FingerkitError(f"cannot plot {title.lower()}: {exc}") from None
+
+
+def _write_plots(out: Path, plots: dict[str, str]) -> None:
+    for name, svg in plots.items():
+        _write(out / name, [svg])
 
 
 def _json_doc(payload: dict, sha256: str) -> str:
@@ -157,12 +173,9 @@ def _cmd_sweep(cfg: FingerConfig, args: argparse.Namespace) -> int:
     np.degrees(angles, out=angles)
     trace = _table(tip_trace(finger, sweep, psi), 2)
     _require_finite(joint_angles=angles, tip_trace=trace)
-
-    out = args.out
-    _write_table(out, "joint_angles", args.format, angle_header, angles, cfg.sha256)
-    _write_table(out, "tip_trace", args.format, _TIP_HEADER, trace, cfg.sha256)
+    plots = {}
     if args.format == "svg":
-        _write(out / "joint_angles.svg", [render_svg(
+        plots["joint_angles.svg"] = _plot(
             [
                 Series("theta2", angles[:, 0], angles[:, 1]),
                 Series("theta6", angles[:, 0], angles[:, 4]),
@@ -170,13 +183,18 @@ def _cmd_sweep(cfg: FingerConfig, args: argparse.Namespace) -> int:
             x_label="theta1 (deg)",
             y_label="dependent angle (deg)",
             title="Joint angles vs input",
-        )])
-        _write(out / "tip_trace.svg", [render_svg(
+        )
+        plots["tip_trace.svg"] = _plot(
             [Series("fingertip", trace[:, 2], trace[:, 3])],
             x_label="x (mm)",
             y_label="y (mm)",
             title="Fingertip trace",
-        )])
+        )
+
+    out = args.out
+    _write_table(out, "joint_angles", args.format, angle_header, angles, cfg.sha256)
+    _write_table(out, "tip_trace", args.format, _TIP_HEADER, trace, cfg.sha256)
+    _write_plots(out, plots)
     return 0
 
 
@@ -188,16 +206,13 @@ def _cmd_workspace(cfg: FingerConfig, args: argparse.Namespace) -> int:
     thumb = cfg.require_thumb_line()
     result = workspace(cfg.geometry, finger, samples, psi_samples, thumb)
     table = _table(result.points, 2)
-
-    out = args.out
     metrics = {
         "max_opening_mm": result.max_opening_mm,
         "theta1_samples": samples,
         "psi_samples": psi_samples,
     }
     metrics_doc = _json_doc(metrics, cfg.sha256)
-    _write_table(out, "workspace", args.format, _TIP_HEADER, table, cfg.sha256)
-    _write(out / "workspace_metrics.json", [metrics_doc])
+    plots = {}
     if args.format == "svg":
         # one series per orientation: rows are theta1-major, psi-minor
         by_psi = table.reshape(samples, psi_samples, table.shape[1])
@@ -209,10 +224,15 @@ def _cmd_workspace(cfg: FingerConfig, args: argparse.Namespace) -> int:
         if len(series) > 6:
             step = (len(series) - 1) / 5.0
             series = [series[round(i * step)] for i in range(6)]
-        _write(out / "workspace.svg", [render_svg(
+        plots["workspace.svg"] = _plot(
             series, x_label="x (mm)", y_label="y (mm)",
             title="Fingertip workspace",
-        )])
+        )
+
+    out = args.out
+    _write_table(out, "workspace", args.format, _TIP_HEADER, table, cfg.sha256)
+    _write(out / "workspace_metrics.json", [metrics_doc])
+    _write_plots(out, plots)
     return 0
 
 
@@ -228,16 +248,19 @@ def _cmd_force(cfg: FingerConfig, args: argparse.Namespace) -> int:
         "theta1_deg", "excursion_mm", "dexcursion_mm_per_rad",
         "tip_speed_mm_per_rad", "force_n",
     ]
-    out = args.out
-    _write_table(out, "force_profile", args.format, header, table, cfg.sha256,
-                 tendon=tendon.kind, tension_n=tension)
+    plots = {}
     if args.format == "svg":
-        _write(out / "force_profile.svg", [render_svg(
+        plots["force_profile.svg"] = _plot(
             [Series(f"{tendon.kind} tendon", table[:, 0], table[:, 4])],
             x_label="theta1 (deg)",
             y_label="tip force (N)",
             title="Static tip force",
-        )])
+        )
+
+    out = args.out
+    _write_table(out, "force_profile", args.format, header, table, cfg.sha256,
+                 tendon=tendon.kind, tension_n=tension)
+    _write_plots(out, plots)
     return 0
 
 

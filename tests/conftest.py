@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -38,3 +41,27 @@ def registry() -> ReferenceRegistry:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(987654321)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture()
+def deadline():
+    """``with deadline(seconds):`` fails the test, rather than hang, if the
+    block runs over ``seconds``.
+
+    The failure is pytest's, not an ``OSError`` (as ``TimeoutError`` is),
+    so that the CLI's own error handling cannot turn it into an exit code.
+    """
+    return _deadline

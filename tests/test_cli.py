@@ -8,6 +8,7 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -547,6 +548,8 @@ def assert_two_outcomes(argv, out):
     for name, text in texts.items():
         if name.endswith(".json") or text.startswith("{"):
             json.loads(text, parse_constant=_refuse)
+        if name.endswith(".svg"):
+            ElementTree.fromstring(text.encode("utf-8"))
         assert not NON_FINITE_TOKEN.search(text), (name, text[:200])
 
 
@@ -573,6 +576,14 @@ def _set(path, value):
     return edit
 
 
+def _both(*edits):
+    """A config edit that applies each of ``edits`` in turn."""
+    def edit(doc):
+        for one in edits:
+            one(doc)
+    return edit
+
+
 def _scale_v(factor):
     """A config edit that multiplies every link length by ``factor``."""
     def edit(doc):
@@ -585,21 +596,36 @@ class TestExtremeConfigNumbers:
     overflows or underflows has the same outcomes as a fuzzed flag, with the
     table files checked before the first one is written."""
 
-    @pytest.mark.parametrize("command", ["sweep", "workspace", "force", "grasp"])
-    @pytest.mark.parametrize("path, value", [
-        pytest.param(("phalanx_mm",), [1e308] * 3, id="phalanx"),
-        pytest.param(("thumb_line_mm", 0, 0), 1e308, id="thumb-x"),
-        pytest.param(("thumb_line_mm", 0, 0), -1e308, id="thumb-minus-x"),
-        pytest.param(("base_offset_mm", 0), 1e308, id="base-x"),
-        pytest.param(("tendon", "arms_mm"), [1e308] * 3, id="arms"),
-        pytest.param(("tendon", "max_tension_n"), 1e308, id="max-tension"),
+    @pytest.mark.parametrize("command", [
+        "sweep", "workspace", "force", "grasp",
+        *(pytest.param(f"{command} --format svg", id=f"{command}-svg")
+          for command in ("sweep", "workspace", "force")),
     ])
-    def test_two_outcomes(self, path, value, command, tmp_path):
-        config = edited_config(tmp_path, _set(path, value))
+    @pytest.mark.parametrize("edit", [
+        pytest.param(_set(("phalanx_mm",), [1e308] * 3), id="phalanx"),
+        pytest.param(_set(("thumb_line_mm", 0, 0), 1e308), id="thumb-x"),
+        pytest.param(_set(("thumb_line_mm", 0, 0), -1e308), id="thumb-minus-x"),
+        pytest.param(_set(("base_offset_mm", 0), 1e308), id="base-x"),
+        pytest.param(_set(("tendon", "arms_mm"), [1e308] * 3), id="arms"),
+        pytest.param(_set(("tendon", "max_tension_n"), 1e308), id="max-tension"),
+        # plot axes: a step below one ulp of the axis values, a subnormal
+        # span, and a span that overflows
+        pytest.param(_set(("base_offset_mm", 0), 1e18), id="base-x-1e18"),
+        pytest.param(_set(("phalanx_mm",), [5e-324] * 3), id="phalanx-subnormal"),
+        pytest.param(_both(_set(("base_offset_mm", 0), 1e308),
+                           _set(("psi_range_deg",), [-90.0, 90.0])),
+                     id="base-x-psi-90"),
+    ])
+    def test_two_outcomes(self, edit, command, tmp_path, deadline):
+        config = edited_config(tmp_path, edit)
         out = tmp_path / "out"
-        argv = [command, "--config", str(config)]
-        argv += ["--diameter-mm", "80"] if command == "grasp" else ["--out", str(out)]
-        assert_two_outcomes(argv, out)
+        name, *options = command.split()
+        argv = [name, "--config", str(config), *options]
+        argv += ["--diameter-mm", "80"] if name == "grasp" else ["--out", str(out)]
+        # each run takes well under 0.1 s; a short deadline also bounds
+        # what a hang in a loop that appends can allocate before it fails
+        with deadline(3):
+            assert_two_outcomes(argv, out)
 
     @pytest.mark.parametrize("edit", [
         *(pytest.param(_set(("v", i), value), id=f"v{i}-{value:g}")

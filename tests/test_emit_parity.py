@@ -4,8 +4,8 @@ The emitting commands format whole arrays at once and compute the force
 profile in one batch; none of that may change a byte.  These tests pin the
 stdout and emitted files of every benchmark reference invocation to the
 recorded hashes, the batch columns to the scalar API, the vectorized
-continuity sweep to a sequential loop, and the bulk writers to per-value
-formatting.
+continuity sweep to a sequential loop, and the bulk writers, the CSV
+number kernel among them, to per-value formatting.
 """
 
 import hashlib
@@ -16,6 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fingerkit as fk
 from fingerkit import _array_cli, _kernels, svgplot
@@ -163,8 +166,44 @@ HEADER = ["a", "b", "c", "d", "e"]
 
 @pytest.fixture(params=[4096, 3, 1])
 def block_rows(request, monkeypatch):
+    """Block seams every 1 or 3 rows, for ``%`` and the CSV kernel alike:
+    both read ``svgplot.BLOCK_ROWS``."""
     monkeypatch.setattr(svgplot, "BLOCK_ROWS", request.param)
     return request.param
+
+
+def percent_csv(table: np.ndarray) -> str:
+    return "".join(",".join("%.9g" % x for x in row) + "\n"
+                   for row in table.tolist())
+
+
+def _neighbours(x: float, n: int) -> list[float]:
+    """``x`` and the ``n`` floats on each side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def csv_edge_values() -> np.ndarray:
+    """Values where a 9-digit formatter can go wrong, with both signs."""
+    values = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300,
+              1.7976931348623157e308]
+    # decades, where log10 can be off by one, and the bounds of the
+    # kernel's range
+    for k in range(-5, 11):
+        values += _neighbours(10.0**k, 3)
+    for x in (1e7, 1e9, 0.9999999995, 99999999.95, 999999999.5):
+        values += _neighbours(x, 3)
+    # 9-digit rounding ties, most of them inexact in binary, so that the
+    # scaled value rounds onto or across the tie
+    rng = np.random.default_rng(13)
+    for k in range(-4, 10):
+        for m in [100_000_000, 999_999_999, *rng.integers(10**8, 10**9, 40).tolist()]:
+            values += _neighbours((m + 0.5) * 10.0 ** (k - 8), 1)
+    values = np.array(values)
+    return np.concatenate([values, -values])
 
 
 def test_csv_matches_per_value_format(block_rows):
@@ -173,6 +212,20 @@ def test_csv_matches_per_value_format(block_rows):
         + [",".join(f"{x:.9g}" for x in row) for row in EDGE_TABLE.tolist()]
     ) + "\n"
     assert "".join(_array_cli._csv(HEADER, EDGE_TABLE, "abc")) == expected
+
+
+def test_csv_kernel_edge_values(block_rows):
+    values = csv_edge_values()
+    table = np.resize(values, (-(-len(values) // 7), 7))
+    assert "".join(svgplot.format_csv(table)) == percent_csv(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                  | st.floats(-2e9, 2e9)))
+def test_csv_kernel_matches_percent_format(table):
+    assert "".join(svgplot.format_csv(table)) == percent_csv(table)
 
 
 @pytest.mark.parametrize("rows", [EDGE_TABLE, EDGE_TABLE[:0]])

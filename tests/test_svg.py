@@ -2,6 +2,7 @@
 
 import math
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ class TestRenderSvg:
             xs = [float(pair.split(",")[0]) for pair in line.split(" ")]
             # monotone input axis renders as monotone pixel coordinates
             assert all(b > a for a, b in zip(xs, xs[1:]))
+
+    @pytest.mark.parametrize("y", [
+        pytest.param([1.0, 1.0 + 2**-52], id="step-below-ulp"),
+        pytest.param([1e18, 1e18], id="constant-beyond-2**53"),
+        pytest.param([0.0, 5e-324], id="subnormal-span"),
+        pytest.param([0.0, 1e-323, 2e-323], id="subnormal-step"),
+    ])
+    def test_extreme_axes_render(self, y, deadline):
+        with deadline(3):
+            svg = render_svg([Series("a", range(len(y)), y)], "x", "y")
+        ElementTree.fromstring(svg)
+        assert "nan" not in svg and "inf" not in svg
+
+    def test_overflowing_span_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            render_svg([Series("a", [0.0, 1.0], [-1e308, 1e308])], "x", "y")
 
     def test_labels_present(self):
         svg = render_svg([Series("curve", [0, 1], [0, 1])],
