@@ -5,8 +5,9 @@ They need numpy and the solver stack (finger, linkage, svgplot), so
 :func:`fingerkit.cli.run` imports this module only for them, and the first
 of them loads the whole stack; analyze, registry and safety start without
 numpy.  The emitting commands stay columnar from the solver to the file:
-tables are float arrays, formatted a row block at a time and streamed to
-disk.  Every command runs with numpy's floating-point warnings off and
+tables are float arrays, formatted a row block at a time by the number
+kernels of :mod:`fingerkit._numfmt` and streamed to disk.  The writers
+import those kernels on first use, so grasp and validate never load them.  Every command runs with numpy's floating-point warnings off and
 checks what it emits instead: all tables and JSON documents are checked
 finite, and all plots rendered, before the first file is opened, so an
 overflow or NaN from an extreme config number ends in one ``error:`` line.
@@ -37,7 +38,7 @@ from .finger import (
 from .geometry import TendonModel
 from .linkage import oracle_deviation, sweep_chain
 from .registry import default_registry
-from .svgplot import Series, format_csv, format_rows, render_svg
+from .svgplot import Series, render_svg
 
 
 def _write(path: Path, chunks) -> None:
@@ -48,6 +49,8 @@ def _write(path: Path, chunks) -> None:
 
 def _csv(header: list[str], table: np.ndarray, sha256: str):
     """CSV chunks, numbers as ``f"{x:.9g}"``."""
+    from ._numfmt import format_csv
+
     yield f"# config_sha256={sha256}\n" + ",".join(header) + "\n"
     yield from format_csv(table)
 
@@ -78,18 +81,22 @@ def _json_doc(payload: dict, sha256: str) -> str:
 def _json_table(header: list[str], table: np.ndarray, sha256: str, extra: dict):
     """JSON chunks, the same text as ``_json_doc`` with the rows as lists.
 
-    ``%r`` of a finite float is its JSON number, and the row layout is the
-    one ``json.dumps(indent=2)`` gives a list of lists at depth 1.
+    The rows come from :func:`fingerkit._numfmt.format_json_rows`, a numpy
+    kernel that spells each value as ``repr(x)`` (the JSON number of a
+    finite float) in the layout ``json.dumps(indent=2)`` gives a list of
+    lists at depth 1; the few values it cannot certify go through one
+    ``%r`` per block of rows, so the text is byte for byte that of
+    ``json.dumps``.
     """
+    from ._numfmt import format_json_rows
+
     doc = _json_doc({"columns": header, "rows": [], **extra}, sha256)
     if not len(table):
         yield doc
         return
     before, after = doc.split('"rows": []', 1)
     yield before + '"rows": [\n'
-    row = "    [\n" + ",\n".join(["      %r"] * table.shape[1]) + "\n    ]"
-    for i, text in enumerate(format_rows(table, row, ",\n")):
-        yield (",\n" if i else "") + text
+    yield from format_json_rows(table)
     yield "\n  ]" + after
 
 

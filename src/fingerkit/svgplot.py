@@ -1,5 +1,4 @@
-"""Minimal deterministic SVG line plots, and the bulk number formatting of
-the emitted tables.
+"""Minimal deterministic SVG line plots.
 
 Byte-identical output for identical input is a hard requirement for the
 emitted artifacts, so this module builds the document by plain string
@@ -23,22 +22,6 @@ _MARGIN_L = 72
 _MARGIN_R = 24
 _MARGIN_T = 40
 _MARGIN_B = 56
-# rows formatted per block, by one % or by the CSV kernel: bounds the tuple
-# of values built for a %, and the kernel's word buffers
-BLOCK_ROWS = 4096
-
-# exact powers of ten that scale |x| in [1, 1e9) to a 9-digit mantissa
-_POW10 = np.array([float(10**k) for k in range(9)])
-# per decimal exponent X = 0..8: the first X bytes of a word (integer digits)
-_INT_BYTES = np.array([(1 << 8 * x) - 1 for x in range(9)], dtype=np.uint64)
-_INT_FLAGS = _INT_BYTES & np.uint64(0x0101010101010101)
-# the dot sits at byte X + 2 of a 16-byte slot: after the sign, the leading
-# digit and X more integer digits
-_DOT_LO = np.array([ord(".") << 8 * (x + 2) if x < 6 else 0 for x in range(9)],
-                   dtype=np.uint64)
-_DOT_HI = np.array([ord(".") << 8 * (x - 6) if x >= 6 else 0 for x in range(9)],
-                   dtype=np.uint64)
-_PLACEHOLDER = np.uint64(int.from_bytes(b"%.9g", "little"))
 
 
 @dataclass(frozen=True)
@@ -102,104 +85,6 @@ def _px(value: float) -> str:
     return f"{value:.3f}"
 
 
-def format_rows(table: np.ndarray, row_format: str, separator: str):
-    """Text of a 2-D float table, one ``%`` per block of rows.
-
-    Yields one string per block of ``BLOCK_ROWS`` rows, its rows joined by
-    ``separator``.  ``%`` applies the same float formatting as ``format()``,
-    so ``"%r"`` gives ``repr(x)`` (the JSON tables) and ``"%.3f"`` gives
-    ``f"{x:.3f}"`` (the SVG points); CSV's ``%.9g`` is :func:`format_csv`.
-    """
-    for start in range(0, len(table), BLOCK_ROWS):
-        block = table[start:start + BLOCK_ROWS]
-        yield separator.join([row_format] * len(block)) % tuple(block.ravel().tolist())
-
-
-def _csv_slots(values: np.ndarray, sep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``%.9g`` text of each value, and where it is exact.
-
-    Returns 16-byte slots as ``(..., 2)`` little-endian words, and the mask
-    of the values they spell.  A slot holds the sign (or a pad byte), the
-    digits with the dot placed by whole-word shifts, pad bytes, and ``sep``
-    in its last byte; pad bytes are zero.  Every other value's slot holds
-    ``%.9g`` as a placeholder.  A value is spelled when ``log10`` puts |x|
-    in [1, 1e9), its mantissa ``m`` has 9 digits (``log10`` gave the right
-    decade, and rounding did not carry into the next one), and the scaled
-    value is not within 1e-6 of a rounding tie, where the one rounding of
-    the product could decide it.
-    """
-    a = np.abs(values)
-    e = np.floor(np.log10(a))
-    # fmax/fmin clip a NaN decade (of a NaN) to 0 as well
-    x = np.fmin(np.fmax(e, 0.0), 8.0).astype(np.intp)
-    p = a * _POW10[8 - x]
-    m = np.rint(p)
-    spelled = ((e == x) & (m >= 1e8) & (m < 1e9)
-               & (np.abs(p - np.floor(p) - 0.5) > 1e-6))
-    m = np.where(spelled, m, 1e8)
-    # leading digit, then the other 8 as two 4-digit halves in 32-bit lanes
-    lead = np.floor(m / 1e8)
-    low = m - lead * 1e8
-    high4 = np.floor(low / 1e4)
-    v = (high4 + (low - high4 * 1e4) * 2.0**32).astype(np.uint64)
-    # SWAR: each 32-bit lane / 100 into 16-bit lanes, then / 10 into bytes;
-    # the most significant digit lands in the lowest byte
-    q = ((v * np.uint64(5243)) >> np.uint64(19)) & np.uint64(0x0000007F0000007F)
-    v = q | ((v - q * np.uint64(100)) << np.uint64(16))
-    q = ((v * np.uint64(103)) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)
-    v = q | ((v - q * np.uint64(10)) << np.uint64(8))
-    # keep the integer digits and every digit up to the last nonzero one:
-    # flag those bytes, smear each flag down to byte 0, widen flags to masks
-    f = (((v + np.uint64(0x7F7F7F7F7F7F7F7F)) >> np.uint64(7))
-         & np.uint64(0x0101010101010101))
-    f |= _INT_FLAGS[x]
-    f |= f >> np.uint64(8)
-    f |= f >> np.uint64(16)
-    f |= f >> np.uint64(32)
-    digits = (v | np.uint64(0x3030303030303030)) & (f * np.uint64(0xFF))
-    int_digits = digits & _INT_BYTES[x]
-    frac_digits = digits ^ int_digits
-    has_frac = frac_digits != 0
-    lo = (np.where(values < 0, np.uint64(ord("-")), np.uint64(0))
-          | ((lead.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(8))
-          | (int_digits << np.uint64(16)) | (frac_digits << np.uint64(24))
-          | np.where(has_frac, _DOT_LO[x], np.uint64(0)))
-    hi = ((int_digits >> np.uint64(48)) | (frac_digits >> np.uint64(40))
-          | np.where(has_frac, _DOT_HI[x], np.uint64(0)) | sep)
-    slots = np.empty(values.shape + (2,), dtype="<u8")
-    slots[..., 0] = np.where(spelled, lo, _PLACEHOLDER)
-    slots[..., 1] = np.where(spelled, hi, sep)
-    return slots, spelled
-
-
-def format_csv(table: np.ndarray):
-    """CSV text of a 2-D float table, each value as ``"%.9g" % x``.
-
-    Yields one string per block of ``BLOCK_ROWS`` rows, each row ending in a
-    newline.  Most values are spelled by :func:`_csv_slots`; the block's
-    pad bytes go in one boolean compress, and the values it left as
-    placeholders are formatted by one ``%`` on the block text, so every
-    byte is CPython's.
-    """
-    sep = np.full(table.shape[1], ord(","), dtype=np.uint64)
-    sep[-1] = ord("\n")
-    sep <<= np.uint64(56)
-    with np.errstate(all="ignore"):
-        for start in range(0, len(table), BLOCK_ROWS):
-            block = table[start:start + BLOCK_ROWS]
-            slots, spelled = _csv_slots(block, sep)
-            raw = slots.view(np.uint8)
-            text = raw[raw != 0].tobytes().decode("ascii")
-            if not spelled.all():
-                text %= tuple(block[~spelled].tolist())
-            yield text
-
-
-def _points(px: np.ndarray, py: np.ndarray) -> str:
-    """``x,y`` pairs to 3 decimals, space separated."""
-    return " ".join(format_rows(np.column_stack((px, py)), "%.3f,%.3f", " "))
-
-
 def render_svg(
     series: Sequence[Series],
     x_label: str,
@@ -212,6 +97,8 @@ def render_svg(
     order.  Raises ValueError for an empty series set, an empty series,
     non-finite data, or data whose span overflows.
     """
+    from ._numfmt import format_points
+
     if not series:
         raise ValueError("render_svg requires at least one series")
     xs = [np.asarray(s.x, dtype=np.float64) for s in series]
@@ -281,7 +168,7 @@ def render_svg(
     # data
     for i, (x, y) in enumerate(zip(xs, ys)):
         color = _PALETTE[i % len(_PALETTE)]
-        points = _points(sx(x), sy(y))
+        points = format_points(sx(x), sy(y))
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -3,9 +3,14 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fingerkit.config import FingerConfig, default_config
 from fingerkit.registry import ReferenceRegistry, default_registry
+
+# CI selects this profile (--hypothesis-profile=ci): the number-formatting
+# properties of test_emit_parity.py then run 2000 examples instead of 300
+settings.register_profile("ci", max_examples=2000)
 
 
 @pytest.fixture(scope="session")

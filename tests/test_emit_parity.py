@@ -4,8 +4,8 @@ The emitting commands format whole arrays at once and compute the force
 profile in one batch; none of that may change a byte.  These tests pin the
 stdout and emitted files of every benchmark reference invocation to the
 recorded hashes, the batch columns to the scalar API, the vectorized
-continuity sweep to a sequential loop, and the bulk writers, the CSV
-number kernel among them, to per-value formatting.
+continuity sweep to a sequential loop, and the bulk writers and their
+number kernels (``%.9g``, ``%r`` and ``%.3f``) to per-value formatting.
 """
 
 import hashlib
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fingerkit as fk
-from fingerkit import _array_cli, _kernels, svgplot
+from fingerkit import _array_cli, _kernels, _numfmt
 from fingerkit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -164,11 +164,16 @@ EDGE_TABLE = np.array([
 HEADER = ["a", "b", "c", "d", "e"]
 
 
+# the formatting properties run 300 examples, or the profile's count where
+# that is larger (the ci profile of tests/conftest.py)
+FORMAT_EXAMPLES = max(300, settings().max_examples)
+
+
 @pytest.fixture(params=[4096, 3, 1])
 def block_rows(request, monkeypatch):
-    """Block seams every 1 or 3 rows, for ``%`` and the CSV kernel alike:
-    both read ``svgplot.BLOCK_ROWS``."""
-    monkeypatch.setattr(svgplot, "BLOCK_ROWS", request.param)
+    """Block seams every 1 or 3 rows, for all three kernels: each reads
+    ``_numfmt.BLOCK_ROWS``."""
+    monkeypatch.setattr(_numfmt, "BLOCK_ROWS", request.param)
     return request.param
 
 
@@ -217,32 +222,142 @@ def test_csv_matches_per_value_format(block_rows):
 def test_csv_kernel_edge_values(block_rows):
     values = csv_edge_values()
     table = np.resize(values, (-(-len(values) // 7), 7))
-    assert "".join(svgplot.format_csv(table)) == percent_csv(table)
+    assert "".join(_numfmt.format_csv(table)) == percent_csv(table)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=FORMAT_EXAMPLES, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)),
                   elements=st.floats(allow_nan=False, allow_infinity=False)
                   | st.floats(-2e9, 2e9)))
 def test_csv_kernel_matches_percent_format(table):
-    assert "".join(svgplot.format_csv(table)) == percent_csv(table)
+    assert "".join(_numfmt.format_csv(table)) == percent_csv(table)
+
+
+def json_dumps_table(rows: np.ndarray, extra: dict) -> str:
+    doc = {"config_sha256": "abc", "columns": HEADER[:rows.shape[1]],
+           "rows": rows.tolist(), **extra}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def json_table(rows: np.ndarray, extra: dict) -> str:
+    return "".join(_array_cli._json_table(HEADER[:rows.shape[1]], rows, "abc",
+                                          extra))
 
 
 @pytest.mark.parametrize("rows", [EDGE_TABLE, EDGE_TABLE[:0]])
 def test_json_matches_json_dumps(block_rows, rows):
     extra = {"tendon": "double", "tension_n": 38.0}
-    doc = {"config_sha256": "abc", "columns": HEADER, "rows": rows.tolist(),
-           **extra}
-    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert "".join(_array_cli._json_table(HEADER, rows, "abc", extra)) == expected
+    assert json_table(rows, extra) == json_dumps_table(rows, extra)
+
+
+def test_json_blocks_hold_at_most_json_block_values():
+    rows = np.random.default_rng(5).normal(0.0, 100.0, (5000, 5))
+    per_block = _numfmt._JSON_BLOCK_VALUES // 5
+    assert len(list(_numfmt.format_json_rows(rows))) == -(-5000 // per_block) > 1
+    assert json_table(rows, {}) == json_dumps_table(rows, {})
+
+
+def _equidistant_candidates(e: int, count: int, rng) -> list[float]:
+    """Floats in decade ``e`` whose two nearest 16-digit neighbours are
+    equally near and both read back: ``x * 10**(16 - e)`` is an integer
+    ending in 5, and half the float spacing spans more than 5 of its units.
+
+    ``repr`` takes the even last digit there.  Such ``x`` are odd multiples
+    of ``2**(e - 16)`` in the decade's top binade, which starts above 4.5
+    times the decade.
+    """
+    top = 2.0 ** (math.ceil(math.log2(10.0 ** (e + 1))) - 1)
+    assert top >= 4.5 * 10.0**e and math.ulp(top) <= 2.0 ** (e - 16)
+    odd = rng.integers(top * 2.0 ** (16 - e) // 2, 10.0 ** (e + 1) * 2.0 ** (16 - e) // 2,
+                       count)
+    return [math.ldexp(2 * n + 1, e - 16) for n in odd.tolist()]
+
+
+def json_edge_values() -> np.ndarray:
+    """Values where a shortest-digit formatter can go wrong, with both
+    signs."""
+    values = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+    # decades, where log10 can be off by one, and values just below them
+    # that a carry would round up; the bounds 1e-4 and 1e16 of the
+    # positional range among them
+    for k in range(-5, 18):
+        values += _neighbours(10.0**k, 3)
+    # powers of two, whose interval below is half the one above
+    values += [2.0**k for k in range(-14, 54)]
+    rng = np.random.default_rng(14)
+    for e in range(-4, 16):
+        # 17-digit ties: x * 10**(16 - e) = n + 1/2 exactly, for odd
+        # multiples x of 2**(e - 17) that are floats
+        for n in rng.integers(10**16, 10**17, 20).tolist():
+            values.append(math.ldexp(round(n * 10.0 ** (e - 16) * 2.0 ** (17 - e)) | 1,
+                                     e - 17))
+    for e in range(-4, 15):
+        values += _equidistant_candidates(e, 20, rng)
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_json_edge_values_match_repr(block_rows):
+    values = json_edge_values()
+    table = np.resize(values, (-(-len(values) // 7), 7))
+    assert json_table(table, {}) == json_dumps_table(table, {})
+
+
+def test_json_edge_values_are_what_they_claim():
+    """The edge list holds the cases where ``repr`` rounds half to even:
+    exact 17-digit ties, and equidistant 16-digit candidates that both
+    read back."""
+    from fractions import Fraction
+
+    values = json_edge_values()
+    ties = equidistant = 0
+    for x in values[values > 0].tolist():
+        e = math.floor(math.log10(x))
+        if -4 <= e <= 15:
+            v = Fraction(x) * 10 ** (16 - e)
+            ties += v.denominator == 2
+            equidistant += (v.denominator == 1 and v % 10 == 5
+                            and math.ulp(x) / 2 * 10.0 ** (16 - e) > 5)
+    assert ties >= 300 and equidistant >= 300
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=FORMAT_EXAMPLES, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)),
+                  elements=FINITE | st.floats(-1e17, 1e17)))
+def test_json_kernel_matches_json_dumps(table):
+    assert json_table(table, {}) == json_dumps_table(table, {})
+
+
+def percent_points(x: np.ndarray, y: np.ndarray) -> str:
+    return " ".join(f"{a:.3f},{b:.3f}" for a, b in zip(x.tolist(), y.tolist()))
 
 
 def test_svg_points_match_per_value_format(block_rows):
     x, y = EDGE_TABLE[:, 2] * 1e-290, EDGE_TABLE[:, 0]
     x = np.concatenate([x, [-0.0004, 0.0005, 1.0625, 2.5]])
     y = np.concatenate([y, [0.0, -0.0, 7.0, -1e-9]])
-    expected = " ".join(f"{a:.3f},{b:.3f}" for a, b in zip(x.tolist(), y.tolist()))
-    assert svgplot._points(x, y) == expected
+    # 3-decimal ties and their neighbours, signed values that round to
+    # zero, and the bounds of the kernel's range |x| * 1000 < 1e8
+    edge = [0.0005, 0.0004, 0.0015, 1.0625, 2.0005, 123.4565, 99999.9995,
+            99999.999, 100000.0, 1e6]
+    edge += (np.arange(1, 2000, 10) / 2000.0 + 512.0).tolist()
+    edge = np.array([v for x0 in edge for v in _neighbours(x0, 2)])
+    edge = np.concatenate([edge, -edge])
+    assert _numfmt.format_points(x, y) == percent_points(x, y)
+    assert _numfmt.format_points(edge, edge[::-1]) == percent_points(edge, edge[::-1])
+    assert _numfmt.format_points(np.array([-0.0004, -0.0005]),
+                                 np.array([-0.0, 0.0])) == "-0.000,-0.000 -0.001,0.000"
+
+
+@settings(max_examples=FORMAT_EXAMPLES, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.just(2)),
+                  elements=FINITE | st.floats(-2e5, 2e5)))
+def test_svg_points_kernel_matches_percent_format(points):
+    x, y = points[:, 0], points[:, 1]
+    assert _numfmt.format_points(x, y) == percent_points(x, y)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

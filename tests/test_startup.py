@@ -1,6 +1,7 @@
 """What a fresh interpreter imports: analyze, registry and safety start
-without numpy, the package exports resolve lazily, and a run of validate
-alone loads every module the benchmark tracer patches.
+without numpy, grasp and validate without the number-formatting kernels,
+the package exports resolve lazily, and a run of validate alone loads every
+module the benchmark tracer patches.
 
 Each check runs in its own interpreter, because this test process has long
 since imported the whole package.
@@ -32,6 +33,26 @@ def test_quick_commands_import_no_numpy(command):
                 if line.startswith("import time:")]
     assert "fingerkit.registry" in imported
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["grasp", "--diameter-mm", "80"],
+    ["validate", "--samples", "2"],
+])
+def test_array_commands_that_emit_no_table_skip_the_kernels(argv):
+    done = _python("-c", textwrap.dedent(f"""
+        import contextlib
+        import io
+        import sys
+        import fingerkit.cli
+
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            assert fingerkit.cli.main({argv!r}) == 0
+        assert "fingerkit._array_cli" in sys.modules
+        assert "fingerkit._numfmt" not in sys.modules
+    """))
+    assert done.returncode == 0, done.stderr
 
 
 def test_every_export_resolves_lazily():
