@@ -7,10 +7,14 @@ of them loads the whole stack; analyze, registry and safety start without
 numpy.  The emitting commands stay columnar from the solver to the file:
 tables are float arrays, formatted a row block at a time by the number
 kernels of :mod:`fingerkit._numfmt` and streamed to disk.  The writers
-import those kernels on first use, so grasp and validate never load them.  Every command runs with numpy's floating-point warnings off and
-checks what it emits instead: all tables and JSON documents are checked
-finite, and all plots rendered, before the first file is opened, so an
-overflow or NaN from an extreme config number ends in one ``error:`` line.
+import those kernels on first use, so grasp and validate never load them.
+
+Every command runs with numpy's floating-point warnings off and checks
+what it emits instead.  The emitting commands only compute arrays and hand
+them to :func:`_emit`, which owns the one write rule: every table is
+checked finite, every JSON document formatted and every plot rendered
+before the first file is opened, so an overflow or NaN from an extreme
+config number ends in one ``error:`` line and no file.
 """
 
 from __future__ import annotations
@@ -56,20 +60,11 @@ def _csv(header: list[str], table: np.ndarray, sha256: str):
 
 
 def _plot(series: list[Series], x_label: str, y_label: str, title: str) -> str:
-    """``render_svg``, with data it cannot plot reported as a domain error.
-
-    Commands render their plots before they write any file, so such data
-    leaves no file behind.
-    """
+    """``render_svg``, with data it cannot plot reported as a domain error."""
     try:
         return render_svg(series, x_label=x_label, y_label=y_label, title=title)
     except ValueError as exc:
         raise FingerkitError(f"cannot plot {title.lower()}: {exc}") from None
-
-
-def _write_plots(out: Path, plots: dict[str, str]) -> None:
-    for name, svg in plots.items():
-        _write(out / name, [svg])
 
 
 def _json_doc(payload: dict, sha256: str) -> str:
@@ -100,21 +95,28 @@ def _json_table(header: list[str], table: np.ndarray, sha256: str, extra: dict):
     yield "\n  ]" + after
 
 
-def _require_finite(**tables: np.ndarray) -> None:
-    for stem, table in tables.items():
+def _emit(out: Path, fmt: str, sha256: str, tables, docs=(), plots=()) -> None:
+    """Write a command's files into ``out``.
+
+    Tables ``(stem, header, table, extra)`` go to ``<stem>.json`` (with the
+    ``extra`` fields) for the json format, else to ``<stem>.csv``; then come
+    the JSON documents ``(name, payload)``, then, for svg only, the plots
+    ``(name, series, x_label, y_label, title)``.  Tables are checked finite,
+    documents formatted and plots rendered before the first file is opened.
+    """
+    for stem, _, table, _ in tables:
         if not np.isfinite(table).all():
             raise FingerkitError(f"{stem} has non-finite values; nothing written")
-
-
-def _write_table(out: Path, stem: str, fmt: str, header: list[str],
-                 table: np.ndarray, sha256: str, **extra) -> None:
-    """``<stem>.json`` (with ``extra`` fields) for the json format, else
-    ``<stem>.csv``."""
-    _require_finite(**{stem: table})
-    if fmt == "json":
-        _write(out / f"{stem}.json", _json_table(header, table, sha256, extra))
-    else:
-        _write(out / f"{stem}.csv", _csv(header, table, sha256))
+    files = [
+        (f"{stem}.json", _json_table(header, table, sha256, extra))
+        if fmt == "json" else (f"{stem}.csv", _csv(header, table, sha256))
+        for stem, header, table, extra in tables
+    ]
+    files += [(name, [_json_doc(payload, sha256)]) for name, payload in docs]
+    if fmt == "svg":
+        files += [(name, [_plot(*plot)]) for name, *plot in plots]
+    for name, chunks in files:
+        _write(out / name, chunks)
 
 
 def _table(rows: np.ndarray, angle_columns: int) -> np.ndarray:
@@ -164,7 +166,7 @@ _TIP_HEADER = [
 ]
 
 
-def _cmd_sweep(cfg: FingerConfig, args: argparse.Namespace) -> int:
+def _cmd_sweep(cfg: FingerConfig, args: argparse.Namespace):
     _require_counts("sweep requires --samples >= 2", args.samples)
     finger = cfg.require_finger()
     psi = math.radians(require_finite(args.psi_deg, "--psi-deg"))
@@ -179,33 +181,20 @@ def _cmd_sweep(cfg: FingerConfig, args: argparse.Namespace) -> int:
     ])
     np.degrees(angles, out=angles)
     trace = _table(tip_trace(finger, sweep, psi), 2)
-    _require_finite(joint_angles=angles, tip_trace=trace)
-    plots = {}
-    if args.format == "svg":
-        plots["joint_angles.svg"] = _plot(
-            [
-                Series("theta2", angles[:, 0], angles[:, 1]),
-                Series("theta6", angles[:, 0], angles[:, 4]),
-            ],
-            x_label="theta1 (deg)",
-            y_label="dependent angle (deg)",
-            title="Joint angles vs input",
-        )
-        plots["tip_trace.svg"] = _plot(
-            [Series("fingertip", trace[:, 2], trace[:, 3])],
-            x_label="x (mm)",
-            y_label="y (mm)",
-            title="Fingertip trace",
-        )
-
-    out = args.out
-    _write_table(out, "joint_angles", args.format, angle_header, angles, cfg.sha256)
-    _write_table(out, "tip_trace", args.format, _TIP_HEADER, trace, cfg.sha256)
-    _write_plots(out, plots)
-    return 0
+    tables = [("joint_angles", angle_header, angles, {}),
+              ("tip_trace", _TIP_HEADER, trace, {})]
+    plots = [
+        ("joint_angles.svg",
+         [Series("theta2", angles[:, 0], angles[:, 1]),
+          Series("theta6", angles[:, 0], angles[:, 4])],
+         "theta1 (deg)", "dependent angle (deg)", "Joint angles vs input"),
+        ("tip_trace.svg", [Series("fingertip", trace[:, 2], trace[:, 3])],
+         "x (mm)", "y (mm)", "Fingertip trace"),
+    ]
+    return tables, (), plots
 
 
-def _cmd_workspace(cfg: FingerConfig, args: argparse.Namespace) -> int:
+def _cmd_workspace(cfg: FingerConfig, args: argparse.Namespace):
     samples, psi_samples = args.samples, args.psi_samples
     _require_counts("workspace requires --samples and --psi-samples >= 2",
                     samples, psi_samples)
@@ -218,32 +207,25 @@ def _cmd_workspace(cfg: FingerConfig, args: argparse.Namespace) -> int:
         "theta1_samples": samples,
         "psi_samples": psi_samples,
     }
-    metrics_doc = _json_doc(metrics, cfg.sha256)
-    plots = {}
-    if args.format == "svg":
-        # one series per orientation: rows are theta1-major, psi-minor
-        by_psi = table.reshape(samples, psi_samples, table.shape[1])
-        series = [
-            Series(f"psi {by_psi[0, j, 1]:.0f} deg", by_psi[:, j, 4], by_psi[:, j, 5])
-            for j in range(psi_samples)
-        ]
-        # legend stays readable with at most 6 labelled orientations
-        if len(series) > 6:
-            step = (len(series) - 1) / 5.0
-            series = [series[round(i * step)] for i in range(6)]
-        plots["workspace.svg"] = _plot(
-            series, x_label="x (mm)", y_label="y (mm)",
-            title="Fingertip workspace",
-        )
-
-    out = args.out
-    _write_table(out, "workspace", args.format, _TIP_HEADER, table, cfg.sha256)
-    _write(out / "workspace_metrics.json", [metrics_doc])
-    _write_plots(out, plots)
-    return 0
+    # one series per plotted orientation, rows theta1-major, psi-minor; the
+    # legend stays readable with at most 6 evenly spread orientations
+    by_psi = table.reshape(samples, psi_samples, table.shape[1])
+    picks = range(psi_samples)
+    if psi_samples > 6:
+        step = (psi_samples - 1) / 5.0
+        picks = [round(i * step) for i in range(6)]
+    series = [
+        Series(f"psi {by_psi[0, j, 1]:.0f} deg", by_psi[:, j, 4], by_psi[:, j, 5])
+        for j in picks
+    ]
+    return (
+        [("workspace", _TIP_HEADER, table, {})],
+        [("workspace_metrics.json", metrics)],
+        [("workspace.svg", series, "x (mm)", "y (mm)", "Fingertip workspace")],
+    )
 
 
-def _cmd_force(cfg: FingerConfig, args: argparse.Namespace) -> int:
+def _cmd_force(cfg: FingerConfig, args: argparse.Namespace):
     _require_counts("force requires --samples >= 2", args.samples)
     finger = cfg.require_finger()
     tendon, tension = _resolve_tendon(cfg, args)
@@ -255,20 +237,11 @@ def _cmd_force(cfg: FingerConfig, args: argparse.Namespace) -> int:
         "theta1_deg", "excursion_mm", "dexcursion_mm_per_rad",
         "tip_speed_mm_per_rad", "force_n",
     ]
-    plots = {}
-    if args.format == "svg":
-        plots["force_profile.svg"] = _plot(
-            [Series(f"{tendon.kind} tendon", table[:, 0], table[:, 4])],
-            x_label="theta1 (deg)",
-            y_label="tip force (N)",
-            title="Static tip force",
-        )
-
-    out = args.out
-    _write_table(out, "force_profile", args.format, header, table, cfg.sha256,
-                 tendon=tendon.kind, tension_n=tension)
-    _write_plots(out, plots)
-    return 0
+    extra = {"tendon": tendon.kind, "tension_n": tension}
+    plots = [("force_profile.svg",
+              [Series(f"{tendon.kind} tendon", table[:, 0], table[:, 4])],
+              "theta1 (deg)", "tip force (N)", "Static tip force")]
+    return [("force_profile", header, table, extra)], (), plots
 
 
 def _report_dict(report: GraspReport) -> dict:
@@ -313,10 +286,13 @@ def _cmd_validate(cfg: FingerConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-COMMANDS = {
+# the emitters return the tables, docs and plots that _emit writes
+EMITTERS = {
     "sweep": _cmd_sweep,
     "workspace": _cmd_workspace,
     "force": _cmd_force,
+}
+COMMANDS = {
     "grasp": _cmd_grasp,
     "validate": _cmd_validate,
 }
@@ -325,4 +301,8 @@ COMMANDS = {
 def run(cfg: FingerConfig, args: argparse.Namespace) -> int:
     """Execute the array subcommand ``args.command``."""
     with np.errstate(all="ignore"):
-        return COMMANDS[args.command](cfg, args)
+        emitter = EMITTERS.get(args.command)
+        if emitter is None:
+            return COMMANDS[args.command](cfg, args)
+        _emit(args.out, args.format, cfg.sha256, *emitter(cfg, args))
+        return 0

@@ -469,6 +469,139 @@ class TestParserDefaults:
         assert capsys.readouterr().out == default
 
 
+ROOT = Path(__file__).resolve().parents[1]
+FORMATS = ("csv", "json", "svg")
+TIP_HEADER = "theta1_deg,psi_deg,tip_x_mm,tip_y_mm,grip_x_mm,grip_y_mm"
+HEADERS = {
+    "joint_angles": ("theta1_deg,theta2_deg,theta3_deg,theta5_deg,theta6_deg,"
+                     "theta7_deg,mcp_deg,pip_deg,dip_deg"),
+    "tip_trace": TIP_HEADER,
+    "workspace": TIP_HEADER,
+    "force_profile": ("theta1_deg,excursion_mm,dexcursion_mm_per_rad,"
+                      "tip_speed_mm_per_rad,force_n"),
+}
+EMITTED = {
+    "sweep": (["joint_angles", "tip_trace"], []),
+    "workspace": (["workspace"], ["workspace_metrics.json"]),
+    "force": (["force_profile"], []),
+}
+EMIT_ARGV = {
+    "sweep": ["sweep", "--samples", "9"],
+    "workspace": ["workspace", "--samples", "4", "--psi-samples", "5"],
+    "force": ["force", "--samples", "9"],
+}
+
+
+def _with_nan(fn):
+    """``fn`` with a NaN written into the float rows it returns."""
+    def poisoned(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        rows = getattr(result, "points", result)
+        rows.view("f8").reshape(len(rows), -1)[1, -1] = math.nan
+        return result
+    return poisoned
+
+
+class TestEmit:
+    """The emitting commands share one write rule, in every format."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", EMITTED)
+    def test_file_set(self, command, fmt, tmp_path):
+        out = tmp_path / "out"
+        assert main(EMIT_ARGV[command] + ["--out", str(out), "--format", fmt]) == 0
+        stems, docs = EMITTED[command]
+        table_ext = "json" if fmt == "json" else "csv"
+        expected = [f"{stem}.{table_ext}" for stem in stems] + docs
+        if fmt == "svg":
+            expected += [f"{stem}.svg" for stem in stems]
+        assert sorted(path.name for path in out.iterdir()) == sorted(expected)
+        for stem in stems:
+            if fmt == "json":
+                doc = json.loads((out / f"{stem}.json").read_text())
+                assert ",".join(doc["columns"]) == HEADERS[stem]
+            else:
+                lines = (out / f"{stem}.csv").read_text().splitlines()
+                assert re.fullmatch("# config_sha256=[0-9a-f]{64}", lines[0])
+                assert lines[1] == HEADERS[stem]
+            if fmt == "svg":
+                ElementTree.parse(out / f"{stem}.svg")
+        for name in docs:
+            json.loads((out / name).read_text())
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", EMITTED)
+    def test_plots_render_for_svg_only(self, command, fmt, tmp_path,
+                                       monkeypatch):
+        calls = []
+        real = _array_cli.render_svg
+        monkeypatch.setattr(_array_cli, "render_svg",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        argv = EMIT_ARGV[command] + ["--out", str(tmp_path), "--format", fmt]
+        assert main(argv) == 0
+        plots = {"sweep": 2, "workspace": 1, "force": 1}[command]
+        assert len(calls) == (plots if fmt == "svg" else 0)
+
+    def test_workspace_builds_only_plotted_series(self, tmp_path,
+                                                  monkeypatch):
+        built = []
+        real = _array_cli.Series
+        monkeypatch.setattr(_array_cli, "Series",
+                            lambda *a: built.append(a) or real(*a))
+        assert main(["workspace", "--samples", "3", "--psi-samples", "1000",
+                     "--out", str(tmp_path), "--format", "svg"]) == 0
+        assert 0 < len(built) <= 6
+
+    @pytest.mark.parametrize("psi_samples, labels", [
+        (2, [-45, 45]),
+        (6, [-45, -27, -9, 9, 27, 45]),
+        (7, [-45, -30, -15, 15, 30, 45]),
+        (12, [-45, -29, -12, 12, 29, 45]),
+        (25, [-45, -26, -8, 7, 26, 45]),
+    ])
+    def test_workspace_legend(self, psi_samples, labels, tmp_path,
+                              monkeypatch):
+        """At most 6 orientations, evenly spread, round(i * (n - 1) / 5)."""
+        legends = []
+        real = _array_cli.render_svg
+        monkeypatch.setattr(
+            _array_cli, "render_svg",
+            lambda series, **k: legends.append([s.name for s in series])
+            or real(series, **k))
+        assert main(["workspace", "--samples", "3", "--psi-samples",
+                     str(psi_samples), "--out", str(tmp_path),
+                     "--format", "svg"]) == 0
+        assert legends == [[f"psi {deg} deg" for deg in labels]]
+
+    @pytest.mark.parametrize("command, stem", [
+        ("workspace", "workspace"), ("force", "force_profile")])
+    def test_nan_table_is_one_error_in_every_format(self, command, stem,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        """The solver function and the table it fills share one name."""
+        monkeypatch.setattr(_array_cli, stem, _with_nan(getattr(_array_cli, stem)))
+        for fmt in FORMATS:
+            out = tmp_path / fmt
+            argv = EMIT_ARGV[command] + ["--out", str(out), "--format", fmt]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: {stem} has non-finite values; nothing written\n")
+            assert not out.exists()
+
+
+def _readme_cli_lines():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()
+            for line in block.splitlines() if line.startswith("fingerkit ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_example(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[1:]) == 0
+
+
 # the edge values every numeric flag is fuzzed with, among ordinary ones
 EDGE_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308, -1e308,
                 5e-324, 2.2250738585072014e-308, 1e-310)

@@ -23,6 +23,7 @@ from hypothesis.extra import numpy as hnp
 import fingerkit as fk
 from fingerkit import _array_cli, _kernels, _numfmt
 from fingerkit.cli import main
+from fingerkit.svgplot import Series
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -360,11 +361,51 @@ def test_svg_points_kernel_matches_percent_format(points):
     assert _numfmt.format_points(x, y) == percent_points(x, y)
 
 
+# a finite table and a plot that _emit can always write
+SMALL_TABLE = EDGE_TABLE[1:2]
+PLOT = ("p.svg", [Series("a", [0.0, 1.0], [0.0, 2.0])], "x", "y", "Plot")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
 def test_table_writer_rejects_non_finite(tmp_path, bad, fmt):
+    """``_emit`` checks every table before it opens a file: a non-finite
+    value in the second table leaves no file of the first."""
     table = EDGE_TABLE.copy()
     table[2, 3] = bad
-    with pytest.raises(fk.FingerkitError, match="non-finite"):
-        _array_cli._write_table(tmp_path, "t", fmt, HEADER, table, "abc")
-    assert not list(tmp_path.iterdir())
+    tables = [("first", HEADER, EDGE_TABLE, {}), ("t", HEADER, table, {})]
+    out = tmp_path / "out"
+    with pytest.raises(fk.FingerkitError,
+                       match="^t has non-finite values; nothing written$"):
+        _array_cli._emit(out, fmt, "abc", tables, docs=[("d.json", {"v": 1.0})],
+                         plots=[PLOT])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+def test_emit_rejects_non_finite_document(tmp_path, fmt):
+    docs = [("ok.json", {"v": 1.0}), ("d.json", {"v": math.inf})]
+    out = tmp_path / "out"
+    with pytest.raises(fk.FingerkitError, match="non-finite value in JSON output"):
+        _array_cli._emit(out, fmt, "abc", [("t", HEADER, SMALL_TABLE, {})],
+                         docs=docs, plots=[PLOT])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+def test_emit_renders_plots_for_svg_only(tmp_path, fmt):
+    """A plot whose axis span overflows fails the svg format with no file
+    written; csv and json never render it."""
+    plots = [PLOT, ("q.svg", [Series("a", [0.0, 1.0], [-1e308, 1e308])],
+                    "x", "y", "Wide span")]
+    tables = [("t", HEADER, SMALL_TABLE, {})]
+    out = tmp_path / "out"
+    if fmt == "svg":
+        with pytest.raises(
+                fk.FingerkitError,
+                match="^cannot plot wide span: axis span overflows float64$"):
+            _array_cli._emit(out, fmt, "abc", tables, plots=plots)
+        assert not out.exists()
+    else:
+        _array_cli._emit(out, fmt, "abc", tables, plots=plots)
+        assert sorted(p.name for p in out.iterdir()) == [f"t.{fmt}"]
