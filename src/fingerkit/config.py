@@ -9,12 +9,11 @@ Unknown keys are rejected outright so typos cannot silently change runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, finite_number
 from .geometry import FingerGeometry, LinkageGeometry, TendonModel
@@ -30,15 +29,22 @@ TENDON_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class FingerConfig:
-    """Parsed configuration plus the content hash of its source bytes."""
+class FingerConfig(NamedTuple):
+    """Parsed configuration plus its source bytes."""
 
     geometry: LinkageGeometry
     finger: FingerGeometry | None
     tendon: TendonModel | None
     thumb_line: tuple[tuple[float, float], tuple[float, float]] | None
-    sha256: str
+    source: bytes
+
+    @property
+    def sha256(self) -> str:
+        """Hex SHA-256 of the source bytes; ``hashlib`` (OpenSSL) loads on
+        the first read, so commands that emit no file never load it."""
+        import hashlib
+
+        return hashlib.sha256(self.source).hexdigest()
 
     def require_finger(self) -> FingerGeometry:
         if self.finger is None:
@@ -136,7 +142,6 @@ def _parse_thumb_line(doc: dict):
 def parse_config(text: str | bytes) -> FingerConfig:
     """Parse and validate a config document from its raw bytes/text."""
     raw = text.encode("utf-8") if isinstance(text, str) else text
-    digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # not JSON, or not UTF-8
@@ -175,7 +180,7 @@ def parse_config(text: str | bytes) -> FingerConfig:
         finger=finger,
         tendon=tendon,
         thumb_line=thumb_line,
-        sha256=digest,
+        source=raw,
     )
 
 

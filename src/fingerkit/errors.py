@@ -44,6 +44,17 @@ class ConfigError(FingerkitError):
     """A configuration document is missing, malformed, or violates the schema."""
 
 
+def validated(cls):
+    """Class decorator for a ``NamedTuple`` record with a ``_check`` method:
+    every construction, ``_make`` and ``_replace`` included, returns
+    ``record._check()``, which raises for a bad value and returns the
+    record, normalised where the class needs it."""
+    new, make = cls.__new__, cls._make
+    cls.__new__ = staticmethod(lambda klass, *a, **k: new(klass, *a, **k)._check())
+    cls._make = classmethod(lambda klass, iterable: make(iterable)._check())
+    return cls
+
+
 def finite_number(value, message: str) -> float:
     """``value`` as a float if it is a finite JSON number (not a bool),
     else :class:`ConfigError` with ``message``."""

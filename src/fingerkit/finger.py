@@ -10,7 +10,7 @@ cylindrical grasps against the reference registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,14 +37,12 @@ FORCE_DTYPE = _float_rows(
 )
 
 
-@dataclass(frozen=True)
-class WorkspaceResult:
+class WorkspaceResult(NamedTuple):
     points: np.ndarray  # TIP_DTYPE rows, theta1-major then psi
     max_opening_mm: float
 
 
-@dataclass(frozen=True)
-class GraspReport:
+class GraspReport(NamedTuple):
     """Outcome of a grasp feasibility assessment.
 
     ``margin`` is millimetres to the nearest diameter bound for
@@ -59,13 +57,11 @@ class GraspReport:
     notes: str
 
 
-@dataclass(frozen=True)
-class CylinderObject:
+class CylinderObject(NamedTuple):
     diameter_mm: float
 
 
-@dataclass(frozen=True)
-class FlatObject:
+class FlatObject(NamedTuple):
     thickness_mm: float
 
 
@@ -154,8 +150,13 @@ def workspace(
     psi_values = np.linspace(p_lo, p_hi, psi_samples)
 
     points = _tip_rows(finger, sweep_chain(geometry, theta1_values), psi_values)
-    opening = float(np.max(
-        _segment_distance(points["grip_x"], points["grip_y"], thumb_line)))
+    grip = points["grip_x"], points["grip_y"]
+    opening = float(np.max(_segment_distance(*grip, thumb_line)))
+    # a non-finite tip is reported with its table; with every tip finite,
+    # only the distance to the thumb line can overflow
+    if not math.isfinite(opening) and all(np.isfinite(g).all() for g in grip):
+        raise OutOfRangeError(f"max_opening_mm is {opening}: the distance to "
+                              f"the thumb line {thumb_line} overflows")
     return WorkspaceResult(points=points, max_opening_mm=opening)
 
 
@@ -229,13 +230,13 @@ def force_profile(
     # requested sample is still the one raised
     solved = solve_chain(
         geometry, np.append(theta1_values, geometry.theta1_range[0]))
-    chain = JointState(*(getattr(solved, f.name)[:-1] for f in fields(solved)))
+    chain = JointState._make(values[:-1] for values in solved)
     derivatives = chain_derivatives(geometry, chain)
     excursion, d_excursion = _excursion(tendon, chain, solved.state_at(-1),
                                         derivatives)
     vx, vy = _velocity(finger, chain, derivatives)
-    # libm's hypot, not numpy's: they differ in the last ulp, and the
-    # emitted tip speeds are pinned to libm's
+    # CPython's own math.hypot, not numpy's: they differ in the last ulp,
+    # and the emitted tip speeds are pinned to math.hypot's
     speed = np.fromiter(map(math.hypot, vx.tolist(), vy.tolist()),
                         np.float64, count=vx.size)
     bad = ~np.isfinite(speed) | (speed < _TIP_SPEED_MIN)

@@ -12,7 +12,9 @@ Angles are radians; lengths are millimetres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .errors import validated
 
 # The finger linkage is always the same topology: six links, seven revolute
 # joints, giving mobility 1 and two independent loops.
@@ -44,8 +46,8 @@ def count_loops(num_joints: int, num_links: int) -> int:
     return num_joints - num_links + 1
 
 
-@dataclass(frozen=True)
-class LinkageGeometry:
+@validated
+class LinkageGeometry(NamedTuple):
     """One finger mechanism: eight loop vector lengths plus fixed angles.
 
     ``v`` holds the vector lengths of both loops, loop 1 first
@@ -63,7 +65,7 @@ class LinkageGeometry:
     theta8_fixed: float = math.pi / 2.0
     theta1_range: tuple[float, float] = (0.0, math.radians(75.0))
 
-    def __post_init__(self) -> None:
+    def _check(self) -> "LinkageGeometry":
         if len(self.v) != 8:
             raise ValueError("geometry requires exactly eight link lengths")
         for i, length in enumerate(self.v):
@@ -72,13 +74,15 @@ class LinkageGeometry:
         lo, hi = self.theta1_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError("theta1_range must be a non-empty closed interval")
-        object.__setattr__(self, "v", tuple(float(x) for x in self.v))
+        # tuple.__new__ builds the float copy without coming back here
+        geometry = tuple.__new__(
+            LinkageGeometry, (tuple(map(float, self.v)), *self[1:]))
         for loop in (1, 2):
-            a, b, _, _ = self.loop_lengths(loop)
+            a, b, _, _ = geometry.loop_lengths(loop)
             # 2ab, kappa3's divisor, underflows to 0 for tiny lengths; a NaN
             # or infinite coefficient fails the bound as well
             kappa_sum = (
-                sum(map(abs, vars(loop_coefficients(self, loop)).values())) + 1.0
+                sum(map(abs, loop_coefficients(geometry, loop))) + 1.0
                 if 2.0 * a * b > 0.0 else math.inf
             )
             if not kappa_sum <= _KAPPA_SUM_MAX:
@@ -86,19 +90,13 @@ class LinkageGeometry:
                     f"loop {loop} coefficients must satisfy |kappa1| + "
                     f"|kappa2| + |kappa3| + 1 <= {_KAPPA_SUM_MAX:g}"
                 )
+        return geometry
 
     def scaled(self, factor: float) -> "LinkageGeometry":
         """Uniformly scale all link lengths; angles are untouched."""
         if factor <= 0.0:
             raise ValueError("scale factor must be > 0")
-        return LinkageGeometry(
-            v=tuple(factor * x for x in self.v),
-            sigma=self.sigma,
-            rho=self.rho,
-            theta4_fixed=self.theta4_fixed,
-            theta8_fixed=self.theta8_fixed,
-            theta1_range=self.theta1_range,
-        )
+        return self._replace(v=tuple(factor * x for x in self.v))
 
     def loop_lengths(self, loop: int) -> tuple[float, float, float, float]:
         if loop == 1:
@@ -108,8 +106,7 @@ class LinkageGeometry:
         raise ValueError("loop must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class LoopCoefficients:
+class LoopCoefficients(NamedTuple):
     """Dimensionless ratios of one loop; invariant under uniform scaling."""
 
     kappa1: float
@@ -131,8 +128,8 @@ def loop_coefficients(geometry: LinkageGeometry, loop: int) -> LoopCoefficients:
     )
 
 
-@dataclass(frozen=True)
-class FingerGeometry:
+@validated
+class FingerGeometry(NamedTuple):
     """Phalanx lengths and mounting of the finger in the gripper frame.
 
     ``base_offset`` locates the MCP axis in the rotating finger plane;
@@ -144,7 +141,7 @@ class FingerGeometry:
     base_offset: tuple[float, float] = (0.0, 0.0)
     orientation_range: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> "FingerGeometry":
         if len(self.phalanx_lengths) != 3:
             raise ValueError("finger requires exactly three phalanx lengths")
         for i, length in enumerate(self.phalanx_lengths):
@@ -153,19 +150,19 @@ class FingerGeometry:
         lo, hi = self.orientation_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError("orientation_range must be a non-empty interval")
+        return self
 
     def scaled(self, factor: float) -> "FingerGeometry":
         if factor <= 0.0:
             raise ValueError("scale factor must be > 0")
-        return FingerGeometry(
+        return self._replace(
             phalanx_lengths=tuple(factor * x for x in self.phalanx_lengths),
             base_offset=tuple(factor * x for x in self.base_offset),
-            orientation_range=self.orientation_range,
         )
 
 
-@dataclass(frozen=True)
-class TendonModel:
+@validated
+class TendonModel(NamedTuple):
     """Pulley-idealized tendon routing with constant per-joint moment arms.
 
     The single-tendon variant closes against extension springs lumped into
@@ -180,7 +177,7 @@ class TendonModel:
     spring_preload: float = 0.0
     max_tension: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> "TendonModel":
         if self.kind not in (SINGLE, DOUBLE):
             raise ValueError(f"tendon kind must be 'single' or 'double', got {self.kind!r}")
         if len(self.moment_arms) != 3:
@@ -196,13 +193,8 @@ class TendonModel:
             raise ValueError("double-tendon model must have zero spring terms")
         if not (math.isfinite(self.max_tension) and self.max_tension > 0.0):
             raise ValueError("max_tension must be finite and > 0")
+        return self
 
     def as_double(self) -> "TendonModel":
         """Double-tendon variant of this routing (spring terms removed)."""
-        return TendonModel(
-            kind=DOUBLE,
-            moment_arms=self.moment_arms,
-            spring_stiffness=0.0,
-            spring_preload=0.0,
-            max_tension=self.max_tension,
-        )
+        return self._replace(kind=DOUBLE, spring_stiffness=0.0, spring_preload=0.0)

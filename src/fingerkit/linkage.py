@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +33,7 @@ CONTINUITY = "continuity"
 _BRANCHES = {POSITIVE_ROOT: 1, NEGATIVE_ROOT: -1, CONTINUITY: 0}
 
 
-@dataclass(frozen=True)
-class JointState:
+class JointState(NamedTuple):
     """Solved configurations of the two-loop chain: floats for one
     configuration, equal-length arrays for a sweep of input angles."""
 
@@ -51,8 +49,7 @@ class JointState:
 
     def state_at(self, index: int) -> "JointState":
         """Sample ``index`` of a sweep, as floats."""
-        return JointState(*(float(getattr(self, f.name)[index])
-                            for f in fields(self)))
+        return JointState._make(float(values[index]) for values in self)
 
 
 def _closed_form(

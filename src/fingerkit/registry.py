@@ -13,11 +13,11 @@ constants; :func:`default_registry` loads and validates it, and
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
-from .errors import ConfigError, RuleViolationError, finite_number
+from .errors import ConfigError, RuleViolationError, finite_number, validated
 
 # key suffix -> required unit string; longest suffixes first so that e.g.
 # "_mm_kg" is not shadowed by "_mm" or "_kg"
@@ -37,8 +37,7 @@ UNIT_SUFFIXES: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     key: str
     value: float | int
     unit: str
@@ -46,20 +45,19 @@ class RegistryEntry:
     quote: str
 
 
-@dataclass(frozen=True)
-class RuleResult:
+class RuleResult(NamedTuple):
     rule_id: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ReferenceRegistry:
+@validated
+class ReferenceRegistry(NamedTuple):
     """Immutable collection of reference entries."""
 
     entries: tuple[RegistryEntry, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> "ReferenceRegistry":
         seen: set[str] = set()
         for entry in self.entries:
             if entry.key in seen:
@@ -69,6 +67,7 @@ class ReferenceRegistry:
                 raise ConfigError(f"registry entry {entry.key} lacks a source")
             finite_number(entry.value,
                           f"registry entry {entry.key} value must be a number")
+        return self
 
     def value(self, key: str) -> float:
         return float(self.entry(key).value)
@@ -83,7 +82,7 @@ class ReferenceRegistry:
         return any(entry.key == key for entry in self.entries)
 
     def to_json(self) -> str:
-        doc = {"entries": [asdict(e) for e in self.entries]}
+        doc = {"entries": [e._asdict() for e in self.entries]}
         return json.dumps(doc, indent=2) + "\n"
 
     @classmethod

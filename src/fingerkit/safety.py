@@ -8,25 +8,22 @@ verdict with inline arithmetic.  NaN or infinite input raises ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SafetyVerdict:
+class SafetyVerdict(NamedTuple):
     passed: bool
     applied_limit: float
     measured: float
     margin_ratio: float
 
 
-@dataclass(frozen=True)
-class ClearanceResult:
+class ClearanceResult(NamedTuple):
     per_side_clearance: float
     fits: bool
 
 
-@dataclass(frozen=True)
-class StrokeResult:
+class StrokeResult(NamedTuple):
     passed: bool
     slack: float
 

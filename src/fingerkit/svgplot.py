@@ -9,8 +9,7 @@ dependence, fixed numeric formatting throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,8 +23,7 @@ _MARGIN_T = 40
 _MARGIN_B = 56
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     name: str
     x: Sequence[float]
     y: Sequence[float]

@@ -654,7 +654,8 @@ def assert_two_outcomes(argv, out):
 
     It exits 0 with finite, strictly parsed output, or with a failed
     verdict (exit 1, the report on stdout, no ``error:`` line).  Or it
-    exits 1 or 2 with one ``error:`` line, no stdout and no ``out``.
+    exits 1 or 2 with one ``error:`` line, no stdout and no ``out``; the
+    ``error:`` line is returned, else None.
     """
     stdout, stderr = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(stdout),
@@ -669,7 +670,7 @@ def assert_two_outcomes(argv, out):
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert stdout.getvalue() == ""
         assert not out.exists()
-        return
+        return lines[0]
     assert code == 0 or (code == 1 and stdout.getvalue())
     # validate times itself on stderr, and nothing else writes there
     assert lines == [] or (argv[0] == "validate" and len(lines) == 1
@@ -724,6 +725,21 @@ def _scale_v(factor):
     return edit
 
 
+_PHALANX = _set(("phalanx_mm",), [1e308] * 3)
+_THUMB_X = _set(("thumb_line_mm", 0, 0), 1e308)
+_THUMB_MINUS_X = _set(("thumb_line_mm", 0, 0), -1e308)
+
+# workspace's error line for an edit: a non-finite tip fails its table;
+# with every tip finite, a thumb-line end so far out that the squared
+# segment length overflows makes max_opening_mm NaN
+WORKSPACE_ERRORS = {
+    _PHALANX: "error: workspace has non-finite values; nothing written",
+    **{edit: f"error: max_opening_mm is nan: the distance to the thumb line "
+             f"(({x}, -85.0), (80.0, -85.0)) overflows"
+       for edit, x in ((_THUMB_X, 1e308), (_THUMB_MINUS_X, -1e308))},
+}
+
+
 class TestExtremeConfigNumbers:
     """A finite config number so large, or so small, that the arithmetic
     overflows or underflows has the same outcomes as a fuzzed flag, with the
@@ -735,9 +751,9 @@ class TestExtremeConfigNumbers:
           for command in ("sweep", "workspace", "force")),
     ])
     @pytest.mark.parametrize("edit", [
-        pytest.param(_set(("phalanx_mm",), [1e308] * 3), id="phalanx"),
-        pytest.param(_set(("thumb_line_mm", 0, 0), 1e308), id="thumb-x"),
-        pytest.param(_set(("thumb_line_mm", 0, 0), -1e308), id="thumb-minus-x"),
+        pytest.param(_PHALANX, id="phalanx"),
+        pytest.param(_THUMB_X, id="thumb-x"),
+        pytest.param(_THUMB_MINUS_X, id="thumb-minus-x"),
         pytest.param(_set(("base_offset_mm", 0), 1e308), id="base-x"),
         pytest.param(_set(("tendon", "arms_mm"), [1e308] * 3), id="arms"),
         pytest.param(_set(("tendon", "max_tension_n"), 1e308), id="max-tension"),
@@ -758,7 +774,9 @@ class TestExtremeConfigNumbers:
         # each run takes well under 0.1 s; a short deadline also bounds
         # what a hang in a loop that appends can allocate before it fails
         with deadline(3):
-            assert_two_outcomes(argv, out)
+            error = assert_two_outcomes(argv, out)
+        if name == "workspace" and edit in WORKSPACE_ERRORS:
+            assert error == WORKSPACE_ERRORS[edit]
 
     @pytest.mark.parametrize("edit", [
         *(pytest.param(_set(("v", i), value), id=f"v{i}-{value:g}")
@@ -776,3 +794,65 @@ class TestExtremeConfigNumbers:
         assert_two_outcomes(
             ["validate", "--config", str(config), "--samples", "64"],
             tmp_path / "out")
+
+
+def _paths(doc, path=()):
+    """Every item path of a JSON document, the root ``()`` first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+# JSON values a mutation may put anywhere in a config: numbers from the
+# flag fuzz (NaN and infinities included, which json writes as NaN and
+# Infinity), integers beyond the float range, and values of the wrong type
+JSON_VALUES = st.recursive(
+    NUMBERS | st.sampled_from([10**400, -10**400, 0, True, None, "", "1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "x", "v"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated_config(draw):
+    """The shipped config after one or two edits, each of which scales a
+    number (the edit most likely to leave a config that still runs), sets
+    an item to a number or to any JSON value, or deletes an item."""
+    doc = json.loads(default_config_path().read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, last = draw(st.sampled_from(list(_paths(doc))[1:]))
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        action = draw(st.sampled_from(["scale", "scale", "number", "value",
+                                       "delete"]))
+        if action == "delete":
+            del holder[last]
+        elif action == "scale" and isinstance(holder[last], float):
+            holder[last] *= draw(st.sampled_from(
+                [0.5, 0.9, 1.1, 2.0, -1.0, 0.0, 1e-300, 1e300]))
+        else:
+            holder[last] = draw(NUMBERS if action == "number" else JSON_VALUES)
+    return doc
+
+
+class TestFuzzedConfig:
+    """A mutated config file has the outcomes of ``assert_two_outcomes``
+    for every command that reads a config, run by ``analyze``, ``grasp``
+    and ``sweep`` (the lightest ones; the others read the same keys)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutated_config())
+    def test_two_outcomes(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            out = Path(tmp) / "out"
+            base = ["--config", str(config)]
+            assert_two_outcomes(["analyze", *base], out)
+            assert_two_outcomes(["grasp", *base, "--diameter-mm", "80"], out)
+            assert_two_outcomes(
+                ["sweep", *base, "--samples", "20", "--out", str(out)], out)

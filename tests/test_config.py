@@ -1,5 +1,7 @@
-"""Config document parsing: schema enforcement, unit conversion, defaults."""
+"""Config document parsing: schema enforcement, unit conversion, defaults,
+and the checks that every validated record runs on construction."""
 
+import hashlib
 import json
 import math
 
@@ -7,7 +9,13 @@ import pytest
 
 import fingerkit as fk
 from fingerkit.cli import main
-from fingerkit.config import default_config, load_config, parse_config
+from fingerkit.config import (
+    default_config,
+    default_config_path,
+    load_config,
+    parse_config,
+)
+from fingerkit.registry import RegistryEntry
 
 GOOD = {
     "v": [8.0, 68.0, 62.5, 13.5, 6.0, 64.0, 64.5, 5.5],
@@ -78,6 +86,11 @@ class TestParsing:
         b = parse(changed)
         assert a.sha256 != b.sha256
         assert parse(GOOD).sha256 == a.sha256
+
+    def test_hash_is_the_file_hash(self):
+        path = default_config_path()
+        cfg = load_config(path)
+        assert cfg.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestRejection:
@@ -193,3 +206,43 @@ class TestDefaultConfig:
         sweep = fk.sweep_chain(cfg.geometry, np.linspace(lo, hi, 501))
         assert np.all(np.isfinite(sweep.theta2))
         assert np.all(np.isfinite(sweep.theta6))
+
+
+_ENTRY = RegistryEntry("x_mm", 1, "mm", "table1", "x")
+
+
+class TestValidatedRecords:
+    """A bad value fails on every way to build a validated record: the
+    call, ``_make`` and ``_replace``, with the same error type and text."""
+
+    @pytest.mark.parametrize("cls, good, field, bad, error, message", [
+        pytest.param(fk.LinkageGeometry, dict(v=(1.0,) * 8, sigma=0.0, rho=0.0),
+                     "v", (1.0, 0.0) + (1.0,) * 6, ValueError,
+                     "link length v2 must be finite and > 0", id="linkage"),
+        pytest.param(fk.FingerGeometry, dict(phalanx_lengths=(45.0, 25.0, 20.0)),
+                     "phalanx_lengths", (45.0, math.nan, 20.0), ValueError,
+                     "phalanx length 1 must be finite and > 0", id="finger"),
+        pytest.param(fk.TendonModel,
+                     dict(kind="single", moment_arms=(10.0, 8.0, 6.0),
+                          spring_stiffness=100.0, max_tension=38.0),
+                     "max_tension", math.inf, ValueError,
+                     "max_tension must be finite and > 0", id="tendon"),
+        pytest.param(fk.ReferenceRegistry, dict(entries=(_ENTRY,)),
+                     "entries", (_ENTRY, _ENTRY), fk.ConfigError,
+                     "duplicate registry key: x_mm", id="registry"),
+    ])
+    def test_bad_value_raises(self, cls, good, field, bad, error, message):
+        record = cls(**good)
+        bad_fields = dict(record._asdict(), **{field: bad})
+        for build in (lambda: cls(**bad_fields),
+                      lambda: cls._make(bad_fields.values()),
+                      lambda: record._replace(**{field: bad})):
+            with pytest.raises(error) as caught:
+                build()
+            assert str(caught.value) == message
+
+    def test_link_lengths_become_floats(self):
+        geometry = fk.LinkageGeometry(v=(1,) * 8, sigma=0.0, rho=0.0)
+        for built in (geometry, fk.LinkageGeometry._make(geometry),
+                      geometry._replace(v=(2,) * 8)):
+            assert [type(x) for x in built.v] == [float] * 8

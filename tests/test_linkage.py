@@ -1,7 +1,6 @@
 """Loop-closure solver tests: counting formulas, coefficients, both solve
 paths, branch selection, and the core invariants."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -372,10 +371,10 @@ class TestSweepChain:
         grid = np.linspace(lo, hi, samples)
         sweep = fk.sweep_chain(geometry, grid)
         chain = fk.solve_chain(geometry, grid)
-        for field in dataclasses.fields(fk.JointState):
+        for name in fk.JointState._fields:
             np.testing.assert_array_equal(
-                getattr(sweep, field.name), getattr(chain, field.name),
-                err_msg=field.name, strict=True)
+                getattr(sweep, name), getattr(chain, name),
+                err_msg=name, strict=True)
 
     def test_state_at_identities(self, geometry):
         lo, hi = geometry.theta1_range
@@ -436,8 +435,8 @@ class TestChainDerivatives:
         # d residual / d theta_out is zero where the input angle is zero and
         # the output angle points along the loop's fixed vector
         fixed = (geometry.theta4_fixed, geometry.theta8_fixed)[loop - 1]
-        state = dataclasses.replace(
-            fk.solve_chain(geometry, 1.0), **{inputs: 0.0, outputs: fixed})
+        state = fk.solve_chain(geometry, 1.0)._replace(
+            **{inputs: 0.0, outputs: fixed})
         with pytest.raises(fk.DegenerateGeometryError,
                            match=f"loop {loop} residual Jacobian is singular"):
             fk.chain_derivatives(geometry, state)

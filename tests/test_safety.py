@@ -1,7 +1,6 @@
 """Safety checks and the reference registry: verdict arithmetic, rule
 evaluation, fault injection, and serialization round-trips."""
 
-import dataclasses
 import math
 from importlib import resources
 
@@ -137,7 +136,7 @@ class TestRegistry:
         values = [data.draw(st.integers(-300, 300) | st.floats(-1e9, 1e9))
                   for _ in picked]
         registry = ReferenceRegistry(entries=tuple(
-            dataclasses.replace(e, value=v) for e, v in zip(picked, values)))
+            e._replace(value=v) for e, v in zip(picked, values)))
         assert [r.rule_id for r in registry_verify(registry)] == RULE_IDS
 
     def test_empty_registry_fails_entry_rules(self):
@@ -176,7 +175,7 @@ class TestRegistry:
         assert registry.value("undressing_system_success_rate_pct") == 100
 
     def test_frozen(self, registry):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             registry.entries = ()
 
     def test_duplicate_key_rejected(self):

@@ -1,7 +1,8 @@
 """What a fresh interpreter imports: analyze, registry and safety start
-without numpy, grasp and validate without the number-formatting kernels,
-the package exports resolve lazily, and a run of validate alone loads every
-module the benchmark tracer patches.
+without numpy, dataclasses, inspect or hashlib; grasp and validate without
+the number-formatting kernels or hashlib (only the commands that write the
+config hash into a file load it); the package exports resolve lazily, and a
+run of validate alone loads every module the benchmark tracer patches.
 
 Each check runs in its own interpreter, because this test process has long
 since imported the whole package.
@@ -24,15 +25,29 @@ def _python(*args: str) -> subprocess.CompletedProcess:
                           text=True, env=ENV, cwd=ROOT, timeout=120)
 
 
-@pytest.mark.parametrize("command", ["analyze", "registry", "safety"])
-def test_quick_commands_import_no_numpy(command):
+def _imported(command: str) -> list[str]:
+    """The modules that ``fingerkit <command>`` imports, in import order."""
     done = _python("-X", "importtime", "-m", "fingerkit.cli", command)
     assert done.returncode == 0, done.stderr
-    imported = [line.rsplit("|", 1)[1].strip()
-                for line in done.stderr.splitlines()
-                if line.startswith("import time:")]
+    return [line.rsplit("|", 1)[1].strip()
+            for line in done.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+@pytest.mark.parametrize("command", ["analyze", "registry", "safety"])
+def test_quick_commands_import_no_numpy(command):
+    imported = _imported(command)
     assert "fingerkit.registry" in imported
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "registry", "safety"])
+def test_quick_commands_import_no_dataclasses_inspect_or_hashlib(command):
+    # each costs start-up time: dataclasses pulls in inspect, and hashlib
+    # loads OpenSSL
+    imported = _imported(command)
+    assert "fingerkit.registry" in imported
+    assert {"dataclasses", "inspect", "hashlib"}.isdisjoint(imported)
 
 
 @pytest.mark.parametrize("argv", [
@@ -51,6 +66,7 @@ def test_array_commands_that_emit_no_table_skip_the_kernels(argv):
             assert fingerkit.cli.main({argv!r}) == 0
         assert "fingerkit._array_cli" in sys.modules
         assert "fingerkit._numfmt" not in sys.modules
+        assert "hashlib" not in sys.modules
     """))
     assert done.returncode == 0, done.stderr
 
