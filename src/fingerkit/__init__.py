@@ -16,8 +16,8 @@ _EXPORTS = {
                "NoClosureError", "OutOfRangeError", "RuleViolationError"),
     "finger": ("FORCE_DTYPE", "TIP_DTYPE", "CylinderObject", "FlatObject",
                "GraspReport", "WorkspaceResult", "force_profile", "grasp_assess",
-               "static_tip_force", "tendon_excursion", "tip_position",
-               "tip_trace", "tip_velocity", "workspace"),
+               "static_tip_force", "tendon_excursion", "tip_trace",
+               "tip_velocity", "workspace"),
     "geometry": ("FingerGeometry", "LinkageGeometry", "LoopCoefficients",
                  "TendonModel", "compute_mobility", "count_loops",
                  "loop_coefficients"),

@@ -74,15 +74,8 @@ def _json_doc(payload: dict, sha256: str) -> str:
 
 
 def _json_table(header: list[str], table: np.ndarray, sha256: str, extra: dict):
-    """JSON chunks, the same text as ``_json_doc`` with the rows as lists.
-
-    The rows come from :func:`fingerkit._numfmt.format_json_rows`, a numpy
-    kernel that spells each value as ``repr(x)`` (the JSON number of a
-    finite float) in the layout ``json.dumps(indent=2)`` gives a list of
-    lists at depth 1; the few values it cannot certify go through one
-    ``%r`` per block of rows, so the text is byte for byte that of
-    ``json.dumps``.
-    """
+    """JSON chunks, the same text as ``_json_doc`` with the rows as lists,
+    from :func:`fingerkit._numfmt.format_json_rows`."""
     from ._numfmt import format_json_rows
 
     doc = _json_doc({"columns": header, "rows": [], **extra}, sha256)

@@ -1,15 +1,14 @@
 """Bulk number formatting of the emitted tables: numpy word kernels that
 write exactly the text CPython's ``%`` writes.
 
-Each kernel spells a block of values into fixed-width slots of little-endian
-``'<u8'`` words, with zero bytes as padding, and joins the block by one
-boolean compress of its bytes.  A value the kernel cannot certify gets a
-``%`` placeholder in its slot instead, and one ``%`` on the block text fills
-all of them, so every byte is CPython's:
-
-- :func:`format_csv`, ``%.9g`` (CSV tables),
-- :func:`format_json_rows`, ``%r``, that is ``repr`` (JSON tables),
-- :func:`format_points`, ``%.3f`` (SVG polyline points).
+One writer, :func:`_positional`, lays out every number in a slot of
+little-endian ``'<u8'`` words (zero bytes pad), and a block of slots is
+joined by one boolean compress of its bytes.  The formats differ only in
+their digit source: :func:`format_csv` (``%.9g``, CSV tables),
+:func:`format_json_rows` (``%r``, that is ``repr``, JSON tables) and
+:func:`format_points` (``%.3f``, SVG polyline points).  A value whose digits
+its source cannot certify gets a ``%`` placeholder instead, and one ``%`` on
+the block text fills all of them, so every byte is CPython's.
 
 Only the emitting commands import this module, on first use.
 """
@@ -27,13 +26,7 @@ BLOCK_ROWS = 4096
 _JSON_BLOCK_VALUES = 16384
 
 _U8 = np.uint64
-_ONES = _U8(0x0101010101010101)
 _ZEROS = _U8(0x3030303030303030)  # ASCII "0" in every byte
-
-
-def _masks(nbytes: np.ndarray) -> np.ndarray:
-    """Words whose low ``nbytes`` bytes are 0xFF (``nbytes`` in [0, 8])."""
-    return np.array([(1 << 8 * n) - 1 for n in nbytes.tolist()], dtype=_U8)
 
 
 def _ascii(text: str) -> _U8:
@@ -41,123 +34,171 @@ def _ascii(text: str) -> _U8:
     return _U8(int.from_bytes(text.encode("ascii"), "little"))
 
 
-def _digits8(v: np.ndarray) -> np.ndarray:
-    """Two 4-digit numbers in the 32-bit lanes of ``v`` (the more
-    significant one low) as 8 digit bytes, most significant in byte 0.
-
-    SWAR: each lane / 100 into 16-bit lanes, then / 10 into bytes.  The
-    bytes hold digit values 0-9, not ASCII.
-    """
-    q = ((v * _U8(5243)) >> _U8(19)) & _U8(0x0000007F0000007F)
-    v = q | ((v - q * _U8(100)) << _U8(16))
-    q = ((v * _U8(103)) >> _U8(10)) & _U8(0x000F000F000F000F)
-    return q | ((v - q * _U8(10)) << _U8(8))
-
-
 def _int_digits8(n: np.ndarray) -> np.ndarray:
-    """:func:`_digits8` of integers ``n`` in [0, 1e8)."""
-    n = n.astype(_U8)
-    high4 = n // _U8(10_000)
-    return _digits8(high4 | ((n - high4 * _U8(10_000)) << _U8(32)))
+    """The 8 digit values (not ASCII) of integers ``n`` in [0, 1e8) as
+    bytes, the most significant in byte 0.  SWAR: / 10**4 into 32-bit lanes,
+    / 100 into 16-bit lanes, / 10 into bytes, each quotient low; ``v * 2**16
+    - q * (100 * 2**16 - 1)`` is ``q | (v - 100 * q) << 16``, and so on."""
+    n = n.astype(_U8, copy=False)
+    v = (n << _U8(32)) - (n // _U8(10_000)) * _U8((10_000 << 32) - 1)
+    q = ((v * _U8(5243)) >> _U8(19)) & _U8(0x0000007F0000007F)
+    v = (v << _U8(16)) - q * _U8(6553599)
+    q = ((v * _U8(103)) >> _U8(10)) & _U8(0x000F000F000F000F)
+    return (v << _U8(8)) - q * _U8(2559)
 
 
-def _block_text(words: np.ndarray, placeholders: np.ndarray, values: np.ndarray) -> str:
-    """The text of a block's slot words, zero bytes dropped, with each
-    placeholder filled by ``%`` from the unspelled ``values``."""
-    raw = words.view(np.uint8)
-    text = raw[raw != 0].tobytes().decode("ascii")
-    if placeholders.any():
-        text %= tuple(values[placeholders].tolist())
-    return text
+# --- the positional layout --------------------------------------------------
+
+# The string of c * 10**(e - 16) is at most 23 bytes.  Per decade e, in row
+# e + 4: c's bytes that are integer digits, the dot and the zeros of
+# 0.000ddd, and how far the fraction digits move.
+_DECADES = range(-4, 16)
+
+
+def _word_rows(strings) -> list[np.ndarray]:
+    """Byte strings of up to 24 bytes as a table per 8-byte word."""
+    return [np.array([int.from_bytes(s[w:w + 8], "little") for s in strings], dtype=_U8)
+            for w in (0, 8, 16)]
+
+
+_INT_DIGITS = _word_rows([b"\xff" * (e + 1) for e in _DECADES])
+_TEXT = _word_rows([b"\0" + (b"0." + b"0" * (-e - 1) if e < 0 else b"\0" * (e + 1) + b".")
+                    for e in _DECADES])
+_FRAC_SHIFT = np.array([8 * (2 + max(-e, 0)) for e in _DECADES], dtype=_U8)
+
+
+def _kept_bytes(e: int, n: int, min_frac: int) -> int:
+    """The string's length when c's last nonzero digit is its ``n``-th (0
+    for c = 0): the sign and integer bytes and, if that digit is a fraction
+    digit or ``min_frac`` > 0, the dot and at least ``min_frac`` digits."""
+    integer = max(e, 0) + 2
+    end = 0 if n == 0 else n + 1 + (n > e + 1) * (1 + max(-e, 0))
+    return max(end, integer + 1 + min_frac) if end > integer or min_frac else integer
+
+
+# row 127 + (e + 4) * _N + n of a table is for decade e and digit n, the
+# row _positional computes; the rows below are for c = 0
+_N = 25
+_KEEP = {k: _word_rows([b"\xff" * _kept_bytes(0, 0, k)] * 127
+                       + [b"\xff" * _kept_bytes(e, n, k) for e in _DECADES for n in range(_N)])
+         for k in (0, 1, 3)}
+
+
+def _positional(out: np.ndarray, sign: np.ndarray, digits: list[np.ndarray],
+                e: np.ndarray, min_frac: int, tail=None) -> None:
+    """Write ``c * 10**(e - 16)`` into the words ``out[..., w]``: the sign
+    byte (``-`` or a pad), the integer digits (``0`` below 1) and, if any
+    fraction digit is kept, the dot and the fraction, to c's last nonzero
+    digit and at least ``min_frac`` digits (which ``digits`` must hold).
+
+    ``digits`` holds c's digit values, the first in byte 0 of the first
+    word; ``e`` is in [-4, 15], and at most 0 where c is 0; ``sign`` is the
+    sign bit; ``tail`` is ORed into the last word.  Each digit word is cut
+    into integer and fraction bytes, which move up past the sign, and past
+    the sign, the dot and the zeros of 0.000ddd, respectively."""
+    row = e + 4
+    shift = _FRAC_SHIFT.take(row)
+    spill = _U8(64) - shift
+    x = digits[0].astype(np.float64)
+    for w in range(1, len(digits)):
+        x += digits[w].astype(np.float64) * 2.0 ** (64 * w)
+    # the float of the digit string has its top nonzero byte in (exponent
+    # + 1) // 8 - 128, and that of c = 0 gives 0
+    kept = x.view(np.int64)
+    kept += 1 << 52
+    kept >>= 55
+    kept += row * _N
+    carry = sign * _U8(ord("-"))
+    for w in range(out.shape[-1]):
+        word = _TEXT[w].take(row)
+        word |= carry
+        carry = _U8(0)
+        if w < len(digits):
+            fraction = digits[w] | _ZEROS
+            integer = _INT_DIGITS[w].take(row)
+            integer &= fraction
+            fraction ^= integer
+            if w < out.shape[-1] - 1:
+                carry = (integer >> _U8(56)) | (fraction >> spill)
+            integer <<= _U8(8)
+            fraction <<= shift
+            word |= integer
+            word |= fraction
+        keep = _KEEP[min_frac][w].take(kept)
+        if w < out.shape[-1] - 1 or tail is None:
+            np.bitwise_and(word, keep, out=out[..., w])
+        else:
+            word &= keep
+            np.bitwise_or(word, tail, out=out[..., w])
+
+
+def _spell(table: np.ndarray, source, min_frac: int, placeholder: str, frame,
+           block_rows: int):
+    """Yield the text of ``table``, ``block_rows`` rows at a time.
+    ``source(|x|)`` gives a block's digits, decades and certain values, laid
+    out into the ``(rows, columns, width)`` view that ``frame(rows, start)``
+    returns with the block's slots and a tail per column (or None).  Values
+    not certain get ``placeholder``, filled by one ``%`` per block."""
+    with np.errstate(all="ignore"):
+        for start in range(0, len(table), block_rows):
+            block = table[start:start + block_rows]
+            slots, out, tail = frame(len(block), start)
+            digits, e, ok = source(np.abs(block))
+            _positional(out, block.view(_U8) >> _U8(63), digits, e, min_frac, tail)
+            bad = ~ok
+            if bad.any():
+                out[bad] = (_ascii(placeholder),) + (0,) * (out.shape[-1] - 1)
+                if tail is not None:
+                    out[bad, -1] = np.broadcast_to(tail, bad.shape)[bad]
+            raw = slots.view(np.uint8)
+            text = raw[raw != 0].tobytes().decode("ascii")
+            yield text % tuple(block[bad].tolist()) if bad.any() else text
+
+
+def _separated(columns):
+    """Frames of 16-byte slots that end in their column's character."""
+    tail = np.array([ord(c) for c in columns], dtype=_U8) << _U8(56)
+
+    def frame(rows, start):
+        slots = np.empty((rows, len(columns), 2), dtype="<u8")
+        return slots, slots, tail
+    return frame
 
 
 # --- %.9g -----------------------------------------------------------------
 
-# exact powers of ten that scale |x| in [1, 1e9) to a 9-digit mantissa
-_POW10 = np.array([float(10**k) for k in range(9)])
-# per decimal exponent X = 0..8: the first X bytes of a word (integer digits)
-_INT_BYTES = _masks(np.arange(9))
-_INT_FLAGS = _INT_BYTES & _ONES
-# the dot sits at byte X + 2 of a 16-byte slot: after the sign, the leading
-# digit and X more integer digits
-_DOT_LO = np.array([ord(".") << 8 * (x + 2) if x < 6 else 0 for x in range(9)],
-                   dtype=_U8)
-_DOT_HI = np.array([ord(".") << 8 * (x - 6) if x >= 6 else 0 for x in range(9)],
-                   dtype=_U8)
-_CSV_PLACEHOLDER = _ascii("%.9g")
+# exact powers of ten 10**k for k <= 22
+_P10 = np.array([float(10**k) for k in range(23)])
 
 
-def _csv_slots(values: np.ndarray, sep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``%.9g`` text of each value, and where it is exact.
-
-    Returns 16-byte slots as ``(..., 2)`` little-endian words, and the mask
-    of the values they spell.  A slot holds the sign (or a pad byte), the
-    digits with the dot placed by whole-word shifts, pad bytes, and ``sep``
-    in its last byte; pad bytes are zero.  Every other value's slot holds
-    ``%.9g`` as a placeholder.  A value is spelled when ``log10`` puts |x|
-    in [1, 1e9), its mantissa ``m`` has 9 digits (``log10`` gave the right
-    decade, and rounding did not carry into the next one), and the scaled
-    value is not within 1e-6 of a rounding tie, where the one rounding of
-    the product could decide it.
-    """
-    a = np.abs(values)
+def _csv_digits(a: np.ndarray):
+    """``%.9g``'s digits of ``a`` (|x|): those of ``m = rint(a * 10**(8 -
+    e))``.  Certain are ±0.0 and the values that ``log10`` puts in [1e-4,
+    1e9) whose ``m`` has 9 digits (the decade was right, and rounding did not
+    carry into the next) and is not within 1e-6 of a rounding tie, where the
+    one rounding of the product could decide it."""
     e = np.floor(np.log10(a))
-    # fmax/fmin clip a NaN decade (of a NaN) to 0 as well
-    x = np.fmin(np.fmax(e, 0.0), 8.0).astype(np.intp)
-    p = a * _POW10[8 - x]
+    # fmax/fmin clip a NaN decade (of a NaN) to -4 as well
+    x = np.fmin(np.fmax(e, -4.0), 8.0)
+    ei = x.astype(np.intp)
+    p = a * _P10.take(8 - ei)
     m = np.rint(p)
-    spelled = ((e == x) & (m >= 1e8) & (m < 1e9)
-               & (np.abs(p - np.floor(p) - 0.5) > 1e-6))
-    m = np.where(spelled, m, 1e8)
-    # leading digit, then the other 8 as two 4-digit halves in 32-bit lanes
-    lead = np.floor(m / 1e8)
-    low = m - lead * 1e8
-    high4 = np.floor(low / 1e4)
-    v = _digits8((high4 + (low - high4 * 1e4) * 2.0**32).astype(_U8))
-    # keep the integer digits and every digit up to the last nonzero one:
-    # flag those bytes, smear each flag down to byte 0, widen flags to masks
-    f = ((v + _U8(0x7F7F7F7F7F7F7F7F)) >> _U8(7)) & _ONES
-    f |= _INT_FLAGS[x]
-    f |= f >> _U8(8)
-    f |= f >> _U8(16)
-    f |= f >> _U8(32)
-    digits = (v | _ZEROS) & (f * _U8(0xFF))
-    int_digits = digits & _INT_BYTES[x]
-    frac_digits = digits ^ int_digits
-    has_frac = frac_digits != 0
-    lo = (np.where(values < 0, _U8(ord("-")), _U8(0))
-          | ((lead.astype(_U8) + _U8(ord("0"))) << _U8(8))
-          | (int_digits << _U8(16)) | (frac_digits << _U8(24))
-          | np.where(has_frac, _DOT_LO[x], _U8(0)))
-    hi = ((int_digits >> _U8(48)) | (frac_digits >> _U8(40))
-          | np.where(has_frac, _DOT_HI[x], _U8(0)) | sep)
-    slots = np.empty(values.shape + (2,), dtype="<u8")
-    slots[..., 0] = np.where(spelled, lo, _CSV_PLACEHOLDER)
-    slots[..., 1] = np.where(spelled, hi, sep)
-    return slots, spelled
+    ok = ((e == x) & (m >= 1e8) & (m < 1e9) & (np.abs(p - m) < 0.5 - 1e-6)) | (a == 0.0)
+    n = m.astype(_U8)
+    lead = n // _U8(10**8)
+    v = _int_digits8(n - lead * _U8(10**8))
+    return [lead | (v << _U8(8)), v >> _U8(56)], ei, ok
 
 
 def format_csv(table: np.ndarray):
-    """CSV text of a 2-D float table, each value as ``"%.9g" % x``.
-
-    Yields one string per block of ``BLOCK_ROWS`` rows, each row ending in a
-    newline.  Most values are spelled by :func:`_csv_slots`; the rest are
-    filled in by one ``%`` per block.
-    """
-    sep = np.full(table.shape[1], ord(","), dtype=_U8)
-    sep[-1] = ord("\n")
-    sep <<= _U8(56)
-    with np.errstate(all="ignore"):
-        for start in range(0, len(table), BLOCK_ROWS):
-            block = table[start:start + BLOCK_ROWS]
-            slots, spelled = _csv_slots(block, sep)
-            yield _block_text(slots, ~spelled, block)
+    """CSV text of a 2-D float table, each value as ``"%.9g" % x``: one
+    string per block of ``BLOCK_ROWS`` rows, each row ending in a newline."""
+    frame = _separated("," * (table.shape[1] - 1) + "\n")
+    yield from _spell(table, _csv_digits, 0, "%.9g", frame, BLOCK_ROWS)
 
 
 # --- %r -------------------------------------------------------------------
 
-# exact powers of ten 10**k for k <= 22, and their Dekker halves
-_P10 = np.array([float(10**k) for k in range(23)])
 _SPLIT = 134217729.0  # 2**27 + 1
 
 
@@ -172,14 +213,6 @@ _P10_HI, _P10_LO = _halves(_P10)
 _E16 = 10**16
 _P10_INT = np.array([10**k for k in range(17)])
 _EXPONENT = _U8(0x7FF << 52)
-# per byte count n = 0..24: a 24-byte string's first n bytes, as 3 words
-_PREFIX = np.stack([_masks(np.clip(np.arange(25) - 8 * w, 0, 8)) for w in range(3)])
-# per dot position t = 1..17: the dot at byte t of a 24-byte string
-_DOT = np.stack([np.where(np.arange(25) // 8 == w,
-                          _U8(ord(".")) << (_U8(8) * (np.arange(25) % 8).astype(_U8)),
-                          _U8(0)) for w in range(3)])
-_SIGN_FLIP = _U8(ord("0") ^ ord("-"))
-_REPR_PLACEHOLDER = _ascii("%r")
 
 
 def _nearest(d: np.ndarray, fl: np.ndarray, step):
@@ -197,10 +230,10 @@ def _nearest(d: np.ndarray, fl: np.ndarray, step):
 def _shortest(a: np.ndarray):
     """The shortest round-trip digits of ``a`` (|x|, flat), where certain.
 
-    Returns ``(c, e, j, ok)``: ``c * 10**(e - 16)`` is the number ``repr``
+    Returns ``(c, e, ok)``: ``c * 10**(e - 16)`` is the number ``repr``
     spells, ``c`` the nearest multiple of ``10**j`` to ``V = a * 10**(16 - e)``
-    in [1e16, 1e17), and ``ok`` marks the values that this holds for (a zero
-    is ``c = 0``, ``e = 0``, ``j = 16``).  The rule is Steele & White's and
+    in [1e16, 1e17) for the ``j`` below, and ``ok`` marks the values that
+    this holds for (a zero is ``c = 0``, ``e = 0``).  The rule is Steele & White's and
     ``dtoa`` mode 0's: the fewest digits that read back as ``a``, and of
     those the nearest.  A multiple of ``10**j`` reads back when it lies
     within ``H``, half the spacing of ``a`` scaled by ``10**(16 - e)``, of
@@ -239,7 +272,6 @@ def _shortest(a: np.ndarray):
     # casts of values that are not ok are discarded
     c = hi.astype(np.int64) + r.astype(np.int64)
     zero = a == 0.0
-    j = zero * 16
     # H: a float's exponent bits alone are the power of two below it, and
     # its spacing is that power times 2**-52
     h = (a.view(_U8) & _EXPONENT).view(np.float64) * ten_k * 2.0**-53
@@ -259,7 +291,6 @@ def _shortest(a: np.ndarray):
             live = live[sel]
         d, fl, h = d[sel], fl[sel], h[sel]
         c[live] = (q[sel] + up[sel]) * 10**digits
-        j[live] = digits
     # the rest have at most 14 digits: bisect j in [3, 17)
     low = np.full(len(live), 3)
     high = low + 14
@@ -271,61 +302,18 @@ def _shortest(a: np.ndarray):
     step = _P10_INT[low]
     q, up = _nearest(d, fl, step)[:2]
     c[live] = (q + up) * step
-    j[live] = low
-    return c, e, j, ok | zero
+    return c, e, ok | zero
 
 
-def _repr_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the ``repr`` text of each value into ``out``, and return the
-    mask of the values spelled.
-
-    ``out`` has the shape of ``values`` plus a last axis of 3 words: a
-    24-byte string, zero padded, of the sign, the integer digits (``0``
-    below 1), the dot, and the fraction without trailing zeros but with at
-    least one digit.  The values :func:`_shortest` certifies are spelled;
-    every other value's words hold the placeholder ``%r``.
-
-    The 17 digits of ``c`` are a lead digit and two 8-digit SWAR words.
-    The string is those 17 bytes shifted up by ``s`` bytes (the sign's byte,
-    and the zeros of ``0.000ddd``), cleared after its last significant byte,
-    with a dot inserted after the integer part.
-    """
-    values = values.ravel()
-    c, e, j, spelled = _shortest(np.abs(values))
-    neg = np.signbit(values)
+def _json_digits(a: np.ndarray):
+    """``repr``'s digits of ``a`` (|x|): the 17 digits of :func:`_shortest`'s
+    ``c`` as a lead digit and two 8-digit words."""
+    c, e, ok = _shortest(a.ravel())
     lead = c // _E16
-    rest = c - lead * _E16
-    high8 = rest // 10**8
-    da = _int_digits8(high8)
-    db = _int_digits8(rest - high8 * 10**8)
-    g0 = lead.astype(_U8) | (da << _U8(8))
-    g1 = (da >> _U8(56)) | (db << _U8(8))
-    g2 = db >> _U8(56)
-    s = neg + np.maximum(-e, 0)
-    up = (s * 8).astype(_U8)
-    down = _U8(64) - up
-    # the dot goes before byte t; keep bytes up to the last significant
-    # one, and at least one fraction digit
-    t = neg + np.maximum(e, 0) + 1
-    last = np.maximum(t, s + 16 - j) + 1
-    s0 = ((g0 << up) | _ZEROS) & _PREFIX[0][last]
-    s0 ^= neg * _SIGN_FLIP
-    s1 = (((g1 << up) | (g0 >> down)) | _ZEROS) & _PREFIX[1][last]
-    s2 = (((g2 << up) | (g1 >> down)) | _ZEROS) & _PREFIX[2][last]
-    i0 = s0 & _PREFIX[0][t]
-    i1 = s1 & _PREFIX[1][t]
-    i2 = s2 & _PREFIX[2][t]
-    s0 ^= i0
-    s1 ^= i1
-    s2 ^= i2
-    shape = out.shape[:-1]
-    out[..., 0] = (i0 | (s0 << _U8(8)) | _DOT[0][t]).reshape(shape)
-    out[..., 1] = (i1 | (s1 << _U8(8)) | (s0 >> _U8(56)) | _DOT[1][t]).reshape(shape)
-    out[..., 2] = (i2 | (s2 << _U8(8)) | (s1 >> _U8(56)) | _DOT[2][t]).reshape(shape)
-    spelled = spelled.reshape(shape)
-    if not spelled.all():
-        out[~spelled] = (_REPR_PLACEHOLDER, 0, 0)
-    return spelled
+    high8, low8 = np.divmod(c - lead * _E16, 10**8)
+    da, db = _int_digits8(high8), _int_digits8(low8)
+    digits = [lead.astype(_U8) | (da << _U8(8)), (da >> _U8(56)) | (db << _U8(8)), db >> _U8(56)]
+    return [d.reshape(a.shape) for d in digits], e.reshape(a.shape), ok.reshape(a.shape)
 
 
 _ROW_OPEN = _ascii("    [\n")
@@ -342,78 +330,49 @@ def format_json_rows(table: np.ndarray):
     Yields one string per block of ``BLOCK_ROWS`` rows, or fewer so that a
     block holds at most ``_JSON_BLOCK_VALUES`` values; joined, they are the
     text between the list's ``[`` and ``]`` lines, without the newlines
-    next to those.  Each row is ``2 + 4 * columns`` words: the row opening
-    and the first indent, then per value the 3 words of :func:`_repr_words`
-    and the text that follows the value.  Values the kernel cannot certify
-    are filled in by one ``%r`` per block.
-    """
+    next to those.  A row's words: its opening, the first indent, and per
+    value 3 words and the text after it."""
     rows, cols = table.shape
     after = np.full(cols, _NEXT_VALUE)
     after[-1] = _ROW_CLOSE
+
+    def frame(block_rows, start):
+        slots = np.empty((block_rows, 2 + 4 * cols), dtype="<u8")
+        slots[:, 0] = _NEXT_ROW
+        slots[0, 0] = _NEXT_ROW if start else _ROW_OPEN
+        slots[:, 1] = _INDENT
+        words = slots[:, 2:].reshape(block_rows, cols, 4)
+        words[..., 3] = after
+        return slots, words[..., :3], None
+
     block_rows = max(1, min(BLOCK_ROWS, _JSON_BLOCK_VALUES // cols))
-    with np.errstate(all="ignore"):
-        for start in range(0, rows, block_rows):
-            block = table[start:start + block_rows]
-            slots = np.empty((len(block), 2 + 4 * cols), dtype="<u8")
-            slots[:, 0] = _NEXT_ROW
-            slots[0, 0] = _NEXT_ROW if start else _ROW_OPEN
-            slots[:, 1] = _INDENT
-            words = slots[:, 2:].reshape(len(block), cols, 4)
-            words[..., 3] = after
-            spelled = _repr_words(block, words[..., :3])
-            yield _block_text(slots, ~spelled, block)
+    yield from _spell(table, _json_digits, 1, "%r", frame, block_rows)
 
 
 # --- %.3f -----------------------------------------------------------------
 
-_POINT_PLACEHOLDER = _ascii("%.3f")
-_DOT_AT_6 = _U8(ord(".") << 48)
 
-
-def _points_slots(values: np.ndarray, sep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``%.3f`` text of each value, and where it is exact.
-
-    Returns 16-byte slots as ``(..., 2)`` words, laid out as sign, 5
-    integer digits, dot, 3 fraction digits and ``sep`` (bytes 0-10), and
-    the mask of the values they spell.  The 8 digits are those of
-    ``m = rint(|x| * 1000)``; the integer part's leading zeros stay zero
-    bytes (pad), all but the units digit.  A value is spelled when
-    ``m < 1e8`` and ``|x| * 1000`` is not within 1e-6 of a rounding tie,
-    where the one rounding of the product could decide it; every other
-    value's slot holds ``%.3f``.  The sign is the sign bit, so that small
-    negatives read ``-0.000`` as they do for ``%``.
-    """
-    p = np.abs(values) * 1000.0
+def _points_digits(a: np.ndarray):
+    """``%.3f``'s digits of ``a`` (|x|): those of ``m = rint(a * 1000)``,
+    certain where ``m < 1e8`` and not within 1e-6 of a rounding tie.  m's
+    digit bytes move down past their leading zeros, whose count (of m = 0:
+    7) is the exponent of the lowest set bit over 8, and gives the decade."""
+    p = a * 1000.0
     m = np.rint(p)
-    spelled = (m < 1e8) & (np.abs(p - np.floor(p) - 0.5) > 1e-6)
-    v = _int_digits8(np.where(spelled, m, 0.0))
-    # flag the nonzero integer digits (bytes 0-3) and the units digit (byte
-    # 4), smear each flag up to byte 4, widen flags to masks
-    f = (((v + _U8(0x7F7F7F7F7F7F7F7F)) >> _U8(7)) & _U8(0x01010101)) | _U8(1 << 32)
-    f |= f << _U8(8)
-    f |= f << _U8(16)
-    f |= f << _U8(32)
-    digits = v | _ZEROS
-    int_digits = digits & (f * _U8(0xFF)) & _U8(0xFFFFFFFFFF)
-    frac_digits = digits >> _U8(40)
-    lo = (np.where(np.signbit(values), _U8(ord("-")), _U8(0)) | (int_digits << _U8(8))
-          | _DOT_AT_6 | (frac_digits << _U8(56)))
-    hi = (frac_digits >> _U8(8)) | sep
-    slots = np.empty(values.shape + (2,), dtype="<u8")
-    slots[..., 0] = np.where(spelled, lo, _POINT_PLACEHOLDER)
-    slots[..., 1] = np.where(spelled, hi, sep)
-    return slots, spelled
+    p -= m
+    ok = (m < 1e8) & (np.abs(p, out=p) < 0.5 - 1e-6)
+    v = _int_digits8(m)
+    low = v | _U8(1 << 56)
+    low &= -low
+    zeros8 = low.astype(np.float64).view(np.int64) >> 52
+    zeros8 -= 1023
+    zeros8 &= ~7
+    v >>= zeros8.view(_U8)
+    return [v], 4 - (zeros8 >> 3), ok
 
 
 def format_points(px: np.ndarray, py: np.ndarray) -> str:
     """``x,y`` pairs to 3 decimals (``"%.3f"``), space separated."""
     table = np.column_stack((px, py))
-    sep = np.array([ord(","), ord(" ")], dtype=_U8) << _U8(16)
-    chunks = []
-    with np.errstate(all="ignore"):
-        for start in range(0, len(table), BLOCK_ROWS):
-            block = table[start:start + BLOCK_ROWS]
-            slots, spelled = _points_slots(block, sep)
-            chunks.append(_block_text(slots, ~spelled, block))
-    # every pair ends in a space, the last one too
-    return "".join(chunks)[:-1]
+    text = "".join(_spell(table, _points_digits, 3, "%.3f", _separated(", "), BLOCK_ROWS))
+    return text[:-1]  # every pair ends in a space, the last one too

@@ -100,16 +100,6 @@ def _tip_rows(finger: FingerGeometry, state: JointState, psi) -> np.ndarray:
     return rows.ravel()
 
 
-def tip_position(finger: FingerGeometry, state: JointState, psi: float) -> np.void:
-    """Fingertip of a solved configuration, as one TIP_DTYPE record.
-
-    The planar point accumulates the three phalanx vectors at cumulative
-    anatomical angles; the gripper-frame point is that planar point
-    rotated by psi about the orientation axis.
-    """
-    return _tip_rows(finger, state, psi)[0]
-
-
 def tip_trace(finger: FingerGeometry, sweep: JointState, psi: float) -> np.ndarray:
     """Fingertip trace of a solved sweep at fixed psi: TIP_DTYPE rows in
     sweep order.  Solve the sweep with :func:`sweep_chain`, which raises

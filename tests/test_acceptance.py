@@ -216,8 +216,8 @@ def test_criterion_5_derivative_checks():
         worst_exc = max(worst_exc, abs(d_exc - fd_exc) / max(abs(fd_exc), 1e-6))
 
         vx, vy = fk.tip_velocity(geometry, finger, state)
-        tp = fk.tip_position(finger, fk.solve_chain(geometry, theta1 + h), 0.0)
-        tm = fk.tip_position(finger, fk.solve_chain(geometry, theta1 - h), 0.0)
+        tp = fk.tip_trace(finger, fk.solve_chain(geometry, theta1 + h), 0.0)[0]
+        tm = fk.tip_trace(finger, fk.solve_chain(geometry, theta1 - h), 0.0)[0]
         fd_vx = (tp["tip_x"] - tm["tip_x"]) / (2.0 * h)
         fd_vy = (tp["tip_y"] - tm["tip_y"]) / (2.0 * h)
         speed = math.hypot(vx, vy)

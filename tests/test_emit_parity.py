@@ -8,6 +8,7 @@ continuity sweep to a sequential loop, and the bulk writers and their
 number kernels (``%.9g``, ``%r`` and ``%.3f``) to per-value formatting.
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -202,6 +203,11 @@ def csv_edge_values() -> np.ndarray:
         values += _neighbours(10.0**k, 3)
     for x in (1e7, 1e9, 0.9999999995, 99999999.95, 999999999.5):
         values += _neighbours(x, 3)
+    # just below 1e-4, where %.9g writes 0.0001 from its 9-digit tie
+    # 9.999999995e-05 up, and an exponent below it (9.99999996e-05, which a
+    # scale to 8 digits would round up too)
+    for x in (9.9999999995e-05, 9.99999999949e-05, 9.999999995e-05, 9.99999996e-05):
+        values += _neighbours(x, 3)
     # 9-digit rounding ties, most of them inexact in binary, so that the
     # scaled value rounds onto or across the tie
     rng = np.random.default_rng(13)
@@ -229,8 +235,22 @@ def test_csv_kernel_edge_values(block_rows):
 @settings(max_examples=FORMAT_EXAMPLES, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)),
                   elements=st.floats(allow_nan=False, allow_infinity=False)
-                  | st.floats(-2e9, 2e9)))
+                  | st.floats(-2e9, 2e9) | st.floats(-1.0, 1.0)))
 def test_csv_kernel_matches_percent_format(table):
+    assert "".join(_numfmt.format_csv(table)) == percent_csv(table)
+
+
+@pytest.mark.parametrize("tension_n", [5.0, 20.0])
+def test_csv_kernel_spells_single_tendon_force(cfg, tension_n):
+    """Fewer than 2% of the values of the single-tendon force table (at
+    the benchmark's 6200 samples) go to ``%``, though its force column is
+    below 1 N over much of the range."""
+    args = argparse.Namespace(samples=6200, tendon="single", tension_n=tension_n)
+    ((_, _, table, _),), _, _ = _array_cli._cmd_force(cfg, args)
+    assert (np.abs(table) < 1.0).mean() > 0.1
+    with np.errstate(all="ignore"):
+        ok = _numfmt._csv_digits(np.abs(table))[2]
+    assert 1.0 - ok.mean() < 0.02
     assert "".join(_numfmt.format_csv(table)) == percent_csv(table)
 
 
@@ -344,6 +364,10 @@ def test_svg_points_match_per_value_format(block_rows):
     # zero, and the bounds of the kernel's range |x| * 1000 < 1e8
     edge = [0.0005, 0.0004, 0.0015, 1.0625, 2.0005, 123.4565, 99999.9995,
             99999.999, 100000.0, 1e6]
+    # values that round into the next digit count: the ties 10**k - 0.0005
+    # (0.0005 to 9999.9995) and 0.0009995, 0.009995 and 0.09995
+    edge += [10.0**k - 5e-4 for k in range(-3, 5)]
+    edge += [10.0**k * (1.0 - 5e-4) for k in range(-3, 0)]
     edge += (np.arange(1, 2000, 10) / 2000.0 + 512.0).tolist()
     edge = np.array([v for x0 in edge for v in _neighbours(x0, 2)])
     edge = np.concatenate([edge, -edge])

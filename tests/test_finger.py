@@ -33,13 +33,13 @@ def complex_fk(finger, mcp, pip, dip):
 class TestTipPosition:
     def test_straight_finger(self):
         f = fk.FingerGeometry(phalanx_lengths=(45.0, 25.0, 20.0))
-        s = fk.tip_position(f, make_state(), psi=0.0)
+        s = fk.tip_trace(f, make_state(), psi=0.0)[0]
         assert (s["tip_x"], s["tip_y"]) == (90.0, 0.0)
         assert (s["grip_x"], s["grip_y"]) == (90.0, 0.0)
 
     def test_quarter_turn_at_base(self):
         f = fk.FingerGeometry(phalanx_lengths=(45.0, 25.0, 20.0))
-        s = fk.tip_position(f, make_state(mcp=math.pi / 2.0), psi=0.0)
+        s = fk.tip_trace(f, make_state(mcp=math.pi / 2.0), psi=0.0)[0]
         assert s["tip_x"] == pytest.approx(0.0, abs=1e-12)
         assert s["tip_y"] == pytest.approx(90.0, abs=1e-12)
 
@@ -47,7 +47,7 @@ class TestTipPosition:
         lo, hi = geometry.theta1_range
         for theta1 in rng.uniform(lo, hi, 25):
             state = fk.solve_chain(geometry, float(theta1))
-            s = fk.tip_position(finger, state, psi=0.0)
+            s = fk.tip_trace(finger, state, psi=0.0)[0]
             ox, oy = complex_fk(
                 finger, state.theta_mcp, state.theta_pip, state.theta_dip)
             assert s["tip_x"] == pytest.approx(ox, abs=1e-9)
@@ -56,7 +56,7 @@ class TestTipPosition:
     def test_rotation_consistency(self, finger, geometry, rng):
         state = fk.solve_chain(geometry, 0.5 * sum(geometry.theta1_range))
         for psi in rng.uniform(-math.pi, math.pi, 50):
-            s = fk.tip_position(finger, state, float(psi))
+            s = fk.tip_trace(finger, state, float(psi))[0]
             c, sn = math.cos(psi), math.sin(psi)
             x, y = s["tip_x"], s["tip_y"]
             assert s["grip_x"] == pytest.approx(c * x - sn * y, abs=1e-12)
@@ -66,7 +66,7 @@ class TestTipPosition:
         for _ in range(20):
             lengths = tuple(rng.uniform(5.0, 60.0, 3))
             f = fk.FingerGeometry(phalanx_lengths=lengths)
-            s = fk.tip_position(f, make_state(), psi=0.0)
+            s = fk.tip_trace(f, make_state(), psi=0.0)[0]
             assert s["tip_x"] == pytest.approx(sum(lengths), rel=1e-12)
             assert s["tip_y"] == 0.0
 
@@ -78,7 +78,7 @@ class TestTipTrace:
             finger, fk.sweep_chain(geometry, np.array([lo, hi])), psi=0.1)
         for sample, theta1 in ((trace[0], lo), (trace[-1], hi)):
             state = fk.solve_chain(geometry, theta1)
-            single = fk.tip_position(finger, state, 0.1)
+            single = fk.tip_trace(finger, state, 0.1)[0]
             assert sample["tip_x"] == pytest.approx(single["tip_x"], abs=1e-12)
             assert sample["tip_y"] == pytest.approx(single["tip_y"], abs=1e-12)
 
@@ -123,7 +123,7 @@ class TestTipTrace:
         oracle_chain = linkage._chain(geometry, grid, linkage._oracle)
         oracle_pts = []
         for i in range(grid.size):
-            s = fk.tip_position(finger, oracle_chain.state_at(i), 0.0)
+            s = fk.tip_trace(finger, oracle_chain.state_at(i), 0.0)[0]
             oracle_pts.append((s["tip_x"], s["tip_y"]))
         oracle = arc_length(oracle_pts)
         assert closed == pytest.approx(oracle, rel=1e-3)
@@ -139,7 +139,7 @@ class TestWorkspace:
         for sample, (t, p) in zip(result.points, expected_pairs):
             assert (sample["theta1"], sample["psi"]) == (t, p)
             state = fk.solve_chain(geometry, t)
-            single = fk.tip_position(finger, state, p)
+            single = fk.tip_trace(finger, state, p)[0]
             assert sample["grip_x"] == pytest.approx(single["grip_x"], abs=1e-9)
             assert sample["grip_y"] == pytest.approx(single["grip_y"], abs=1e-9)
 
@@ -170,7 +170,7 @@ class TestWorkspace:
         for psi in np.linspace(p_lo, p_hi, 9):
             for theta1 in np.linspace(lo, hi, 15):
                 state = fk.solve_chain(geometry, float(theta1))
-                s = fk.tip_position(finger, state, float(psi))
+                s = fk.tip_trace(finger, state, float(psi))[0]
                 d = float(_segment_distance(
                     np.array([s["grip_x"]]), np.array([s["grip_y"]]), thumb_line)[0])
                 best = max(best, d)
@@ -279,10 +279,10 @@ class TestTipVelocity:
             theta1 = lo + frac * (hi - lo)
             state = fk.solve_chain(geometry, theta1)
             vx, vy = fk.tip_velocity(geometry, finger, state)
-            sp = fk.tip_position(
-                finger, fk.solve_chain(geometry, theta1 + h), 0.0)
-            sm = fk.tip_position(
-                finger, fk.solve_chain(geometry, theta1 - h), 0.0)
+            sp = fk.tip_trace(
+                finger, fk.solve_chain(geometry, theta1 + h), 0.0)[0]
+            sm = fk.tip_trace(
+                finger, fk.solve_chain(geometry, theta1 - h), 0.0)[0]
             assert vx == pytest.approx((sp["tip_x"] - sm["tip_x"]) / (2 * h), rel=1e-6)
             assert vy == pytest.approx((sp["tip_y"] - sm["tip_y"]) / (2 * h), rel=1e-6)
 
