@@ -21,8 +21,7 @@ _EXPORTS = {
     "geometry": ("FingerGeometry", "LinkageGeometry", "LoopCoefficients",
                  "TendonModel", "compute_mobility", "count_loops",
                  "loop_coefficients"),
-    "linkage": ("JointState", "chain_derivatives", "solve_chain", "solve_loop",
-                "sweep_chain"),
+    "linkage": ("JointState", "chain_derivatives", "solve_chain", "sweep_chain"),
     "registry": ("ReferenceRegistry", "default_registry", "registry_verify"),
     "safety": ("ClearanceResult", "SafetyVerdict", "StrokeResult",
                "clearance_check", "iso_contact_check", "stroke_check"),

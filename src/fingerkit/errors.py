@@ -11,8 +11,9 @@ class FingerkitError(Exception):
 
 
 class DegenerateGeometryError(FingerkitError):
-    """A geometric quantity that must be nonzero vanished (zero link length,
-    indeterminate loop equation, singular transmission Jacobian)."""
+    """A transmission Jacobian is singular at the solved configuration: a
+    loop's residual Jacobian, or the fingertip Jacobian (vanishing or not
+    finite).  A zero link length is a ``ValueError`` at construction."""
 
 
 class NoClosureError(FingerkitError):

@@ -92,12 +92,6 @@ class LinkageGeometry(NamedTuple):
                 )
         return geometry
 
-    def scaled(self, factor: float) -> "LinkageGeometry":
-        """Uniformly scale all link lengths; angles are untouched."""
-        if factor <= 0.0:
-            raise ValueError("scale factor must be > 0")
-        return self._replace(v=tuple(factor * x for x in self.v))
-
     def loop_lengths(self, loop: int) -> tuple[float, float, float, float]:
         if loop == 1:
             return self.v[0:4]
@@ -151,14 +145,6 @@ class FingerGeometry(NamedTuple):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError("orientation_range must be a non-empty interval")
         return self
-
-    def scaled(self, factor: float) -> "FingerGeometry":
-        if factor <= 0.0:
-            raise ValueError("scale factor must be > 0")
-        return self._replace(
-            phalanx_lengths=tuple(factor * x for x in self.phalanx_lengths),
-            base_offset=tuple(factor * x for x in self.base_offset),
-        )
 
 
 @validated

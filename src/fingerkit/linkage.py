@@ -6,8 +6,9 @@ reduces, after a tangent half-angle substitution, to a quadratic in
 tan(theta_out / 2).  Over the geometry of :mod:`fingerkit.geometry`, this
 module provides:
 
-* a closed-form loop solver with explicit branch control,
-* a chain solver producing anatomical joint angles (MCP / PIP / DIP),
+* a closed-form chain solver, positive root, producing the anatomical
+  joint angles (MCP / PIP / DIP),
+* a sweep that keeps each loop on its branch from sample to sample,
 * an independent bracketing-and-bisection oracle used for validation,
 * implicit derivatives of the dependent angles for force transmission.
 
@@ -16,7 +17,6 @@ Angles are radians everywhere in this module; lengths are millimetres.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -25,12 +25,6 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateGeometryError, NoClosureError, OutOfRangeError
 from .geometry import LinkageGeometry, LoopCoefficients, loop_coefficients
-
-POSITIVE_ROOT = "positive-root"
-NEGATIVE_ROOT = "negative-root"
-CONTINUITY = "continuity"
-# each branch as :func:`_kernels.loop_solve_batch` takes it
-_BRANCHES = {POSITIVE_ROOT: 1, NEGATIVE_ROOT: -1, CONTINUITY: 0}
 
 
 class JointState(NamedTuple):
@@ -53,90 +47,19 @@ class JointState(NamedTuple):
 
 
 def _closed_form(
-    coeffs: LoopCoefficients,
-    theta_in: np.ndarray,
-    fixed_angle: float,
-    reference: float | None = None,
-    branch: str = POSITIVE_ROOT,
+    coeffs: LoopCoefficients, theta_in: np.ndarray, fixed_angle: float
 ) -> np.ndarray:
-    """One loop's output angles over an input array, in closed form, NaN
-    where it cannot close; the continuity branch keeps the root nearer
-    ``reference``, the positive one on a tie."""
+    """One loop's positive root over an input array, in closed form, NaN
+    where it cannot close."""
     return _kernels.loop_solve_batch(
-        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle,
-        _BRANCHES[branch], reference,
-    )
-
-
-def _check_branch(branch: str, reference) -> None:
-    if branch not in _BRANCHES:
-        raise ValueError(f"unknown branch: {branch!r}")
-    if branch == CONTINUITY and reference is None:
-        raise ValueError("the continuity branch requires a reference")
-
-
-def solve_loop(
-    coeffs: LoopCoefficients,
-    theta_in: float,
-    branch: str = POSITIVE_ROOT,
-    *,
-    fixed_angle: float = math.pi / 2.0,
-    reference: float | None = None,
-) -> float:
-    """Closed-form output angle of one loop at the given input angle.
-
-    When the quadratic degenerates (alpha == 0) the exact linear limit
-    2*atan(-gamma/beta) is used.  A negative discriminant means the loop
-    cannot assemble at this input.
-
-    Args:
-        coeffs: dimensionless loop coefficients.
-        theta_in: input angle, rad.
-        branch: ``positive-root``, ``negative-root`` or ``continuity``,
-            which picks the root nearer ``reference``.
-        fixed_angle: direction of the loop's fixed vector, rad.
-        reference: previously solved output angle, rad; required by
-            (and only read by) the continuity branch.
-
-    Returns:
-        Output angle in (-pi, pi], rad.
-    """
-    if not math.isfinite(theta_in):
-        raise ValueError("theta_in must be finite")
-    _check_branch(branch, reference)
-    theta = float(_closed_form(
-        coeffs, np.array([theta_in], dtype=np.float64), fixed_angle,
-        reference, branch,
-    )[0])
-    if not math.isnan(theta):
-        return theta
-    alpha, beta, gamma = map(float, _kernels.quadratic(
-        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle
-    ))
-    if alpha == 0.0 and beta == 0.0:
-        if gamma == 0.0:
-            raise DegenerateGeometryError(
-                "loop equation vanished identically; output angle indeterminate"
-            )
-        raise DegenerateGeometryError(
-            "loop equation degenerated to an unsatisfiable constant"
-        )
-    disc = beta * beta - 4.0 * alpha * gamma
-    raise NoClosureError(
-        f"no closure at theta_in={theta_in:.9g} rad "
-        f"(discriminant {disc:.3e} < 0)",
-        theta_in=theta_in,
-    )
+        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle, 1)
 
 
 def _oracle(
-    coeffs: LoopCoefficients,
-    theta_in: np.ndarray,
-    fixed_angle: float,
-    reference: float | None = None,
+    coeffs: LoopCoefficients, theta_in: np.ndarray, fixed_angle: float
 ) -> np.ndarray:
     """One loop's positive root over an input array, by bisection, NaN
-    where it cannot close; ``reference`` is unused."""
+    where it cannot close."""
     return _kernels.loop_bisect_batch(
         coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle,
         1, 0.0, 4096,
@@ -163,15 +86,10 @@ def _vector_closure_angles(
     return np.arctan2(y, x)
 
 
-def _chain(
-    geometry: LinkageGeometry,
-    theta1: np.ndarray,
-    solve,
-    references: tuple[float | None, float | None] = (None, None),
-) -> JointState:
+def _chain(geometry: LinkageGeometry, theta1: np.ndarray, solve) -> JointState:
     """The one two-loop chain solver every entry point is a view of.
 
-    ``solve(coeffs, theta_in, fixed_angle, reference)`` gives one loop's
+    ``solve(coeffs, theta_in, fixed_angle)`` gives one loop's
     output angles over an input array, NaN where it cannot close.  Loop 1
     maps theta1 to theta2, which (offset by sigma) drives loop 2.  Samples
     outside the admissible range reach the loops as NaN, which no loop
@@ -185,10 +103,10 @@ def _chain(
     c1 = loop_coefficients(geometry, 1)
     c2 = loop_coefficients(geometry, 2)
     theta2 = solve(c1, np.where(in_range, theta1, np.nan),
-                   geometry.theta4_fixed, references[0])
+                   geometry.theta4_fixed)
     theta5 = theta2 + geometry.sigma
     # a NaN theta2 reaches loop 2 as a NaN input, so theta6 is NaN too
-    theta6 = solve(c2, theta5, geometry.theta8_fixed, references[1])
+    theta6 = solve(c2, theta5, geometry.theta8_fixed)
     failed = np.flatnonzero(np.isnan(theta6))
     if failed.size:
         i = int(failed[0])
@@ -225,32 +143,23 @@ def _chain(
 
 
 def solve_chain(
-    geometry: LinkageGeometry,
-    theta1: float | np.ndarray,
-    branch: str = POSITIVE_ROOT,
-    previous: JointState | None = None,
+    geometry: LinkageGeometry, theta1: float | np.ndarray
 ) -> JointState:
-    """Solve both loops in series for a full joint state.
+    """Solve both loops in series, each on its positive root, for a full
+    joint state.
 
     Loop 1 maps the input angle to its dependent angle, which (offset by
     sigma) drives loop 2.  The two eliminated vector directions are
     recovered afterwards, and the anatomical MCP / PIP / DIP angles are
-    filled in by their defining identities.  ``branch`` picks the same root
-    of both loops as :func:`solve_loop`; the continuity branch keeps each
-    loop nearest its angle in ``previous``, a solved state.
+    filled in by their defining identities.
 
     ``theta1`` is a float, giving floats, or a 1-D array in any order,
-    giving arrays whose every sample equals the float solve there
-    (``previous`` broadcasts); the first sample that is out of range or
-    cannot close raises the float solve's error for it.
+    giving arrays whose every sample equals the float solve there; the
+    first sample that is out of range or cannot close raises the float
+    solve's error for it.
     """
-    _check_branch(branch, previous)
-    references = ((previous.theta2, previous.theta6) if branch == CONTINUITY
-                  else (None, None))
-    state = _chain(
-        geometry, np.atleast_1d(np.asarray(theta1, dtype=np.float64)),
-        functools.partial(_closed_form, branch=branch), references,
-    )
+    state = _chain(geometry, np.atleast_1d(np.asarray(theta1, dtype=np.float64)),
+                   _closed_form)
     return state if np.ndim(theta1) else state.state_at(0)
 
 
@@ -296,7 +205,7 @@ def chain_derivatives(geometry: LinkageGeometry, state):
     return d21, d65 * d21
 
 
-def _continuity_sweep(coeffs, theta_in, fixed_angle, reference):
+def _continuity_sweep(coeffs, theta_in, fixed_angle):
     """Nearest-branch sweep of one loop, seeded by the positive root at the
     first sample (which fails here exactly when the seed does)."""
     seed = _closed_form(coeffs, theta_in[:1], fixed_angle)
@@ -319,7 +228,8 @@ def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> JointSt
     if theta1_values.ndim != 1 or theta1_values.size < 2:
         raise ValueError("sweep requires at least two input samples")
     diffs = np.diff(theta1_values)
-    if not (np.all(diffs >= 0.0) or np.all(diffs <= 0.0)):
+    # a NaN compares false both ways, so it reaches the chain's range check
+    if np.any(diffs < 0.0) and np.any(diffs > 0.0):
         raise ValueError("sweep input angles must not change direction")
     return _chain(geometry, theta1_values, _continuity_sweep)
 

@@ -49,8 +49,7 @@ def _random_chain_config(rng, jac_min=0.1, max_transmission=None):
         theta1 = _feasible_input(k1, k2, k3, rng)
         if theta1 is None:
             continue
-        c1 = fk.LoopCoefficients(k1, k2, k3)
-        theta2 = fk.solve_loop(c1, theta1)
+        theta2 = float(_kernels.loop_solve_batch(k1, k2, k3, theta1, F_VERT, 1))
         shared1 = -k1 * math.sin(theta1 + theta2 - F_VERT)
         jac1 = shared1 - k2 * math.sin(theta2 - F_VERT)
         if abs(jac1) < jac_min:
@@ -63,8 +62,7 @@ def _random_chain_config(rng, jac_min=0.1, max_transmission=None):
         theta5 = _feasible_input(k4, k5, k6, rng)
         if theta5 is None:
             continue
-        c2 = fk.LoopCoefficients(k4, k5, k6)
-        theta6 = fk.solve_loop(c2, theta5)
+        theta6 = float(_kernels.loop_solve_batch(k4, k5, k6, theta5, F_VERT, 1))
         shared2 = -k4 * math.sin(theta5 + theta6 - F_VERT)
         jac2 = shared2 - k5 * math.sin(theta6 - F_VERT)
         if abs(jac2) < jac_min:
@@ -170,12 +168,16 @@ def test_criterion_4_scaling_invariance():
         base_state = fk.solve_chain(geometry, theta1)
         base_ws = fk.workspace(geometry, finger, 3, 3, thumb)
         for s in (0.1, 3.0, 10.0):
-            scaled_state = fk.solve_chain(geometry.scaled(s), theta1)
+            geometry_s = geometry._replace(v=tuple(s * x for x in geometry.v))
+            finger_s = finger._replace(
+                phalanx_lengths=tuple(s * x for x in finger.phalanx_lengths),
+                base_offset=tuple(s * x for x in finger.base_offset))
+            scaled_state = fk.solve_chain(geometry_s, theta1)
             for name in ("theta2", "theta3", "theta5", "theta6", "theta7"):
                 worst_angle = max(worst_angle, abs(
                     getattr(base_state, name) - getattr(scaled_state, name)))
             thumb_s = tuple((s * x, s * y) for x, y in thumb)
-            ws = fk.workspace(geometry.scaled(s), finger.scaled(s), 3, 3, thumb_s)
+            ws = fk.workspace(geometry_s, finger_s, 3, 3, thumb_s)
             for p_base, p_scaled in zip(base_ws.points, ws.points):
                 for a, b in ((p_base["grip_x"], p_scaled["grip_x"]),
                              (p_base["grip_y"], p_scaled["grip_y"])):

@@ -154,7 +154,11 @@ class TestWorkspace:
         scaled_thumb = tuple(
             (2.0 * x, 2.0 * y) for x, y in thumb_line)
         scaled = fk.workspace(
-            geometry.scaled(2.0), finger.scaled(2.0), 6, 4, scaled_thumb)
+            geometry._replace(v=tuple(2.0 * x for x in geometry.v)),
+            finger._replace(
+                phalanx_lengths=tuple(2.0 * x for x in finger.phalanx_lengths),
+                base_offset=tuple(2.0 * x for x in finger.base_offset)),
+            6, 4, scaled_thumb)
         for s_base, s_scaled in zip(base.points, scaled.points):
             assert s_scaled["grip_x"] == pytest.approx(2.0 * s_base["grip_x"], rel=1e-9)
             assert s_scaled["grip_y"] == pytest.approx(2.0 * s_base["grip_y"], rel=1e-9)

@@ -1,5 +1,6 @@
-"""The batch kernels against the scalar solver, and the bisection oracle's
-coarse-to-fine scan against a dense scan of every grid point."""
+"""The closed-form kernel against an independent bisection, the NaN contract
+of every loop kernel, and the bisection oracle's coarse-to-fine scan against
+a dense scan of every grid point."""
 
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import fingerkit as fk
 from fingerkit import _kernels, linkage
 from fingerkit._kernels import _merge_roots_py, _select_root_py
-from fingerkit.linkage import CONTINUITY, NEGATIVE_ROOT, POSITIVE_ROOT
+from test_linkage import closure_residual, reference_bisect
 
 
 def _kappa_cases(rng, n):
@@ -20,19 +21,25 @@ def _kappa_cases(rng, n):
 
 
 def test_batch_solve_matches_scalar(rng):
-    phi = rng.uniform(-math.pi, math.pi, 64)
+    # both branches against the scalar reference, a plain scan-and-bisect of
+    # the closure residual: a closing input gives one of its roots, a
+    # non-closing one has none
+    phi = rng.uniform(-math.pi, math.pi, 16)
+    solved = 0
     for k1, k2, k3 in _kappa_cases(rng, 10):
         c = fk.LoopCoefficients(k1, k2, k3)
-        theta = _kernels.loop_solve_batch(k1, k2, k3, phi, math.pi / 2, 1)
-        ok = ~np.isnan(theta)
-        for i, t in enumerate(phi):
-            try:
-                expected = fk.solve_loop(c, float(t))
-            except (fk.NoClosureError, fk.DegenerateGeometryError):
-                assert not ok[i]
-                continue
-            assert ok[i]
-            assert theta[i] == pytest.approx(expected, abs=1e-13)
+        pos, neg = (_kernels.loop_solve_batch(k1, k2, k3, phi, math.pi / 2, b)
+                    for b in (1, -1))
+        for t, thetas in zip(phi.tolist(), zip(pos.tolist(), neg.tolist())):
+            roots = reference_bisect(c, t, n=4000)
+            for theta in thetas:
+                if math.isnan(theta):
+                    assert not roots
+                    continue
+                solved += 1
+                assert abs(closure_residual(c, t, theta)) <= 1e-10
+                assert min(abs(theta - r) for r in roots) <= 1e-9
+    assert solved >= 100
 
 
 def test_batch_bisect_matches_closed_form(geometry):
@@ -55,8 +62,8 @@ def test_continuity_seed_selects_branch(geometry):
     c = fk.loop_coefficients(geometry, 1)
     lo, hi = geometry.theta1_range
     grid = np.linspace(lo, hi, 50)
-    pos_seed = fk.solve_loop(c, float(grid[0]))
-    neg_seed = fk.solve_loop(c, float(grid[0]), NEGATIVE_ROOT)
+    pos_seed, neg_seed = (float(_kernels.loop_solve_batch(
+        *c, grid[0], geometry.theta4_fixed, branch)) for branch in (1, -1))
     from_pos = _kernels.loop_sweep_continuity(
         c.kappa1, c.kappa2, c.kappa3, grid, geometry.theta4_fixed, pos_seed)
     from_neg = _kernels.loop_sweep_continuity(
@@ -80,22 +87,15 @@ CONTRACT_CASES = {
 }
 
 
-def _closed_form_solver(branch):
-    def solve(k1, k2, k3, phi, fixed):
-        return linkage._closed_form(fk.LoopCoefficients(k1, k2, k3), phi,
-                                    fixed, 0.0, branch)
-    return solve
-
-
 CONTRACT_KERNELS = {
     "solve-positive": lambda *a: _kernels.loop_solve_batch(*a, 1),
     "solve-negative": lambda *a: _kernels.loop_solve_batch(*a, -1),
+    "solve-nearest": lambda *a: _kernels.loop_solve_batch(*a, 0, 0.0),
     "continuity": lambda *a: _kernels.loop_sweep_continuity(*a, 0.0),
     "oracle-positive": lambda *a: _kernels.loop_bisect_batch(*a, 1, 0.0, 4096),
     "oracle-negative": lambda *a: _kernels.loop_bisect_batch(*a, -1, 0.0, 4096),
-    "closed-form-positive": _closed_form_solver(POSITIVE_ROOT),
-    "closed-form-negative": _closed_form_solver(NEGATIVE_ROOT),
-    "closed-form-continuity": _closed_form_solver(CONTINUITY),
+    "closed-form-positive": lambda k1, k2, k3, phi, fixed: linkage._closed_form(
+        fk.LoopCoefficients(k1, k2, k3), phi, fixed),
 }
 
 

@@ -1,5 +1,6 @@
-"""Loop-closure solver tests: counting formulas, coefficients, both solve
-paths, branch selection, and the core invariants."""
+"""Loop-closure solver tests: counting formulas, coefficients, the
+closed-form kernel's branches against an independent bisection, the chain
+solve and sweep, and the core invariants."""
 
 import math
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 import fingerkit as fk
 from fingerkit import _kernels, linkage
-from fingerkit.linkage import CONTINUITY, NEGATIVE_ROOT, POSITIVE_ROOT
 
 
 def closure_residual(coeffs, theta_in, theta_out, fixed_angle=math.pi / 2.0):
@@ -124,7 +124,7 @@ class TestLoopCoefficients:
     )
     def test_scaling_homogeneity(self, lengths, scale):
         g = fk.LinkageGeometry(v=lengths * 2, sigma=0.0, rho=0.0)
-        gs = g.scaled(scale)
+        gs = g._replace(v=tuple(scale * x for x in g.v))
         c, cs = fk.loop_coefficients(g, 1), fk.loop_coefficients(gs, 1)
         assert cs.kappa1 == pytest.approx(c.kappa1, rel=1e-12)
         assert cs.kappa2 == pytest.approx(c.kappa2, rel=1e-12)
@@ -133,7 +133,7 @@ class TestLoopCoefficients:
     def test_exact_invariance_under_power_of_two_scaling(self):
         g = fk.LinkageGeometry(v=(25, 40, 45, 10, 30, 48, 54, 12),
                                sigma=0.1, rho=0.2)
-        gs = g.scaled(4.0)
+        gs = g._replace(v=tuple(4.0 * x for x in g.v))
         assert fk.loop_coefficients(gs, 1) == fk.loop_coefficients(g, 1)
         assert fk.loop_coefficients(gs, 2) == fk.loop_coefficients(g, 2)
 
@@ -162,88 +162,76 @@ class TestQuadraticReduction:
                 math.cos(t) + k1 * math.sin(t) + k3, abs=1e-12)
 
     def test_roots_solve_residual(self, rng):
+        solved = 0
         for _ in range(300):
             k1, k2, k3 = rng.uniform(0.05, 2.0, 3)
             t = rng.uniform(-math.pi, math.pi)
             c = fk.LoopCoefficients(k1, k2, k3)
-            try:
-                out = fk.solve_loop(c, t)
-            except fk.NoClosureError:
-                continue
-            assert abs(closure_residual(c, t, out)) <= 1e-10
+            for branch in (1, -1):
+                out = float(_kernels.loop_solve_batch(*c, t, math.pi / 2.0, branch))
+                if math.isnan(out):
+                    continue
+                solved += 1
+                assert abs(closure_residual(c, t, out)) <= 1e-10
+        assert solved >= 200
 
 
 class TestSolveLoop:
+    """One loop solved in closed form by ``_kernels.loop_solve_batch``, on
+    the positive (+1) or negative (-1) root, or the one nearer a
+    reference (0)."""
+
+    @staticmethod
+    def solve(coeffs, theta_in, branch=1, reference=None):
+        return float(_kernels.loop_solve_batch(
+            *coeffs, theta_in, math.pi / 2.0, branch, reference))
+
     def test_linear_fallback(self):
         c = fk.LoopCoefficients(1.0, 1.0, 1.0)
-        out = fk.solve_loop(c, math.pi / 2.0)
-        assert out == pytest.approx(-math.pi / 2.0, abs=1e-14)
-        assert abs(closure_residual(c, math.pi / 2.0, out)) <= 1e-10
+        for branch in (1, -1, 0):
+            out = self.solve(c, math.pi / 2.0, branch, 0.0)
+            assert out == pytest.approx(-math.pi / 2.0, abs=1e-14)
+            assert abs(closure_residual(c, math.pi / 2.0, out)) <= 1e-10
 
     def test_no_closure(self):
         c = fk.LoopCoefficients(0.0, 0.0, 2.0)
-        with pytest.raises(fk.NoClosureError):
-            fk.solve_loop(c, 0.0)
-
-    def test_degenerate_unsatisfiable(self):
-        # fixed angle 0, input 0: beta = 0 exactly, alpha = k3+1-k1-k2
-        c = fk.LoopCoefficients(0.25, 0.25, -0.5)
-        with pytest.raises(fk.DegenerateGeometryError):
-            fk.solve_loop(c, 0.0, fixed_angle=0.0)
-
-    def test_degenerate_identically_satisfied(self):
-        c = fk.LoopCoefficients(0.0, 0.0, -1.0)
-        with pytest.raises(fk.DegenerateGeometryError):
-            fk.solve_loop(c, 0.0, fixed_angle=0.0)
+        for branch in (1, -1, 0):
+            assert math.isnan(self.solve(c, 0.0, branch, 0.0))
 
     def test_positive_root_against_reference_bisection(self):
         # (25, 40, 45, 10) at a feasible input; 30 deg is outside that
         # loop's closure window, so use one inside it
         c = fk.LoopCoefficients(0.25, 0.4, 0.15)
         theta_in = math.radians(80.0)
-        closed = fk.solve_loop(c, theta_in)
+        closed = self.solve(c, theta_in)
         roots = reference_bisect(c, theta_in)
         assert roots, "reference oracle found no roots"
         assert min(abs(closed - r) for r in roots) <= 1e-9
 
     def test_both_branches_are_the_two_residual_roots(self, rng):
+        solved = 0
         for _ in range(100):
             k1, k2, k3 = rng.uniform(0.1, 1.5, 3)
             t = rng.uniform(-math.pi, math.pi)
             c = fk.LoopCoefficients(k1, k2, k3)
-            try:
-                pos = fk.solve_loop(c, t, POSITIVE_ROOT)
-                neg = fk.solve_loop(c, t, NEGATIVE_ROOT)
-            except (fk.NoClosureError, fk.DegenerateGeometryError):
+            pos = self.solve(c, t, 1)
+            neg = self.solve(c, t, -1)
+            if math.isnan(pos) or math.isnan(neg):
                 continue
+            solved += 1
             roots = reference_bisect(c, t, n=4000)
-            for solved in (pos, neg):
-                assert min(abs(solved - r) for r in roots) <= 1e-8
-
-    def test_continuity_needs_reference(self):
-        # closing, linear-limit and non-closing inputs alike
-        for c, t in ((fk.LoopCoefficients(0.25, 0.4, 0.15), math.radians(80.0)),
-                     (fk.LoopCoefficients(1.0, 1.0, 1.0), math.pi / 2.0),
-                     (fk.LoopCoefficients(0.0, 0.0, 2.0), 0.0)):
-            with pytest.raises(ValueError):
-                fk.solve_loop(c, t, CONTINUITY)
+            for root in (pos, neg):
+                assert min(abs(root - r) for r in roots) <= 1e-8
+        assert solved >= 30
 
     def test_continuity_picks_nearest(self):
         c = fk.LoopCoefficients(0.25, 0.4, 0.15)
         t = math.radians(80.0)
-        pos = fk.solve_loop(c, t)
-        neg = fk.solve_loop(c, t, NEGATIVE_ROOT)
-        near_pos = fk.solve_loop(c, t, CONTINUITY, reference=pos + 0.01)
-        near_neg = fk.solve_loop(c, t, CONTINUITY, reference=neg - 0.01)
-        assert near_pos == pos
-        assert near_neg == neg
-
-    def test_unknown_mode_rejected(self, geometry):
-        c = fk.LoopCoefficients(0.25, 0.4, 0.15)
-        with pytest.raises(ValueError):
-            fk.solve_loop(c, math.radians(80.0), "sideways")
-        with pytest.raises(ValueError):
-            fk.solve_chain(geometry, geometry.theta1_range[0], "sideways")
+        pos = self.solve(c, t, 1)
+        neg = self.solve(c, t, -1)
+        assert pos != neg
+        assert self.solve(c, t, 0, pos + 0.01) == pos
+        assert self.solve(c, t, 0, neg - 0.01) == neg
 
 
 class TestOracle:
@@ -341,16 +329,6 @@ class TestSolveChain:
             numeric_chain(g, 0.0)
         assert exc_info.value.loop == 1
 
-    def test_continuity_policy_uses_previous(self, geometry):
-        lo, hi = geometry.theta1_range
-        prev = fk.solve_chain(geometry, lo)
-        nxt = fk.solve_chain(geometry, lo + 0.01, CONTINUITY, prev)
-        assert abs(nxt.theta2 - prev.theta2) < math.radians(5.0)
-
-    def test_continuity_policy_requires_previous(self, geometry):
-        with pytest.raises(ValueError):
-            fk.solve_chain(geometry, geometry.theta1_range[0], CONTINUITY)
-
 
 class TestSweepChain:
     def test_matches_scalar_solves(self, geometry):
@@ -398,9 +376,17 @@ class TestSweepChain:
             fk.sweep_chain(geometry, np.array([lo, hi, lo + 0.1]))
 
     def test_rejects_out_of_range(self, geometry):
+        # a NaN changes no direction, so it too raises solve_chain's error
         lo, hi = geometry.theta1_range
-        with pytest.raises(fk.OutOfRangeError, match="outside admissible range"):
-            fk.sweep_chain(geometry, np.linspace(lo - 0.2, hi, 10))
+        for theta1 in (np.linspace(lo - 0.2, hi, 10),
+                       np.array([lo + 0.1, math.nan]),
+                       np.array([math.nan, lo + 0.1, lo + 0.2])):
+            with pytest.raises(fk.OutOfRangeError,
+                               match="outside admissible range") as sweep:
+                fk.sweep_chain(geometry, theta1)
+            with pytest.raises(fk.OutOfRangeError) as chain:
+                fk.solve_chain(geometry, theta1)
+            assert str(sweep.value) == str(chain.value)
 
     def test_descending_sweep_allowed(self, geometry):
         lo, hi = geometry.theta1_range
@@ -422,10 +408,6 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             fk.LinkageGeometry(
                 v=(1,) * 8, sigma=0, rho=0, theta1_range=(1.0, 0.0))
-
-    def test_scaled_rejects_nonpositive(self, geometry):
-        with pytest.raises(ValueError):
-            geometry.scaled(0.0)
 
 
 class TestChainDerivatives:
@@ -453,7 +435,8 @@ class TestScalingInvariance:
         lo, hi = geometry.theta1_range
         theta1 = float(local.uniform(lo, hi))
         base = fk.solve_chain(geometry, theta1)
-        scaled = fk.solve_chain(geometry.scaled(scale), theta1)
+        scaled = fk.solve_chain(
+            geometry._replace(v=tuple(scale * x for x in geometry.v)), theta1)
         for name in ("theta2", "theta3", "theta5", "theta6", "theta7"):
             assert abs(getattr(base, name) - getattr(scaled, name)) <= 1e-12
 
@@ -487,18 +470,6 @@ class TestBatchIsMappedScalar:
 
     FIELDS = ("theta1", "theta2", "theta3", "theta5", "theta6", "theta7",
               "theta_mcp", "theta_pip", "theta_dip")
-
-    @pytest.mark.parametrize("branch", [NEGATIVE_ROOT, CONTINUITY])
-    def test_branches_over_an_array(self, geometry, branch):
-        # the continuity reference of one solved state broadcasts
-        lo, hi = geometry.theta1_range
-        previous = fk.solve_chain(geometry, lo)
-        grid = np.linspace(lo, hi, 17)
-        chain = fk.solve_chain(geometry, grid, branch, previous)
-        for i, theta1 in enumerate(grid.tolist()):
-            state = fk.solve_chain(geometry, theta1, branch, previous)
-            for name in self.FIELDS:
-                assert getattr(chain, name)[i] == getattr(state, name)
 
     def test_random_geometries(self, geometry):
         rng = np.random.default_rng(31415)
