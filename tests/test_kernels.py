@@ -96,6 +96,9 @@ CONTRACT_KERNELS = {
     "oracle-negative": lambda *a: _kernels.loop_bisect_batch(*a, -1, 0.0, 4096),
     "closed-form-positive": lambda k1, k2, k3, phi, fixed: linkage._closed_form(
         fk.LoopCoefficients(k1, k2, k3), phi, fixed),
+    "closed-form-negative": lambda k1, k2, k3, phi, fixed: (
+        _kernels.loop_solve_batch(*fk.LoopCoefficients(k1, k2, k3), phi,
+                                  fixed, -1)),
 }
 
 
