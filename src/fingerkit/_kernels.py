@@ -5,13 +5,13 @@ through three batch kernels:
 
 * ``loop_solve_batch``      closed-form loop solve over an input array,
 * ``loop_sweep_continuity`` sequential nearest-root sweep (no branch flips),
-* ``loop_bisect_batch``     coarse-to-fine scan-and-bisect oracle, one thread.
+* ``loop_bisect_batch``     scan-and-bisect oracle, its roots kept as arrays.
 
 Each kernel returns the output angles, NaN exactly where the loop cannot
 close.  ``branch`` is +1 for the positive quadratic branch, -1 for the
-negative one, and 0 for the root nearer ``ref``, the positive one on a tie
-(both ``loop_solve_batch`` and ``loop_bisect_batch``).  Every angle comes
-from numpy's ``arctan``; nothing here goes through libm.
+negative one, and 0 for the root nearer ``ref`` (a tie goes to the positive
+root in ``loop_solve_batch``, the smaller in ``loop_bisect_batch``).  Every
+angle comes from numpy's ``arctan``; nothing here goes through libm.
 """
 
 from __future__ import annotations
@@ -126,39 +126,37 @@ def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle, seed):
     return theta
 
 
-def _select_root_py(roots, alpha_probe, alpha_tol, branch, ref):
-    """Pick one residual root per the branch rule; returns NaN when none fit.
+def _select_roots(rows, roots, probe, alpha_tol, branch, ref, theta):
+    """Writes into ``theta`` one root per row by the branch rule, if one fits.
 
-    The residual evaluated at pi equals the leading quadratic coefficient,
-    so its sign decides whether the positive branch is the larger or the
-    smaller root without ever forming the closed-form roots.
+    ``rows`` and ``roots`` pair each root found with its row, in any order.
+    Sorted by row, then root, a root within ``_ROOT_MERGE_TOL`` of the one
+    before it, or of its row's first plus 2 pi (a last root at pi, as all
+    lie in [-pi, pi]), is that root again, though the one before may itself
+    be dropped: no three roots chain, as none is next to an exact zero and
+    a grid interval, far wider than the tolerance, gives one bracket at
+    most.  ``probe`` (the residual at pi, the leading coefficient) says by
+    its sign whether branch +1 or -1 takes the largest or smallest root;
+    near zero (``alpha_tol``), roots within ``_PI_ROOT_TOL`` of +/-pi do
+    not count.  Branch 0 takes the root nearest ``ref``, the smaller on a tie.
     """
-    if not roots:
-        return math.nan
+    order = np.lexsort((roots, rows))
+    rows, roots = rows[order], roots[order]
+    new_row = np.diff(rows, prepend=-1) != 0
+    first = roots[new_row][np.cumsum(new_row) - 1]
+    keep = new_row | ((np.diff(roots, prepend=-np.inf) > _ROOT_MERGE_TOL)
+                      & ~(_TWO_PI - (roots - first) < _ROOT_MERGE_TOL))
     if branch == 0:
-        # argmin keeps the first of equally near roots
-        return roots[int(np.argmin(np.abs(wrap(np.array(roots) - ref))))]
-    if abs(alpha_probe) <= alpha_tol:
-        finite = [r for r in roots if math.pi - abs(r) > _PI_ROOT_TOL]
-        if not finite:
-            return math.nan
-        return max(finite) if branch > 0 else min(finite)
-    take_max = (alpha_probe > 0.0) == (branch > 0)
-    return max(roots) if take_max else min(roots)
-
-
-def _merge_roots_py(roots):
-    if len(roots) < 2:
-        return roots
-    roots = sorted(roots)
-    merged = [roots[0]]
-    for r in roots[1:]:
-        if r - merged[-1] > _ROOT_MERGE_TOL:
-            merged.append(r)
-    # -pi and pi are the same point on the circle
-    if len(merged) > 1 and _TWO_PI - (merged[-1] - merged[0]) < _ROOT_MERGE_TOL:
-        merged.pop()
-    return merged
+        score = np.abs(wrap(roots - ref))
+    else:
+        small = np.abs(probe) <= alpha_tol
+        keep &= ~small[rows] | (math.pi - np.abs(roots) > _PI_ROOT_TOL)
+        take_max = (small | (probe > 0.0)) == (branch > 0)
+        score = np.where(take_max[rows], -roots, roots)
+    # a row's lowest score wins; the stable sort keeps the smaller of a tie
+    order = np.flatnonzero(keep)[np.lexsort((score[keep], rows[keep]))]
+    picked, at = np.unique(rows[order], return_index=True)
+    theta[picked] = roots[order[at]]
 
 
 def _residual(k1, fixed_angle, phi, c, x, x_term):
@@ -198,7 +196,7 @@ def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, cell_change,
     # the fine pass: every grid point of the uncleared cells, FINE_CELLS
     # cells at a time; a zero on an end two cells share, or on a copy of
     # pi, shows twice, and the merge drops the copy
-    per_row: list[list[float]] = [[] for _ in range(len(phi))]
+    found_rows, found = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     xs_cells, term_cells = (sliding_window_view(a, SCAN_STRIDE + 1)[::SCAN_STRIDE]
                             for a in (xs, x_term))
     for s in range(0, cells.size, FINE_CELLS):
@@ -222,16 +220,10 @@ def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, cell_change,
             lo = np.where(go_hi, lo, mid)
             flo = np.where(go_hi, flo, fm)
         zi, zj = np.nonzero(fine == 0.0)
-        roots = np.concatenate((0.5 * (lo + hi), xs_cells[at[zi], zj]))
-        for r, root in zip(np.concatenate((rows[i], rows[zi])).tolist(),
-                           roots.tolist()):
-            per_row[r].append(root)
-
-    # the residual at pi is the quadratic's leading coefficient
-    probe = coarse[:, -1].tolist()
-    for i, roots in enumerate(per_row):
-        theta[i] = _select_root_py(
-            _merge_roots_py(roots), probe[i], alpha_tol, branch, ref)
+        found_rows += [rows[i], rows[zi]]
+        found += [0.5 * (lo + hi), xs_cells[at[zi], zj]]
+    _select_roots(np.concatenate(found_rows), np.concatenate(found),
+                  coarse[:, -1], alpha_tol, branch, ref, theta)
 
 
 def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
@@ -239,7 +231,7 @@ def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
 
     The roots are those of a residual scan at ``n_scan + 1`` points of
     [-pi, pi]: each sign change bisected 60 times, and each point where the
-    residual is exactly zero; the branch rule then picks one.  The scan
+    residual is exactly zero; ``_select_roots`` picks one per row.  The scan
     takes every ``SCAN_STRIDE``-th point, then every point of the cells
     between them that a Lipschitz bound, rounding included, cannot clear of
     sign changes and zeros: so every angle is the full scan's, bit for bit.
@@ -256,7 +248,7 @@ def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
     cell_change = 1.001 * (abs(k1) + abs(k2)) * np.diff(
         xs[::SCAN_STRIDE]).max(initial=0.0)
     alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
-    theta = np.empty(n)
+    theta = np.full(n, np.nan)
     for start in range(0, n, BISECT_BLOCK_ROWS):
         stop = min(start + BISECT_BLOCK_ROWS, n)
         _bisect_block(k1, k2, k3, phi[start:stop], fixed_angle, xs, x_term,

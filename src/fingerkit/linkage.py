@@ -86,6 +86,14 @@ def _vector_closure_angles(
     return np.arctan2(y, x)
 
 
+def _samples(theta1) -> np.ndarray:
+    """``theta1``, a float or a 1-D array, as a 1-D float array."""
+    theta1 = np.atleast_1d(np.asarray(theta1, dtype=np.float64))
+    if theta1.ndim != 1:
+        raise ValueError(f"theta1 must be a float or a 1-D array, not {theta1.ndim}-D")
+    return theta1
+
+
 def _chain(geometry: LinkageGeometry, theta1: np.ndarray, solve) -> JointState:
     """The one two-loop chain solver every entry point is a view of.
 
@@ -158,8 +166,7 @@ def solve_chain(
     first sample that is out of range or cannot close raises the float
     solve's error for it.
     """
-    state = _chain(geometry, np.atleast_1d(np.asarray(theta1, dtype=np.float64)),
-                   _closed_form)
+    state = _chain(geometry, _samples(theta1), _closed_form)
     return state if np.ndim(theta1) else state.state_at(0)
 
 
@@ -224,8 +231,8 @@ def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> JointSt
     branches.  The first sample that is out of range or fails to close
     aborts the sweep with the offending input angle.
     """
-    theta1_values = np.asarray(theta1_values, dtype=np.float64)
-    if theta1_values.ndim != 1 or theta1_values.size < 2:
+    theta1_values = _samples(theta1_values)
+    if theta1_values.size < 2:
         raise ValueError("sweep requires at least two input samples")
     diffs = np.diff(theta1_values)
     # a NaN compares false both ways, so it reaches the chain's range check
@@ -242,7 +249,7 @@ def oracle_deviation(
     Solves the chain twice over the inputs, once in closed form and once
     purely by bisection, each loop 2 driven by its own chain's loop 1.
     """
-    theta1 = np.asarray(theta1_values, dtype=np.float64)
+    theta1 = _samples(theta1_values)
     closed = _chain(geometry, theta1, _closed_form)
     numeric = _chain(geometry, theta1, _oracle)
     return (float(np.max(np.abs(closed.theta2 - numeric.theta2))),

@@ -7,12 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fingerkit as fk
 from fingerkit import _kernels, linkage
-from fingerkit._kernels import _merge_roots_py, _select_root_py
+from fingerkit._kernels import _PI_ROOT_TOL, _ROOT_MERGE_TOL, _TWO_PI, wrap
 from test_linkage import closure_residual, reference_bisect
 
 
@@ -159,9 +159,44 @@ def test_active_backend_reported():
 # ---------------------------------------------------------------------------
 # The dense oracle as it was before row blocks and the coarse scan: the whole
 # (n x (n_scan + 1)) residual grid at once, then one bisection over every
-# bracket, with the same per-row root merge and branch rule.  The kernel
+# bracket, then a per-row Python root merge and branch rule.  The kernel
 # must give its floats bit for bit.
 # ---------------------------------------------------------------------------
+
+def _select_root_py(roots, alpha_probe, alpha_tol, branch, ref):
+    """Pick one residual root per the branch rule; returns NaN when none fit.
+
+    The residual evaluated at pi equals the leading quadratic coefficient,
+    so its sign decides whether the positive branch is the larger or the
+    smaller root without ever forming the closed-form roots.
+    """
+    if not roots:
+        return math.nan
+    if branch == 0:
+        # argmin keeps the first of equally near roots
+        return roots[int(np.argmin(np.abs(wrap(np.array(roots) - ref))))]
+    if abs(alpha_probe) <= alpha_tol:
+        finite = [r for r in roots if math.pi - abs(r) > _PI_ROOT_TOL]
+        if not finite:
+            return math.nan
+        return max(finite) if branch > 0 else min(finite)
+    take_max = (alpha_probe > 0.0) == (branch > 0)
+    return max(roots) if take_max else min(roots)
+
+
+def _merge_roots_py(roots):
+    if len(roots) < 2:
+        return roots
+    roots = sorted(roots)
+    merged = [roots[0]]
+    for r in roots[1:]:
+        if r - merged[-1] > _ROOT_MERGE_TOL:
+            merged.append(r)
+    # -pi and pi are the same point on the circle
+    if len(merged) > 1 and _TWO_PI - (merged[-1] - merged[0]) < _ROOT_MERGE_TOL:
+        merged.pop()
+    return merged
+
 
 def _residual_numpy(k1, k2, k3, phi, x, fixed_angle):
     return (
@@ -318,6 +353,57 @@ PHI = ANGLES | st.floats(-4.0, 4.0) | st.floats(-1e12, 1e12)
        n_scan=st.sampled_from([8, 33, 64, 100, 4096]))
 def test_coarse_scan_matches_dense(k1, k2, k3, fixed, phi, branch, ref, n_scan):
     _assert_same((k1, k2, k3, np.array(phi), fixed, branch, ref, n_scan))
+
+
+# a row's roots as the scan finds them: at distinct grid points, each one
+# single, as exact copies (a zero on a shared cell end or a copy of pi), or
+# as a pair within the merge tolerance, drawn toward the inside of [-pi, pi]
+ROOT_GROUP = st.sampled_from(["single", "copies", "pair"])
+PROBE = st.sampled_from([0.0, 5e-13, -5e-13, 0.3, -0.3, math.nan])
+
+
+@st.composite
+def root_tables(draw):
+    n_scan = draw(st.sampled_from([8, 64, 4096]))
+    xs = np.linspace(-math.pi, math.pi, n_scan + 1)
+    points = st.integers(0, n_scan)
+    n_rows = draw(st.integers(1, 5))
+    table = []
+    for row in range(n_rows):
+        at = draw(st.lists(points, max_size=6, unique=True))
+        if len(at) <= 4 and draw(st.booleans()):
+            at = list({*at, 0, n_scan})
+        for k in at:
+            r = float(xs[k])
+            group = draw(ROOT_GROUP)
+            if group == "copies":
+                found = [r] * draw(st.integers(2, 3))
+            elif group == "pair":
+                d = draw(st.floats(0.0, _ROOT_MERGE_TOL))
+                found = [r, r + d] if r < 0.0 else [r - d, r]
+            else:
+                found = [r]
+            table += [(row, x) for x in found]
+    table = draw(st.permutations(table))
+    probe = draw(st.lists(PROBE, min_size=n_rows, max_size=n_rows))
+    return table, np.array(probe)
+
+
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
+@given(tables=root_tables(), branch=st.sampled_from([1, -1, 0]),
+       ref=st.floats(-4.0, 4.0))
+# an exact tie: wrap moves 0.25 and -0.25 through pi without rounding
+@example(tables=([(0, 0.75), (0, 0.25)], np.array([0.3])), branch=0, ref=0.5)
+def test_array_root_selection_matches_python(tables, branch, ref):
+    table, probe = tables
+    rows = np.array([r for r, _ in table], dtype=np.intp)
+    roots = np.array([x for _, x in table], dtype=np.float64)
+    theta = np.full(probe.shape, np.nan)
+    _kernels._select_roots(rows, roots, probe, 1e-12, branch, ref, theta)
+    expected = [_select_root_py(_merge_roots_py([x for r, x in table if r == i]),
+                                probe[i], 1e-12, branch, ref)
+                for i in range(probe.size)]
+    assert [_bits(t) for t in theta.tolist()] == [_bits(t) for t in expected]
 
 
 def _oracle_peak(phi):

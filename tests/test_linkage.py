@@ -280,6 +280,18 @@ class TestSolveChain:
         with pytest.raises(fk.OutOfRangeError):
             fk.solve_chain(geometry, lo - 0.1)
 
+    def test_takes_a_float_or_a_1d_array_only(self, geometry):
+        lo, hi = geometry.theta1_range
+        for solve, theta1 in (
+                (fk.solve_chain, [[lo + 0.1, lo + 0.2], [hi + 1, lo]]),
+                (fk.sweep_chain, [[lo, hi]]),
+                (linkage.oracle_deviation, [[lo, hi]]),
+                (fk.solve_chain, [[[lo]]])):
+            with pytest.raises(ValueError, match=f"not {np.ndim(theta1)}-D"):
+                solve(geometry, np.array(theta1))
+        dev2, dev6 = linkage.oracle_deviation(geometry, 0.5 * (lo + hi))
+        assert dev2 <= 1e-9 and dev6 <= 1e-9
+
     def test_closed_vs_numeric_midrange(self, geometry):
         theta1 = 0.5 * sum(geometry.theta1_range)
         s = fk.solve_chain(geometry, theta1)
