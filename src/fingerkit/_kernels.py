@@ -5,7 +5,8 @@ through three batch kernels:
 
 * ``loop_solve_batch``      closed-form loop solve over an input array,
 * ``loop_sweep_continuity`` sequential nearest-root sweep (no branch flips),
-* ``loop_bisect_batch``     scan-and-bisect oracle, its roots kept as arrays.
+* ``loop_bisect_batch``     scan-and-bisect oracle in fixed memory: row
+                            blocks, fine chunks and one bracket pool.
 
 Each kernel returns the output angles, NaN exactly where the loop cannot
 close.  ``branch`` is +1 for the positive quadratic branch, -1 for the
@@ -29,10 +30,13 @@ _ROOT_MERGE_TOL = 1e-8
 # roots this close to +/-pi are the vanishing-leading-coefficient artifact
 _PI_ROOT_TOL = 1e-6
 # oracle rows scanned at once; the coarse scan takes every SCAN_STRIDE-th
-# grid point, and the fine pass evaluates at most FINE_CELLS cells at once
-BISECT_BLOCK_ROWS = 1024
+# grid point, the fine pass evaluates at most FINE_CELLS cells at once, and
+# a pool of whole blocks gathers POOL_BRACKETS brackets (or rows) before its
+# one bisection
+BISECT_BLOCK_ROWS = 256
 SCAN_STRIDE = 32
-FINE_CELLS = 8192
+FINE_CELLS = 2048
+POOL_BRACKETS = 4096
 
 
 def quadratic(k1, k2, k3, phi, fixed_angle):
@@ -159,12 +163,12 @@ def _select_roots(rows, roots, probe, alpha_tol, branch, ref, theta):
     theta[picked] = roots[order[at]]
 
 
-def _residual(k1, fixed_angle, phi, c, x, x_term):
+def _residual(k1, fixed_angle, phi, c, x, x_term, out=None):
     """The residual ``(c + k1 * cos((phi + x) - fixed_angle)) + x_term``,
     broadcast, where ``c = k3 + cos(phi)`` and ``x_term = k2 * cos(x -
     fixed_angle)``: the oracle's only formula for it, so a grid point's
     float does not depend on the pass or the block that evaluates it."""
-    r = np.add(phi, x)
+    r = np.add(phi, x, out=out)
     np.subtract(r, fixed_angle, out=r)
     np.cos(r, out=r)
     np.multiply(r, k1, out=r)
@@ -172,13 +176,9 @@ def _residual(k1, fixed_angle, phi, c, x, x_term):
     return np.add(r, x_term, out=r)
 
 
-def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, cell_change,
-                  branch, ref, alpha_tol, theta):
-    """The oracle on one block of rows; fills this block's ``theta``.
-    ``xs`` is the scan grid padded with copies of pi to whole cells of
-    ``SCAN_STRIDE`` steps, ``x_term`` its column term and ``cell_change``
-    the most the exact residual can change across one cell."""
-    c = k3 + np.cos(phi)
+def _coarse_scan(k1, k2, fixed_angle, phi, c, xs, x_term, cell_change):
+    """``(probe, cell_rows, cells)``: each row's residual at pi, and the
+    cells of the coarse scan that the Lipschitz bound cannot clear."""
     coarse = _residual(k1, fixed_angle, phi[:, None], c[:, None],
                        xs[::SCAN_STRIDE], x_term[::SCAN_STRIDE])
     # several times the rounding error of one residual, which grows with
@@ -188,42 +188,83 @@ def _bisect_block(k1, k2, k3, phi, fixed_angle, xs, x_term, cell_change,
     # Shubert's bound: no fine point of a cell is zero or of the other sign if
     # its ends share a sign and sum to more than the residual can change across
     # it, four rounding errors and an underflow floor; NaN clears nothing
-    sign = np.sign(coarse)
-    bound = cell_change + 4.0 * err[:, None] + 2.0**-1000
-    cell_rows, cells = np.nonzero(~((sign[:, :-1] == sign[:, 1:]) & (
-        np.abs(coarse[:, :-1] + coarse[:, 1:]) > bound)))
+    probe = coarse[:, -1].copy()
+    ends = np.add(coarse[:, :-1], coarse[:, 1:])
+    cleared = np.abs(ends, out=ends) > cell_change + 4.0 * err[:, None] + 2.0**-1000
+    sign = np.sign(coarse, out=coarse)
+    cleared &= sign[:, :-1] == sign[:, 1:]
+    return (probe, *np.nonzero(~cleared))
+
+
+def _scan_block(k1, k2, k3, phi, fixed_angle, xs, x_term, cell_change):
+    """The scan of one block of rows: ``(probe, brackets)``.
+
+    ``probe`` is each row's residual at pi, and ``brackets`` a list of
+    ``(rows, lo, hi, flo)`` arrays, one entry per fine chunk: a strict sign
+    change between neighbouring grid points, ``flo`` the residual at
+    ``lo``, or an exact zero x as the bracket [x, x], which bisection keeps
+    at x.  ``xs`` is the scan grid padded with copies of pi to whole cells
+    of ``SCAN_STRIDE`` steps, ``x_term`` its column term and
+    ``cell_change`` the most the exact residual can change across one cell.
+    """
+    c = k3 + np.cos(phi)
+    probe, cell_rows, cells = _coarse_scan(k1, k2, fixed_angle, phi, c, xs,
+                                           x_term, cell_change)
 
     # the fine pass: every grid point of the uncleared cells, FINE_CELLS
     # cells at a time; a zero on an end two cells share, or on a copy of
     # pi, shows twice, and the merge drops the copy
-    found_rows, found = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    brackets = []
     xs_cells, term_cells = (sliding_window_view(a, SCAN_STRIDE + 1)[::SCAN_STRIDE]
                             for a in (xs, x_term))
     for s in range(0, cells.size, FINE_CELLS):
         rows, at = cell_rows[s:s + FINE_CELLS], cells[s:s + FINE_CELLS]
-        fine = _residual(k1, fixed_angle, phi[rows, None], c[rows, None],
-                         xs_cells[at], term_cells[at])
-        # brackets: strict sign changes between grid points, neither one zero
+        fine = xs_cells[at]
+        _residual(k1, fixed_angle, phi[rows, None], c[rows, None], fine,
+                  term_cells[at], out=fine)
+        # strict sign changes between grid points, neither one zero; then
+        # the zeros, each a bracket of width 0
         neg = fine < 0.0
         i, j = np.nonzero(neg[:, :-1] != neg[:, 1:])
         strict = (fine[i, j] != 0.0) & (fine[i, j + 1] != 0.0)
-        i, j = i[strict], j[strict]
-        col = at[i] * SCAN_STRIDE + j
-        lo, hi, flo = xs[col], xs[col + 1], fine[i, j]
-        phi_b, c_b = phi[rows[i]], c[rows[i]]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = _residual(k1, fixed_angle, phi_b, c_b, mid,
-                           k2 * np.cos(mid - fixed_angle))
-            go_hi = (flo < 0.0) != (fm < 0.0)
-            hi = np.where(go_hi, mid, hi)
-            lo = np.where(go_hi, lo, mid)
-            flo = np.where(go_hi, flo, fm)
         zi, zj = np.nonzero(fine == 0.0)
-        found_rows += [rows[i], rows[zi]]
-        found += [0.5 * (lo + hi), xs_cells[at[zi], zj]]
-    _select_roots(np.concatenate(found_rows), np.concatenate(found),
-                  coarse[:, -1], alpha_tol, branch, ref, theta)
+        i, j = np.concatenate((i[strict], zi)), np.concatenate((j[strict], zj))
+        col = at[i] * SCAN_STRIDE + j
+        width = np.arange(i.size) < np.count_nonzero(strict)
+        brackets.append((rows[i], xs[col], xs[col + width], fine[i, j]))
+    return probe, brackets
+
+
+def _bisect(k1, k2, fixed_angle, phi, c, lo, hi, flo):
+    """The midpoints of the brackets ``[lo, hi]`` after bisecting them in
+    place, ``flo`` the residual at ``lo`` and ``c = k3 + cos(phi)``.
+
+    Each step halves every bracket, keeping the half whose ends change
+    sign, for at most 60 steps.  ``flo`` is always the residual at ``lo``,
+    bit for bit: the scan's at first, then that of the step that moved
+    ``lo``, from the one formula ``_residual``.  So a step whose ``mid``
+    equals ``lo`` changes nothing, and a step whose ``mid`` equals ``hi``
+    either keeps the bracket, as each later step then does, or makes it
+    [hi, hi].  Once one step has had every ``mid`` equal to its ``lo`` or
+    its ``hi``, every later step is a no-op, and the loop stops there:
+    the result is the 60 steps', bit for bit.
+    """
+    mid, fm, term = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)
+    go_hi, go_lo = np.empty(lo.shape, dtype=bool), np.empty(lo.shape, dtype=bool)
+    for _ in range(60):
+        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
+        settled = ((mid == lo) | (mid == hi)).all()
+        np.subtract(mid, fixed_angle, out=term)
+        np.multiply(np.cos(term, out=term), k2, out=term)
+        _residual(k1, fixed_angle, phi, c, mid, term, out=fm)
+        np.not_equal(flo < 0.0, fm < 0.0, out=go_hi)
+        np.logical_not(go_hi, out=go_lo)
+        np.copyto(hi, mid, where=go_hi)
+        np.copyto(lo, mid, where=go_lo)
+        np.copyto(flo, fm, where=go_lo)
+        if settled:
+            break
+    return np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
 
 
 def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
@@ -235,8 +276,13 @@ def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
     takes every ``SCAN_STRIDE``-th point, then every point of the cells
     between them that a Lipschitz bound, rounding included, cannot clear of
     sign changes and zeros: so every angle is the full scan's, bit for bit.
-    Rows go in blocks of ``BISECT_BLOCK_ROWS`` on one thread, so memory
-    does not grow with the number of inputs.
+
+    Memory is set by fixed budgets, not by the number of rows.  Rows are
+    scanned in blocks of ``BISECT_BLOCK_ROWS``, the fine pass at most
+    ``FINE_CELLS`` cells at a time.  The blocks' brackets gather in a pool
+    of consecutive rows, which is bisected in one pass, and its rows'
+    roots selected, at the end of the block that brings it to
+    ``POOL_BRACKETS`` brackets or rows, and after the last block.
     """
     phi = np.asarray(phi, dtype=np.float64)
     n = phi.shape[0]
@@ -249,8 +295,23 @@ def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
         xs[::SCAN_STRIDE]).max(initial=0.0)
     alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
     theta = np.full(n, np.nan)
-    for start in range(0, n, BISECT_BLOCK_ROWS):
-        stop = min(start + BISECT_BLOCK_ROWS, n)
-        _bisect_block(k1, k2, k3, phi[start:stop], fixed_angle, xs, x_term,
-                      cell_change, branch, ref, alpha_tol, theta[start:stop])
+    pool, probes, held, start = [], [], 0, 0
+    for block in range(0, n, BISECT_BLOCK_ROWS):
+        stop = min(block + BISECT_BLOCK_ROWS, n)
+        probe, brackets = _scan_block(k1, k2, k3, phi[block:stop], fixed_angle,
+                                      xs, x_term, cell_change)
+        probes.append(probe)
+        for rows, lo, hi, flo in brackets:
+            pool.append((rows + (block - start), lo, hi, flo))
+            held += rows.size
+        if stop < n and max(held, stop - start) < POOL_BRACKETS:
+            continue
+        if pool:
+            rows, lo, hi, flo = (np.concatenate(column) for column in zip(*pool))
+            phi_b = phi[start:stop][rows]
+            roots = _bisect(k1, k2, fixed_angle, phi_b, k3 + np.cos(phi_b),
+                            lo, hi, flo)
+            _select_roots(rows, roots, np.concatenate(probes), alpha_tol,
+                          branch, ref, theta[start:stop])
+        pool, probes, held, start = [], [], 0, stop
     return theta

@@ -9,13 +9,12 @@ Unknown keys are rejected outright so typos cannot silently change runs.
 
 from __future__ import annotations
 
-import json
 import math
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ConfigError, finite_number
+from .errors import ConfigError, finite_number, load_json
 from .geometry import FingerGeometry, LinkageGeometry, TendonModel
 
 GEOMETRY_KEYS = {
@@ -142,10 +141,7 @@ def _parse_thumb_line(doc: dict):
 def parse_config(text: str | bytes) -> FingerConfig:
     """Parse and validate a config document from its raw bytes/text."""
     raw = text.encode("utf-8") if isinstance(text, str) else text
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    doc = load_json(raw, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(doc) - GEOMETRY_KEYS - FINGER_KEYS

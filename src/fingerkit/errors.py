@@ -56,6 +56,18 @@ def validated(cls):
     return cls
 
 
+def load_json(text: str | bytes, what: str):
+    """The document in ``text``; one that is not JSON, not UTF-8 or nested
+    deeper than the parser's recursion limit is a :class:`ConfigError`
+    naming ``what``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{what} is nested too deeply to parse") from None
+
+
 def finite_number(value, message: str) -> float:
     """``value`` as a float if it is a finite JSON number (not a bool),
     else :class:`ConfigError` with ``message``."""

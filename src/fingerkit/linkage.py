@@ -247,9 +247,12 @@ def oracle_deviation(
     """Max |closed form - oracle| of theta2 and of theta6, positive root.
 
     Solves the chain twice over the inputs, once in closed form and once
-    purely by bisection, each loop 2 driven by its own chain's loop 1.
+    purely by bisection, each loop 2 driven by its own chain's loop 1.  An
+    empty input has no deviation and is a ``ValueError``.
     """
     theta1 = _samples(theta1_values)
+    if theta1.size == 0:
+        raise ValueError("oracle_deviation needs a theta1 sample, got an empty input")
     closed = _chain(geometry, theta1, _closed_form)
     numeric = _chain(geometry, theta1, _oracle)
     return (float(np.max(np.abs(closed.theta2 - numeric.theta2))),

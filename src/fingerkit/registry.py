@@ -17,7 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ConfigError, RuleViolationError, finite_number, validated
+from .errors import (ConfigError, RuleViolationError, finite_number, load_json,
+                     validated)
 
 # key suffix -> required unit string; longest suffixes first so that e.g.
 # "_mm_kg" is not shadowed by "_mm" or "_kg"
@@ -89,10 +90,7 @@ class ReferenceRegistry(NamedTuple):
     def loads(cls, text: str | bytes) -> "ReferenceRegistry":
         """Parse a ``{"entries": [...]}`` document without running the
         consistency rules (:meth:`validate` runs them)."""
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"registry is not valid JSON: {exc}") from exc
+        doc = load_json(text, "registry")
         if not (isinstance(doc, dict) and list(doc) == ["entries"]
                 and isinstance(doc["entries"], list)):
             raise ConfigError(

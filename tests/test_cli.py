@@ -385,6 +385,21 @@ class TestExitCodes:
         path.write_text("{oops", encoding="utf-8")
         assert main(["analyze", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("command, flag, document", [
+        ("analyze", "--config", "config"),
+        ("registry", "--registry-path", "registry"),
+    ])
+    def test_deeply_nested_json_is_two(self, command, flag, document,
+                                       tmp_path, capsys):
+        """Nesting beyond the parser's recursion limit is one error line,
+        not a RecursionError traceback."""
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main([command, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {document} is nested too deeply to parse\n"
+
     def test_non_utf8_config_is_two(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"v": [1\xff]}')

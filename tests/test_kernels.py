@@ -253,6 +253,7 @@ def dense_bisect_reference(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
 
 BLOCK = _kernels.BISECT_BLOCK_ROWS
 STRIDE = _kernels.SCAN_STRIDE
+POOL = _kernels.POOL_BRACKETS
 SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 # closes for part of the circle only, so every size has non-closing rows
 PARTIAL = (0.9, 0.7, 1.3, 0.4)
@@ -338,6 +339,35 @@ def test_cells_beyond_one_fine_chunk_match_dense():
     assert phi.size * (n_scan // STRIDE) > _kernels.FINE_CELLS
     for branch in (1, -1, 0):
         _assert_same((*PARTIAL[:3], phi, PARTIAL[3], branch, 0.3, n_scan))
+
+
+@pytest.mark.parametrize("branch", [1, -1, 0])
+def test_pooled_bisection_matches_dense(branch, monkeypatch):
+    """At n_scan = 8 these rows fill the bracket pool at least twice, each
+    pool spanning several blocks, the last pool partial, with NaN rows and
+    rows that cannot close among them."""
+    pool_brackets, pool_rows = [], []
+    bisect, select = _kernels._bisect, _kernels._select_roots
+
+    def spy_bisect(*args):
+        pool_brackets.append(args[-1].size)
+        return bisect(*args)
+
+    def spy_select(*args):
+        pool_rows.append(args[-1].size)
+        return select(*args)
+
+    monkeypatch.setattr(_kernels, "_bisect", spy_bisect)
+    monkeypatch.setattr(_kernels, "_select_roots", spy_select)
+    rng = np.random.default_rng(21 + branch)
+    phi = rng.uniform(-math.pi, math.pi, 2 * POOL + 3 * BLOCK + 7)
+    phi[rng.random(phi.size) < 0.1] = np.nan
+    ok = _assert_same((0.3, 1.0, 0.1, phi, 0.4, branch, 0.3, 8))
+    assert ok.any() and not ok[~np.isnan(phi)].all()
+    assert sum(size >= POOL for size in pool_brackets) >= 2
+    assert sum(pool_rows) == phi.size
+    assert all(BLOCK < rows < POOL for rows in pool_rows)
+    assert pool_rows[-1] % BLOCK != 0
 
 
 COEFF = EXACT | st.floats(-3.0, 3.0)
@@ -431,3 +461,11 @@ def test_oracle_memory_with_no_cell_cleared():
     small, large = (_oracle_peak(np.full(n, np.nan)) for n in (3_000, 30_000))
     assert large < 64 * 2**20
     assert large < 1.5 * small
+
+
+def test_oracle_memory_within_a_fixed_budget():
+    """Row blocks, fine chunks and one bracket pool keep the traced peak of
+    30 000 rows, the output included, under 5 MiB, whether the rows close
+    or are NaN and clear no cell."""
+    for phi in (np.linspace(-math.pi, math.pi, 30_000), np.full(30_000, np.nan)):
+        assert _oracle_peak(phi) < 5 * 2**20

@@ -292,6 +292,16 @@ class TestSolveChain:
         dev2, dev6 = linkage.oracle_deviation(geometry, 0.5 * (lo + hi))
         assert dev2 <= 1e-9 and dev6 <= 1e-9
 
+    def test_oracle_deviation_of_no_samples_is_a_value_error(self, geometry):
+        """The oracle itself returns no angles for no inputs; the deviation
+        of none is undefined."""
+        c1 = fk.loop_coefficients(geometry, 1)
+        theta = _kernels.loop_bisect_batch(c1.kappa1, c1.kappa2, c1.kappa3,
+                                           np.array([]), 0.0, 1, 0.0, 4096)
+        assert theta.shape == (0,)
+        with pytest.raises(ValueError, match="empty input"):
+            linkage.oracle_deviation(geometry, np.array([]))
+
     def test_closed_vs_numeric_midrange(self, geometry):
         theta1 = 0.5 * sum(geometry.theta1_range)
         s = fk.solve_chain(geometry, theta1)
