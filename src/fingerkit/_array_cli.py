@@ -47,8 +47,14 @@ from .svgplot import Series, render_svg
 
 def _write(path: Path, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
+    try:
+        with path.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        # an error from a write or a close carries no file name
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
 
 
 def _csv(header: list[str], table: np.ndarray, sha256: str):
@@ -168,10 +174,8 @@ def _cmd_sweep(cfg: FingerConfig, args: argparse.Namespace):
         "theta1_deg", "theta2_deg", "theta3_deg", "theta5_deg",
         "theta6_deg", "theta7_deg", "mcp_deg", "pip_deg", "dip_deg",
     ]
-    angles = np.column_stack([
-        sweep.theta1, sweep.theta2, sweep.theta3, sweep.theta5, sweep.theta6,
-        sweep.theta7, sweep.theta_mcp, sweep.theta_pip, sweep.theta_dip,
-    ])
+    # JointState's fields are the header's columns, in order
+    angles = np.column_stack(sweep)
     np.degrees(angles, out=angles)
     trace = _table(tip_trace(finger, sweep, psi), 2)
     tables = [("joint_angles", angle_header, angles, {}),

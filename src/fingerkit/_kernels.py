@@ -3,16 +3,16 @@
 Sweeps, the bisection oracle, and the randomized property suites all funnel
 through three batch kernels:
 
-* ``loop_solve_batch``      closed-form loop solve over an input array,
+* ``loop_solve_batch``      closed-form positive root over an input array,
 * ``loop_sweep_continuity`` sequential nearest-root sweep (no branch flips),
 * ``loop_bisect_batch``     scan-and-bisect oracle in fixed memory: row
                             blocks, fine chunks and one bracket pool.
 
 Each kernel returns the output angles, NaN exactly where the loop cannot
-close.  ``branch`` is +1 for the positive quadratic branch, -1 for the
-negative one, and 0 for the root nearer ``ref`` (a tie goes to the positive
-root in ``loop_solve_batch``, the smaller in ``loop_bisect_batch``).  Every
-angle comes from numpy's ``arctan``; nothing here goes through libm.
+close.  The oracle's ``branch`` is +1 for the positive quadratic branch,
+-1 for the negative one, and 0 for the root nearer ``ref`` (the smaller on
+a tie).  Every closed-form angle comes from numpy's ``arctan``; nothing
+here goes through libm.
 """
 
 from __future__ import annotations
@@ -78,13 +78,10 @@ def half_angle_roots(k1, k2, k3, phi, fixed_angle):
     return t_pos, t_neg
 
 
-def loop_solve_batch(k1, k2, k3, phi, fixed_angle, branch, ref=None):
-    """Closed-form output angles over an input array: the positive root
-    (``branch`` +1), the negative one (-1), or the one nearer ``ref`` (0)."""
-    pos, neg = 2.0 * np.arctan(half_angle_roots(k1, k2, k3, phi, fixed_angle))
-    if branch:
-        return pos if branch > 0 else neg
-    return np.where(positive_nearer(pos, neg, ref), pos, neg)
+def loop_solve_batch(k1, k2, k3, phi, fixed_angle):
+    """Closed-form output angles of the positive root over an input array;
+    ``2 * arctan`` of :func:`half_angle_roots` gives either root."""
+    return 2.0 * np.arctan(half_angle_roots(k1, k2, k3, phi, fixed_angle)[0])
 
 
 def wrap(angles):

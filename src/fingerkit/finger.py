@@ -81,8 +81,9 @@ def _planar_tip(finger: FingerGeometry, state: JointState):
     return x, y
 
 
-def _tip_rows(finger: FingerGeometry, state: JointState, psi) -> np.ndarray:
-    """TIP_DTYPE rows for every (sample, psi) pair, sample-major.
+def tip_trace(finger: FingerGeometry, state: JointState, psi) -> np.ndarray:
+    """TIP_DTYPE rows of solved configurations for every (sample, psi)
+    pair, sample-major; ``psi`` is a float or an array.
 
     The gripper-frame point is the planar point rotated by psi about the
     orientation axis.
@@ -98,13 +99,6 @@ def _tip_rows(finger: FingerGeometry, state: JointState, psi) -> np.ndarray:
     rows["grip_x"] = x * cos_p - y * sin_p
     rows["grip_y"] = x * sin_p + y * cos_p
     return rows.ravel()
-
-
-def tip_trace(finger: FingerGeometry, sweep: JointState, psi: float) -> np.ndarray:
-    """Fingertip trace of a solved sweep at fixed psi: TIP_DTYPE rows in
-    sweep order.  Solve the sweep with :func:`sweep_chain`, which raises
-    with the offending input angle for a sample that cannot close."""
-    return _tip_rows(finger, sweep, psi)
 
 
 def _segment_distance(
@@ -139,7 +133,7 @@ def workspace(
     theta1_values = np.linspace(t_lo, t_hi, theta1_samples)
     psi_values = np.linspace(p_lo, p_hi, psi_samples)
 
-    points = _tip_rows(finger, sweep_chain(geometry, theta1_values), psi_values)
+    points = tip_trace(finger, sweep_chain(geometry, theta1_values), psi_values)
     grip = points["grip_x"], points["grip_y"]
     opening = float(np.max(_segment_distance(*grip, thumb_line)))
     # a non-finite tip is reported with its table; with every tip finite,
@@ -150,23 +144,15 @@ def workspace(
     return WorkspaceResult(points=points, max_opening_mm=opening)
 
 
-def tendon_excursion(tendon: TendonModel, geometry: LinkageGeometry,
-                     state: JointState):
-    """Tendon length drawn since the range-start configuration, and its
-    derivative with respect to the input angle.
+def tendon_excursion(tendon: TendonModel, state: JointState, start: JointState,
+                     derivatives):
+    """Tendon length drawn since the range-start configuration ``start``,
+    and its derivative with respect to the input angle.
 
     Excursion is the moment-arm-weighted sum of anatomical joint angles;
-    the derivative chains the implicit loop transmissions through both
-    dependent angles.  Floats or arrays back, as ``state`` holds.
+    the derivative chains ``derivatives``, :func:`chain_derivatives` at
+    ``state``, through both dependent angles.  Floats or arrays back.
     """
-    start = solve_chain(geometry, geometry.theta1_range[0])
-    return _excursion(tendon, state, start, chain_derivatives(geometry, state))
-
-
-def _excursion(tendon: TendonModel, state: JointState, start: JointState,
-               derivatives):
-    """:func:`tendon_excursion` given the range-start state ``start`` and
-    ``chain_derivatives`` at ``state``."""
     r_mcp, r_pip, r_dip = tendon.moment_arms
     excursion = (
         r_mcp * (state.theta_mcp - start.theta_mcp)
@@ -178,14 +164,9 @@ def _excursion(tendon: TendonModel, state: JointState, start: JointState,
     return excursion, d_excursion
 
 
-def tip_velocity(geometry: LinkageGeometry, finger: FingerGeometry,
-                 state: JointState):
-    """d(tip)/d(theta1) of the planar fingertip, mm/rad."""
-    return _velocity(finger, state, chain_derivatives(geometry, state))
-
-
-def _velocity(finger: FingerGeometry, state: JointState, derivatives):
-    """:func:`tip_velocity` given ``chain_derivatives`` at ``state``."""
+def tip_velocity(finger: FingerGeometry, state: JointState, derivatives):
+    """d(tip)/d(theta1) of the planar fingertip, mm/rad, given
+    ``derivatives``, the :func:`chain_derivatives` at ``state``."""
     d21, d61 = derivatives
     p1, p2, p3 = finger.phalanx_lengths
     a1, a2, a3 = _phalanx_angles(state)
@@ -209,8 +190,8 @@ def force_profile(
     Tension working through the tendon excursion, less the return-spring
     torque, divided by the tip speed per unit input angle.  Contacts only
     push, so negative results clamp to zero.  Returns FORCE_DTYPE rows;
-    each sample equals the scalar :func:`static_tip_force`,
-    :func:`tendon_excursion` and :func:`tip_velocity` results bit for bit.
+    each sample equals the scalar :func:`static_tip_force` result bit for
+    bit.
     """
     if not (0.0 <= tension <= tendon.max_tension):
         raise OutOfRangeError(
@@ -222,9 +203,9 @@ def force_profile(
         geometry, np.append(theta1_values, geometry.theta1_range[0]))
     chain = JointState._make(values[:-1] for values in solved)
     derivatives = chain_derivatives(geometry, chain)
-    excursion, d_excursion = _excursion(tendon, chain, solved.state_at(-1),
-                                        derivatives)
-    vx, vy = _velocity(finger, chain, derivatives)
+    excursion, d_excursion = tendon_excursion(tendon, chain, solved.state_at(-1),
+                                              derivatives)
+    vx, vy = tip_velocity(finger, chain, derivatives)
     # CPython's own math.hypot, not numpy's: they differ in the last ulp,
     # and the emitted tip speeds are pinned to math.hypot's
     speed = np.fromiter(map(math.hypot, vx.tolist(), vy.tolist()),

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateGeometryError, NoClosureError, OutOfRangeError
-from .geometry import LinkageGeometry, LoopCoefficients, loop_coefficients
+from .geometry import LinkageGeometry, loop_coefficients
 
 
 class JointState(NamedTuple):
@@ -46,24 +46,11 @@ class JointState(NamedTuple):
         return JointState._make(float(values[index]) for values in self)
 
 
-def _closed_form(
-    coeffs: LoopCoefficients, theta_in: np.ndarray, fixed_angle: float
-) -> np.ndarray:
-    """One loop's positive root over an input array, in closed form, NaN
-    where it cannot close."""
-    return _kernels.loop_solve_batch(
-        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle, 1)
-
-
-def _oracle(
-    coeffs: LoopCoefficients, theta_in: np.ndarray, fixed_angle: float
-) -> np.ndarray:
+def _oracle(k1, k2, k3, theta_in: np.ndarray, fixed_angle: float) -> np.ndarray:
     """One loop's positive root over an input array, by bisection, NaN
     where it cannot close."""
-    return _kernels.loop_bisect_batch(
-        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3, theta_in, fixed_angle,
-        1, 0.0, 4096,
-    )
+    return _kernels.loop_bisect_batch(k1, k2, k3, theta_in, fixed_angle,
+                                      1, 0.0, 4096)
 
 
 def _vector_closure_angles(
@@ -97,8 +84,8 @@ def _samples(theta1) -> np.ndarray:
 def _chain(geometry: LinkageGeometry, theta1: np.ndarray, solve) -> JointState:
     """The one two-loop chain solver every entry point is a view of.
 
-    ``solve(coeffs, theta_in, fixed_angle)`` gives one loop's
-    output angles over an input array, NaN where it cannot close.  Loop 1
+    ``solve(k1, k2, k3, theta_in, fixed_angle)`` gives one loop's output
+    angles over an input array, NaN where it cannot close.  Loop 1
     maps theta1 to theta2, which (offset by sigma) drives loop 2.  Samples
     outside the admissible range reach the loops as NaN, which no loop
     closes at.  The first sample, in input order, that is out of range or
@@ -108,13 +95,12 @@ def _chain(geometry: LinkageGeometry, theta1: np.ndarray, solve) -> JointState:
     """
     lo, hi = geometry.theta1_range
     in_range = (lo <= theta1) & (theta1 <= hi)
-    c1 = loop_coefficients(geometry, 1)
-    c2 = loop_coefficients(geometry, 2)
-    theta2 = solve(c1, np.where(in_range, theta1, np.nan),
-                   geometry.theta4_fixed)
+    theta2 = solve(*loop_coefficients(geometry, 1),
+                   np.where(in_range, theta1, np.nan), geometry.theta4_fixed)
     theta5 = theta2 + geometry.sigma
     # a NaN theta2 reaches loop 2 as a NaN input, so theta6 is NaN too
-    theta6 = solve(c2, theta5, geometry.theta8_fixed)
+    theta6 = solve(*loop_coefficients(geometry, 2), theta5,
+                   geometry.theta8_fixed)
     failed = np.flatnonzero(np.isnan(theta6))
     if failed.size:
         i = int(failed[0])
@@ -166,17 +152,8 @@ def solve_chain(
     first sample that is out of range or cannot close raises the float
     solve's error for it.
     """
-    state = _chain(geometry, _samples(theta1), _closed_form)
+    state = _chain(geometry, _samples(theta1), _kernels.loop_solve_batch)
     return state if np.ndim(theta1) else state.state_at(0)
-
-
-def _residual_partials(coeffs, theta_in, theta_out, fixed_angle):
-    """(d residual / d theta_in, d residual / d theta_out) of one loop,
-    elementwise over floats or arrays."""
-    shared = -coeffs.kappa1 * np.sin(theta_in + theta_out - fixed_angle)
-    d_in = shared - np.sin(theta_in)
-    d_out = shared - coeffs.kappa2 * np.sin(theta_out - fixed_angle)
-    return d_in, d_out
 
 
 def chain_derivatives(geometry: LinkageGeometry, state):
@@ -189,37 +166,31 @@ def chain_derivatives(geometry: LinkageGeometry, state):
     derivatives come back in the same shape; a singular sample anywhere
     raises.
     """
-    c1 = loop_coefficients(geometry, 1)
-    c2 = loop_coefficients(geometry, 2)
-    d1_in, d1_out = _residual_partials(
-        c1, state.theta1, state.theta2, geometry.theta4_fixed
-    )
-    scale1 = 1.0 + abs(c1.kappa1) + abs(c1.kappa2)
-    if np.any(np.abs(d1_out) < 1e-12 * scale1):
-        raise DegenerateGeometryError(
-            "loop 1 residual Jacobian is singular at this configuration"
-        )
-    d21 = -d1_in / d1_out
-    d2_in, d2_out = _residual_partials(
-        c2, state.theta5, state.theta6, geometry.theta8_fixed
-    )
-    scale2 = 1.0 + abs(c2.kappa1) + abs(c2.kappa2)
-    if np.any(np.abs(d2_out) < 1e-12 * scale2):
-        raise DegenerateGeometryError(
-            "loop 2 residual Jacobian is singular at this configuration"
-        )
-    d65 = -d2_in / d2_out
+    ratios = []
+    for loop, theta_in, theta_out, fixed_angle in (
+        (1, state.theta1, state.theta2, geometry.theta4_fixed),
+        (2, state.theta5, state.theta6, geometry.theta8_fixed),
+    ):
+        k1, k2, _ = loop_coefficients(geometry, loop)
+        # the residual's partials in the loop's input and output angles
+        shared = -k1 * np.sin(theta_in + theta_out - fixed_angle)
+        d_in = shared - np.sin(theta_in)
+        d_out = shared - k2 * np.sin(theta_out - fixed_angle)
+        if np.any(np.abs(d_out) < 1e-12 * (1.0 + abs(k1) + abs(k2))):
+            raise DegenerateGeometryError(
+                f"loop {loop} residual Jacobian is singular at this configuration"
+            )
+        ratios.append(-d_in / d_out)
+    d21, d65 = ratios
     return d21, d65 * d21
 
 
-def _continuity_sweep(coeffs, theta_in, fixed_angle):
+def _continuity_sweep(k1, k2, k3, theta_in, fixed_angle):
     """Nearest-branch sweep of one loop, seeded by the positive root at the
     first sample (which fails here exactly when the seed does)."""
-    seed = _closed_form(coeffs, theta_in[:1], fixed_angle)
-    return _kernels.loop_sweep_continuity(
-        coeffs.kappa1, coeffs.kappa2, coeffs.kappa3,
-        theta_in, fixed_angle, float(seed[0]),
-    )
+    seed = _kernels.loop_solve_batch(k1, k2, k3, theta_in[:1], fixed_angle)
+    return _kernels.loop_sweep_continuity(k1, k2, k3, theta_in, fixed_angle,
+                                          float(seed[0]))
 
 
 def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> JointState:
@@ -253,7 +224,7 @@ def oracle_deviation(
     theta1 = _samples(theta1_values)
     if theta1.size == 0:
         raise ValueError("oracle_deviation needs a theta1 sample, got an empty input")
-    closed = _chain(geometry, theta1, _closed_form)
+    closed = _chain(geometry, theta1, _kernels.loop_solve_batch)
     numeric = _chain(geometry, theta1, _oracle)
     return (float(np.max(np.abs(closed.theta2 - numeric.theta2))),
             float(np.max(np.abs(closed.theta6 - numeric.theta6))))

@@ -6,13 +6,11 @@ provenance label, instead of being scattered through the code.  The
 consistency rules (ordering relations, success-rate arithmetic, fixed key
 values, unit/key-suffix agreement) are code, and all of them run on any
 registry.  The shipped ``data/reference_registry.json`` holds only the
-constants; :func:`default_registry` loads and validates it, and
-:meth:`ReferenceRegistry.to_json` writes it back byte for byte.
+constants; :func:`default_registry` loads and validates it.
 """
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -81,10 +79,6 @@ class ReferenceRegistry(NamedTuple):
 
     def has(self, key: str) -> bool:
         return any(entry.key == key for entry in self.entries)
-
-    def to_json(self) -> str:
-        doc = {"entries": [e._asdict() for e in self.entries]}
-        return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
     def loads(cls, text: str | bytes) -> "ReferenceRegistry":

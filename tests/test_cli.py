@@ -1,9 +1,11 @@
 """CLI surface: commands, emitted files, exit-code contract, determinism."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import warnings
@@ -18,6 +20,7 @@ from fingerkit import _array_cli, cli
 from fingerkit.cli import main
 from fingerkit.config import default_config_path
 from fingerkit.errors import ConfigError, FingerkitError, strict_json
+from test_safety import registry_json
 
 BAD_GEOMETRY = {
     # loop 1 cannot close anywhere near theta1 = 0
@@ -217,7 +220,7 @@ class TestRegistryCommand:
 
     def test_faulted_registry_fails(self, tmp_path, capsys):
         from fingerkit.registry import default_registry
-        text = default_registry().to_json().replace(
+        text = registry_json(default_registry()).replace(
             '"value": 7.8', '"value": 12.5', 1)
         path = tmp_path / "reg.json"
         path.write_text(text, encoding="utf-8")
@@ -226,7 +229,7 @@ class TestRegistryCommand:
 
     def test_rules_cannot_be_dropped_by_the_file(self, tmp_path, capsys):
         from fingerkit.registry import default_registry
-        doc = {"entries": json.loads(default_registry().to_json())["entries"]}
+        doc = json.loads(registry_json(default_registry()))
         for entry in doc["entries"]:
             if entry["key"] == "gripper_weight_g":
                 entry["value"] = 99
@@ -261,7 +264,7 @@ class TestRegistryCommand:
                                        pytest.param(10**400, id="400-digits")])
     def test_non_numeric_value_is_two(self, value, tmp_path, capsys):
         from fingerkit.registry import default_registry
-        doc = json.loads(default_registry().to_json())
+        doc = json.loads(registry_json(default_registry()))
         doc["entries"][0]["value"] = value
         path = tmp_path / "reg.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -399,6 +402,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {document} is nested too deeply to parse\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_write_names_its_file(self, tmp_path, capsys):
+        """A write that fails (here, on a full device) is one error line
+        naming the file, exit 2: the error of a write or a close carries no
+        file name of its own."""
+        out = tmp_path / "o"
+        out.mkdir()
+        target = out / "tip_trace.csv"
+        target.symlink_to("/dev/full")
+        assert main(["sweep", "--samples", "10", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: [Errno {errno.ENOSPC}] "
+                                f"{os.strerror(errno.ENOSPC)}: {str(target)!r}\n")
 
     def test_non_utf8_config_is_two(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

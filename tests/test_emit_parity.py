@@ -25,6 +25,7 @@ import fingerkit as fk
 from fingerkit import _array_cli, _kernels, _numfmt
 from fingerkit.cli import main
 from fingerkit.svgplot import Series
+from test_linkage import negative_root
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -65,10 +66,13 @@ class TestForceBatchMatchesScalar:
         grid = np.linspace(*geometry.theta1_range, samples)
         profile = fk.force_profile(tendon, geometry, finger, grid, tension)
         assert profile.dtype == fk.FORCE_DTYPE
+        start = fk.solve_chain(geometry, geometry.theta1_range[0])
         for row, theta1 in zip(profile, grid.tolist()):
             state = fk.solve_chain(geometry, theta1)
-            excursion, d_excursion = fk.tendon_excursion(tendon, geometry, state)
-            vx, vy = fk.tip_velocity(geometry, finger, state)
+            derivatives = fk.chain_derivatives(geometry, state)
+            excursion, d_excursion = fk.tendon_excursion(tendon, state, start,
+                                                         derivatives)
+            vx, vy = fk.tip_velocity(finger, state, derivatives)
             assert row["theta1"] == theta1
             assert row["excursion"] == excursion
             assert row["d_excursion"] == d_excursion
@@ -108,8 +112,8 @@ class TestForceBatchMatchesScalar:
 
 def _sequential_continuity(k1, k2, k3, phi, fixed_angle, seed):
     """The per-sample loop the vectorized continuity sweep replaces."""
-    pos = _kernels.loop_solve_batch(k1, k2, k3, phi, fixed_angle, 1)
-    neg = _kernels.loop_solve_batch(k1, k2, k3, phi, fixed_angle, -1)
+    pos = _kernels.loop_solve_batch(k1, k2, k3, phi, fixed_angle)
+    neg = negative_root(k1, k2, k3, phi, fixed_angle)
     ok = ~np.isnan(pos)
 
     def wrap(angle):
@@ -151,7 +155,7 @@ def test_vectorized_continuity_matches_sequential_loop():
         assert np.array_equal(ok, ok_ref)
         assert np.array_equal(theta, theta_ref, equal_nan=True)
         closing_some += 0 < ok.sum() < n
-        pos = _kernels.loop_solve_batch(k1, k2, k3, phi, fixed, 1)
+        pos = _kernels.loop_solve_batch(k1, k2, k3, phi, fixed)
         flipping += bool(np.any(ok & (theta != pos)))
     # the cases exercise partly closing inputs and negative-branch picks
     assert closing_some > 20 and flipping > 20

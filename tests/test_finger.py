@@ -20,6 +20,18 @@ def make_state(mcp=0.0, pip=0.0, dip=0.0, theta1=0.0):
     )
 
 
+def excursion_at(tendon, geometry, state):
+    """``tendon_excursion`` at a solved ``state``, from the range start."""
+    start = fk.solve_chain(geometry, geometry.theta1_range[0])
+    return fk.tendon_excursion(tendon, state, start,
+                               fk.chain_derivatives(geometry, state))
+
+
+def velocity_at(geometry, finger, state):
+    """``tip_velocity`` at a solved ``state``."""
+    return fk.tip_velocity(finger, state, fk.chain_derivatives(geometry, state))
+
+
 def complex_fk(finger, mcp, pip, dip):
     """Independent FK oracle: phalanx vectors accumulated as complex phasors."""
     z = complex(*finger.base_offset)
@@ -244,7 +256,7 @@ class TestTendonExcursion:
         t = fk.TendonModel(kind="double", moment_arms=(0.0, 0.0, 0.0),
                            max_tension=10.0)
         state = fk.solve_chain(geometry, 0.5 * sum(geometry.theta1_range))
-        excursion, d_exc = fk.tendon_excursion(t, geometry, state)
+        excursion, d_exc = excursion_at(t, geometry, state)
         assert excursion == 0.0
         assert d_exc == 0.0
 
@@ -257,7 +269,7 @@ class TestTendonExcursion:
         state = fk.solve_chain(geometry, 0.5 * sum(geometry.theta1_range))
         s_now = state.theta_mcp + state.theta_pip + state.theta_dip
         s_start = start.theta_mcp + start.theta_pip + start.theta_dip
-        excursion, _ = fk.tendon_excursion(t, geometry, state)
+        excursion, _ = excursion_at(t, geometry, state)
         assert excursion == pytest.approx(r * (s_now - s_start), rel=1e-12)
 
     def test_derivative_against_finite_difference(self, geometry, tendon):
@@ -266,10 +278,10 @@ class TestTendonExcursion:
             lo, hi = geometry.theta1_range
             theta1 = lo + frac * (hi - lo)
             state = fk.solve_chain(geometry, theta1)
-            _, d_exc = fk.tendon_excursion(tendon, geometry, state)
-            e_plus, _ = fk.tendon_excursion(
+            _, d_exc = excursion_at(tendon, geometry, state)
+            e_plus, _ = excursion_at(
                 tendon, geometry, fk.solve_chain(geometry, theta1 + h))
-            e_minus, _ = fk.tendon_excursion(
+            e_minus, _ = excursion_at(
                 tendon, geometry, fk.solve_chain(geometry, theta1 - h))
             fd = (e_plus - e_minus) / (2.0 * h)
             assert d_exc == pytest.approx(fd, rel=1e-6)
@@ -282,7 +294,7 @@ class TestTipVelocity:
             lo, hi = geometry.theta1_range
             theta1 = lo + frac * (hi - lo)
             state = fk.solve_chain(geometry, theta1)
-            vx, vy = fk.tip_velocity(geometry, finger, state)
+            vx, vy = velocity_at(geometry, finger, state)
             sp = fk.tip_trace(
                 finger, fk.solve_chain(geometry, theta1 + h), 0.0)[0]
             sm = fk.tip_trace(
@@ -296,7 +308,7 @@ class TestStaticTipForce:
         # arms (0, 0, s) make the excursion derivative equal the tip speed s
         theta1 = 0.5 * sum(geometry.theta1_range)
         state = fk.solve_chain(geometry, theta1)
-        vx, vy = fk.tip_velocity(geometry, finger, state)
+        vx, vy = velocity_at(geometry, finger, state)
         speed = math.hypot(vx, vy)
         t = fk.TendonModel(kind="double", moment_arms=(0.0, 0.0, speed),
                            max_tension=50.0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fingerkit as fk
 from fingerkit import _kernels, linkage
 from fingerkit._kernels import _PI_ROOT_TOL, _ROOT_MERGE_TOL, _TWO_PI, wrap
-from test_linkage import closure_residual, reference_bisect
+from test_linkage import closure_residual, negative_root, reference_bisect
 
 
 def _kappa_cases(rng, n):
@@ -28,8 +28,8 @@ def test_batch_solve_matches_scalar(rng):
     solved = 0
     for k1, k2, k3 in _kappa_cases(rng, 10):
         c = fk.LoopCoefficients(k1, k2, k3)
-        pos, neg = (_kernels.loop_solve_batch(k1, k2, k3, phi, math.pi / 2, b)
-                    for b in (1, -1))
+        pos = _kernels.loop_solve_batch(k1, k2, k3, phi, math.pi / 2)
+        neg = negative_root(k1, k2, k3, phi, math.pi / 2)
         for t, thetas in zip(phi.tolist(), zip(pos.tolist(), neg.tolist())):
             roots = reference_bisect(c, t, n=4000)
             for theta in thetas:
@@ -49,8 +49,7 @@ def test_batch_bisect_matches_closed_form(geometry):
         if loop == 2:
             lo, hi = lo - 2.2, hi - 2.2  # loop-2 operating window
         grid = np.linspace(lo, hi, 200)
-        t_c = _kernels.loop_solve_batch(
-            c.kappa1, c.kappa2, c.kappa3, grid, f, 1)
+        t_c = _kernels.loop_solve_batch(c.kappa1, c.kappa2, c.kappa3, grid, f)
         t_b = _kernels.loop_bisect_batch(
             c.kappa1, c.kappa2, c.kappa3, grid, f, 1, 0.0, 4096)
         both = ~np.isnan(t_c) & ~np.isnan(t_b)
@@ -62,8 +61,8 @@ def test_continuity_seed_selects_branch(geometry):
     c = fk.loop_coefficients(geometry, 1)
     lo, hi = geometry.theta1_range
     grid = np.linspace(lo, hi, 50)
-    pos_seed, neg_seed = (float(_kernels.loop_solve_batch(
-        *c, grid[0], geometry.theta4_fixed, branch)) for branch in (1, -1))
+    pos_seed, neg_seed = (float(root(*c, grid[0], geometry.theta4_fixed))
+                          for root in (_kernels.loop_solve_batch, negative_root))
     from_pos = _kernels.loop_sweep_continuity(
         c.kappa1, c.kappa2, c.kappa3, grid, geometry.theta4_fixed, pos_seed)
     from_neg = _kernels.loop_sweep_continuity(
@@ -88,17 +87,15 @@ CONTRACT_CASES = {
 
 
 CONTRACT_KERNELS = {
-    "solve-positive": lambda *a: _kernels.loop_solve_batch(*a, 1),
-    "solve-negative": lambda *a: _kernels.loop_solve_batch(*a, -1),
-    "solve-nearest": lambda *a: _kernels.loop_solve_batch(*a, 0, 0.0),
+    "solve-positive": _kernels.loop_solve_batch,
+    "solve-negative": negative_root,
     "continuity": lambda *a: _kernels.loop_sweep_continuity(*a, 0.0),
     "oracle-positive": lambda *a: _kernels.loop_bisect_batch(*a, 1, 0.0, 4096),
     "oracle-negative": lambda *a: _kernels.loop_bisect_batch(*a, -1, 0.0, 4096),
-    "closed-form-positive": lambda k1, k2, k3, phi, fixed: linkage._closed_form(
-        fk.LoopCoefficients(k1, k2, k3), phi, fixed),
+    # the loop solve of sweep_chain: on one sample, its positive-root seed
+    "closed-form-positive": linkage._continuity_sweep,
     "closed-form-negative": lambda k1, k2, k3, phi, fixed: (
-        _kernels.loop_solve_batch(*fk.LoopCoefficients(k1, k2, k3), phi,
-                                  fixed, -1)),
+        negative_root(*fk.LoopCoefficients(k1, k2, k3), phi, fixed)),
 }
 
 

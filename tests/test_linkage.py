@@ -23,6 +23,12 @@ def closure_residual(coeffs, theta_in, theta_out, fixed_angle=math.pi / 2.0):
     )
 
 
+def negative_root(k1, k2, k3, phi, fixed_angle):
+    """One loop's closed-form negative root: ``loop_solve_batch`` gives the
+    positive one, and both come from ``half_angle_roots``."""
+    return 2.0 * np.arctan(_kernels.half_angle_roots(k1, k2, k3, phi, fixed_angle)[1])
+
+
 def numeric_chain(geometry, theta1):
     """The chain at one input angle, both loops solved by the oracle."""
     return linkage._chain(
@@ -167,8 +173,8 @@ class TestQuadraticReduction:
             k1, k2, k3 = rng.uniform(0.05, 2.0, 3)
             t = rng.uniform(-math.pi, math.pi)
             c = fk.LoopCoefficients(k1, k2, k3)
-            for branch in (1, -1):
-                out = float(_kernels.loop_solve_batch(*c, t, math.pi / 2.0, branch))
+            for root in (_kernels.loop_solve_batch, negative_root):
+                out = float(root(*c, t, math.pi / 2.0))
                 if math.isnan(out):
                     continue
                 solved += 1
@@ -177,26 +183,27 @@ class TestQuadraticReduction:
 
 
 class TestSolveLoop:
-    """One loop solved in closed form by ``_kernels.loop_solve_batch``, on
-    the positive (+1) or negative (-1) root, or the one nearer a
-    reference (0)."""
+    """One loop solved in closed form: the positive (+1) root by
+    ``_kernels.loop_solve_batch``, the negative (-1) one by
+    :func:`negative_root`, and the root nearer a reference by the
+    continuity kernel."""
 
     @staticmethod
-    def solve(coeffs, theta_in, branch=1, reference=None):
-        return float(_kernels.loop_solve_batch(
-            *coeffs, theta_in, math.pi / 2.0, branch, reference))
+    def solve(coeffs, theta_in, branch=1):
+        root = _kernels.loop_solve_batch if branch > 0 else negative_root
+        return float(root(*coeffs, theta_in, math.pi / 2.0))
 
     def test_linear_fallback(self):
         c = fk.LoopCoefficients(1.0, 1.0, 1.0)
-        for branch in (1, -1, 0):
-            out = self.solve(c, math.pi / 2.0, branch, 0.0)
+        for branch in (1, -1):
+            out = self.solve(c, math.pi / 2.0, branch)
             assert out == pytest.approx(-math.pi / 2.0, abs=1e-14)
             assert abs(closure_residual(c, math.pi / 2.0, out)) <= 1e-10
 
     def test_no_closure(self):
         c = fk.LoopCoefficients(0.0, 0.0, 2.0)
-        for branch in (1, -1, 0):
-            assert math.isnan(self.solve(c, 0.0, branch, 0.0))
+        for branch in (1, -1):
+            assert math.isnan(self.solve(c, 0.0, branch))
 
     def test_positive_root_against_reference_bisection(self):
         # (25, 40, 45, 10) at a feasible input; 30 deg is outside that
@@ -230,14 +237,19 @@ class TestSolveLoop:
         pos = self.solve(c, t, 1)
         neg = self.solve(c, t, -1)
         assert pos != neg
-        assert self.solve(c, t, 0, pos + 0.01) == pos
-        assert self.solve(c, t, 0, neg - 0.01) == neg
+
+        def nearest(reference):
+            return float(_kernels.loop_sweep_continuity(
+                *c, np.array([t]), math.pi / 2.0, reference)[0])
+
+        assert nearest(pos + 0.01) == pos
+        assert nearest(neg - 0.01) == neg
 
 
 class TestOracle:
     @staticmethod
     def oracle(coeffs, theta_in):
-        theta = linkage._oracle(coeffs, np.array([theta_in]), math.pi / 2.0)
+        theta = linkage._oracle(*coeffs, np.array([theta_in]), math.pi / 2.0)
         ok = ~np.isnan(theta)
         return bool(ok[0]), float(theta[0])
 

@@ -1,13 +1,18 @@
-"""Every function the benchmark tracer patches still exists.
+"""Every function the benchmark tracer patches still exists, and the CLI
+runs the traced functions themselves.
 
 ``perfbench.spans.Tracer.install`` looks up each ``perfbench.layers`` target
 by name and raises if one is gone, so a renamed or deleted traced function
-fails here rather than only in the next traced benchmark run.
+fails here rather than only in the next traced benchmark run.  A traced
+function that the CLI reaches only through an untraced twin would read zero
+time in every run; the spans of a traced command show it does not.
 """
 
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 from fingerkit.cli import main
 
@@ -39,3 +44,22 @@ def test_targets_install_trace_and_uninstall(capsys):
     assert {"cli.run", "config.load_config", "finger.static_tip_force",
             "finger.grasp_assess"} <= names
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["force", "--samples", "50"],
+     {"finger.tendon_excursion", "finger.tip_velocity",
+      "linkage.chain_derivatives", "kernels.loop_solve_batch"}),
+    (["workspace", "--samples", "5", "--psi-samples", "3"],
+     {"finger.workspace", "finger.tip_trace", "linkage.sweep_chain",
+      "kernels.loop_solve_batch", "kernels.loop_sweep_continuity"}),
+])
+def test_commands_run_the_traced_layers(argv, layers, tmp_path):
+    tracer = Tracer()
+    tracer.install(TARGETS)
+    try:
+        tracer.invocation = 0
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert layers <= {span.name for span in tracer.spans}
