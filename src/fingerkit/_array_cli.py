@@ -32,7 +32,6 @@ from .errors import ConfigError, FingerkitError, require_finite, strict_json
 from .finger import (
     CylinderObject,
     FlatObject,
-    GraspReport,
     force_profile,
     grasp_assess,
     static_tip_force,
@@ -241,16 +240,6 @@ def _cmd_force(cfg: FingerConfig, args: argparse.Namespace):
     return [("force_profile", header, table, extra)], (), plots
 
 
-def _report_dict(report: GraspReport) -> dict:
-    return {
-        "grasp_type": report.grasp_type,
-        "feasible": report.feasible,
-        "predicted_force_n": report.predicted_force,
-        "margin": report.margin,
-        "notes": report.notes,
-    }
-
-
 def _cmd_grasp(cfg: FingerConfig, args: argparse.Namespace) -> int:
     finger = cfg.require_finger()
     tendon, tension = _resolve_tendon(cfg, args)
@@ -266,7 +255,7 @@ def _cmd_grasp(cfg: FingerConfig, args: argparse.Namespace) -> int:
     )
     force = static_tip_force(tendon, cfg.geometry, finger, theta1, tension)
     report = grasp_assess(obj, default_registry(), force)
-    print(strict_json(_report_dict(report)))
+    print(strict_json(report._asdict()))
     return 0
 
 

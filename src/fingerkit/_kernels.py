@@ -96,17 +96,18 @@ def positive_nearer(pos, neg, reference):
     return np.abs(wrap(pos - reference)) <= np.abs(wrap(neg - reference))
 
 
-def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle, seed):
+def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle):
     """Nearest-branch sweep, vectorized.
 
     The sequential rule picks, at each closing sample, the root nearer the
-    previous pick (the positive one on a tie); samples that cannot close
-    are skipped.  Whether the positive root is picked depends only on which
-    branch was picked before, so each step is one of four maps of that
-    choice: always positive, always negative (both constants), keep, or
-    flip.  The choice at a sample is the last constant before it, flipped
-    once per flip step since.  Only already computed roots are selected,
-    so the result is the sequential loop's, bit for bit.
+    previous pick (the positive one on a tie), and at the first closing
+    sample the positive root; samples that cannot close are skipped.
+    Whether the positive root is picked depends only on which branch was
+    picked before, so each step is one of four maps of that choice: always
+    positive, always negative (both constants), keep, or flip.  The choice
+    at a sample is the last constant before it, flipped once per flip step
+    since.  Only already computed roots are selected, so the result is the
+    sequential loop's, bit for bit.
     """
     t_pos, t_neg = half_angle_roots(k1, k2, k3, phi, fixed_angle)
     closes = ~np.isnan(t_pos)
@@ -114,9 +115,9 @@ def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle, seed):
     neg = 2.0 * np.arctan(t_neg[closes])
 
     # the pick at each closing sample, given the pick before it; the first
-    # one follows the seed either way
-    after_pos = positive_nearer(pos, neg, np.concatenate(([seed], pos[:-1])))
-    after_neg = positive_nearer(pos, neg, np.concatenate(([seed], neg[:-1])))
+    # one, measured from its own positive root, is positive either way
+    after_pos = positive_nearer(pos, neg, np.concatenate((pos[:1], pos[:-1])))
+    after_neg = positive_nearer(pos, neg, np.concatenate((pos[:1], neg[:-1])))
     constant = after_pos == after_neg
     flips = np.cumsum(after_neg & ~constant)
     last = np.maximum.accumulate(np.where(constant, np.arange(pos.size), 0))

@@ -76,24 +76,11 @@ def _cmd_safety(args: argparse.Namespace) -> int:
         registry.value("trouser_raise_mm"),
         registry.value("secondary_extension_mm"),
     )
-    doc = {
-        "iso_contact": {
-            "passed": iso.passed,
-            "applied_limit_n": iso.applied_limit,
-            "measured_n": iso.measured,
-            # null: limit/force overflows at zero or tiny force
-            "margin_ratio": (iso.margin_ratio if math.isfinite(iso.margin_ratio)
-                             else None),
-        },
-        "clearance": {
-            "per_side_clearance_mm": clearance.per_side_clearance,
-            "fits": clearance.fits,
-        },
-        "stroke": {
-            "passed": stroke.passed,
-            "slack_mm": stroke.slack,
-        },
-    }
+    # null: limit/force overflows at zero or tiny force
+    if not math.isfinite(iso.margin_ratio):
+        iso = iso._replace(margin_ratio=None)
+    doc = {"iso_contact": iso._asdict(), "clearance": clearance._asdict(),
+           "stroke": stroke._asdict()}
     print(strict_json(doc))
     return 0 if (iso.passed and clearance.fits and stroke.passed) else 1
 

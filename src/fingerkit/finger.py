@@ -52,7 +52,7 @@ class GraspReport(NamedTuple):
 
     grasp_type: str
     feasible: bool
-    predicted_force: float
+    predicted_force_n: float
     margin: float
     notes: str
 
@@ -253,11 +253,15 @@ def grasp_assess(
 
     Cylinders are feasible inside the registry's closed diameter
     envelope; flat objects are treated as pinch grasps with the predicted
-    force capped at the registry pinch maximum.
+    force capped at the registry pinch maximum.  A force outside [0, inf)
+    raises :class:`OutOfRangeError`, and an object dimension that is not
+    finite and > 0 raises ``ValueError``.
     """
+    if not 0.0 <= force < math.inf:
+        raise OutOfRangeError(f"tip force {force:.9g} N outside [0, inf) N")
     if isinstance(obj, CylinderObject):
-        if obj.diameter_mm <= 0.0:
-            raise ValueError("cylinder diameter must be > 0")
+        if not 0.0 < obj.diameter_mm < math.inf:
+            raise ValueError("cylinder diameter must be finite and > 0")
         lo = registry.value("grasp_diameter_min_mm")
         hi = registry.value("grasp_diameter_max_mm")
         feasible = lo <= obj.diameter_mm <= hi
@@ -266,20 +270,20 @@ def grasp_assess(
             return GraspReport(
                 grasp_type="cylindrical",
                 feasible=True,
-                predicted_force=force,
+                predicted_force_n=force,
                 margin=margin,
                 notes=f"diameter inside [{lo:.9g}, {hi:.9g}] mm envelope",
             )
         return GraspReport(
             grasp_type="infeasible",
             feasible=False,
-            predicted_force=0.0,
+            predicted_force_n=0.0,
             margin=margin,
             notes=f"diameter outside [{lo:.9g}, {hi:.9g}] mm envelope",
         )
     if isinstance(obj, FlatObject):
-        if obj.thickness_mm <= 0.0:
-            raise ValueError("flat-object thickness must be > 0")
+        if not 0.0 < obj.thickness_mm < math.inf:
+            raise ValueError("flat-object thickness must be finite and > 0")
         cap = registry.value("pinch_force_max_n")
         capped = min(force, cap)
         notes = "pinch grasp"
@@ -288,7 +292,7 @@ def grasp_assess(
         return GraspReport(
             grasp_type="pinch",
             feasible=True,
-            predicted_force=capped,
+            predicted_force_n=capped,
             margin=(cap - capped) / cap,
             notes=notes,
         )

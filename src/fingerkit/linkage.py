@@ -185,19 +185,11 @@ def chain_derivatives(geometry: LinkageGeometry, state):
     return d21, d65 * d21
 
 
-def _continuity_sweep(k1, k2, k3, theta_in, fixed_angle):
-    """Nearest-branch sweep of one loop, seeded by the positive root at the
-    first sample (which fails here exactly when the seed does)."""
-    seed = _kernels.loop_solve_batch(k1, k2, k3, theta_in[:1], fixed_angle)
-    return _kernels.loop_sweep_continuity(k1, k2, k3, theta_in, fixed_angle,
-                                          float(seed[0]))
-
-
 def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> JointState:
     """Solve the chain over a sweep of input angles that never changes
     direction (repeated angles are allowed).
 
-    Uses the continuity branch seeded by the positive root at the
+    Uses the continuity branch, which starts on the positive root at the
     first sample, so consecutive configurations never flip assembly
     branches.  The first sample that is out of range or fails to close
     aborts the sweep with the offending input angle.
@@ -209,7 +201,7 @@ def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> JointSt
     # a NaN compares false both ways, so it reaches the chain's range check
     if np.any(diffs < 0.0) and np.any(diffs > 0.0):
         raise ValueError("sweep input angles must not change direction")
-    return _chain(geometry, theta1_values, _continuity_sweep)
+    return _chain(geometry, theta1_values, _kernels.loop_sweep_continuity)
 
 
 def oracle_deviation(

@@ -3,6 +3,7 @@
 The caller passes the limits (the CLI reads them from the registry); these
 functions only encode the comparisons, so fuzz tests can re-derive every
 verdict with inline arithmetic.  NaN or infinite input raises ValueError.
+Field names carry their unit, and the ``safety`` command prints them as is.
 """
 
 from __future__ import annotations
@@ -13,19 +14,19 @@ from typing import NamedTuple
 
 class SafetyVerdict(NamedTuple):
     passed: bool
-    applied_limit: float
-    measured: float
+    applied_limit_n: float
+    measured_n: float
     margin_ratio: float
 
 
 class ClearanceResult(NamedTuple):
-    per_side_clearance: float
+    per_side_clearance_mm: float
     fits: bool
 
 
 class StrokeResult(NamedTuple):
     passed: bool
-    slack: float
+    slack_mm: float
 
 
 def iso_contact_check(force: float, limit: float) -> SafetyVerdict:
@@ -39,8 +40,8 @@ def iso_contact_check(force: float, limit: float) -> SafetyVerdict:
         raise ValueError("force and limit must be finite and >= 0")
     return SafetyVerdict(
         passed=force <= limit,
-        applied_limit=limit,
-        measured=force,
+        applied_limit_n=limit,
+        measured_n=force,
         margin_ratio=limit / force if force > 0.0 else math.inf,
     )
 
@@ -59,7 +60,7 @@ def clearance_check(
         raise ValueError("widths must be finite and > 0")
     per_side = (space_width - body_width) / 2.0
     return ClearanceResult(
-        per_side_clearance=per_side,
+        per_side_clearance_mm=per_side,
         fits=device_width <= per_side,
     )
 
@@ -71,5 +72,5 @@ def stroke_check(required_travel: float, available_extension: float) -> StrokeRe
         raise ValueError("travel values must be finite and >= 0")
     return StrokeResult(
         passed=available_extension >= required_travel,
-        slack=available_extension - required_travel,
+        slack_mm=available_extension - required_travel,
     )

@@ -309,7 +309,7 @@ def test_criterion_9_safety_constants(cfg, registry):
     assert verdict.margin_ratio >= 18.0
 
     clearance = fk.clearance_check(800.0, 460.0, 75.0)
-    assert clearance.per_side_clearance == 170.0
+    assert clearance.per_side_clearance_mm == 170.0
     assert clearance.fits
 
     stroke = fk.stroke_check(170.0, 180.0)

@@ -20,6 +20,8 @@ from fingerkit import _array_cli, cli
 from fingerkit.cli import main
 from fingerkit.config import default_config_path
 from fingerkit.errors import ConfigError, FingerkitError, strict_json
+from fingerkit.finger import GraspReport
+from fingerkit.safety import ClearanceResult, SafetyVerdict, StrokeResult
 from test_safety import registry_json
 
 BAD_GEOMETRY = {
@@ -162,6 +164,14 @@ class TestGrasp:
         assert doc["grasp_type"] == "pinch"
         assert doc["predicted_force_n"] <= 11.8
 
+    @pytest.mark.parametrize("obj", [
+        ["--diameter-mm", "100"], ["--diameter-mm", "200"],
+        ["--thickness-mm", "0.5"],
+    ])
+    def test_keys_are_the_report_fields(self, obj, capsys):
+        assert main(["grasp", *obj]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == set(GraspReport._fields)
+
     def test_requires_exactly_one_object(self, capsys):
         assert main(["grasp"]) == 2
         captured = capsys.readouterr()
@@ -193,6 +203,17 @@ class TestSafety:
             assert main(["safety", "--force-n", force]) == 0
             doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
             assert doc["iso_contact"]["margin_ratio"] is None
+
+    @pytest.mark.parametrize("force", [[], ["--force-n", "0"],
+                                       ["--force-n", "50"], ["--force-n", "300"]])
+    def test_keys_are_the_record_fields(self, force, capsys):
+        main(["safety", *force])
+        doc = json.loads(capsys.readouterr().out)
+        assert {name: set(record) for name, record in doc.items()} == {
+            "iso_contact": set(SafetyVerdict._fields),
+            "clearance": set(ClearanceResult._fields),
+            "stroke": set(StrokeResult._fields),
+        }
 
     def test_non_finite_json_is_a_domain_error(self):
         with pytest.raises(FingerkitError):
@@ -356,6 +377,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == COEFFICIENT_ERROR
         assert not out.exists()
+
+    @pytest.mark.parametrize("obj", [
+        ["--thickness-mm", "1.5"], ["--diameter-mm", "80"], ["--diameter-mm", "200"],
+    ])
+    def test_infinite_tip_force_is_one(self, obj, tmp_path, capsys):
+        # such moment arms make the predicted tip force infinite, which no
+        # verdict may report, not even one capped at the pinch maximum
+        config = edited_config(
+            tmp_path, _set(("tendon", "arms_mm"), [1e308] * 3))
+        assert main(["grasp", "--config", str(config), *obj]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tip force inf N outside [0, inf) N\n"
 
     def test_single_tendon_on_double_config_is_two(self, tmp_path, capsys):
         config = edited_config(tmp_path, lambda doc: doc["tendon"].update(

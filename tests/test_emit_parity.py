@@ -110,8 +110,9 @@ class TestForceBatchMatchesScalar:
             fk.force_profile(tendon, geometry, tiny, grid, 10.0)
 
 
-def _sequential_continuity(k1, k2, k3, phi, fixed_angle, seed):
-    """The per-sample loop the vectorized continuity sweep replaces."""
+def _sequential_continuity(k1, k2, k3, phi, fixed_angle):
+    """The per-sample loop the vectorized continuity sweep replaces; the
+    first closing sample, measured from its own positive root, takes it."""
     pos = _kernels.loop_solve_batch(k1, k2, k3, phi, fixed_angle)
     neg = negative_root(k1, k2, k3, phi, fixed_angle)
     ok = ~np.isnan(pos)
@@ -123,7 +124,7 @@ def _sequential_continuity(k1, k2, k3, phi, fixed_angle, seed):
         return wrapped - math.pi
 
     out = np.full(len(phi), np.nan)
-    prev = seed
+    prev = pos[np.argmax(ok)] if ok.any() else math.nan
     for i in range(len(phi)):
         if not ok[i]:
             continue
@@ -147,14 +148,14 @@ def test_vectorized_continuity_matches_sequential_loop():
         else:
             phi = np.linspace(rng.uniform(-3.0, 0.0), rng.uniform(0.0, 3.0), n)
         fixed = float(rng.uniform(-2.0, 2.0))
-        seed = float(rng.uniform(-4.0, 4.0))
-        theta = _kernels.loop_sweep_continuity(
-            k1, k2, k3, phi, fixed, seed)
+        # a first sample anywhere sets the reference the sweep starts from
+        phi = np.concatenate(([rng.uniform(-4.0, 4.0)], phi))
+        theta = _kernels.loop_sweep_continuity(k1, k2, k3, phi, fixed)
         ok = ~np.isnan(theta)
-        ok_ref, theta_ref = _sequential_continuity(k1, k2, k3, phi, fixed, seed)
+        ok_ref, theta_ref = _sequential_continuity(k1, k2, k3, phi, fixed)
         assert np.array_equal(ok, ok_ref)
         assert np.array_equal(theta, theta_ref, equal_nan=True)
-        closing_some += 0 < ok.sum() < n
+        closing_some += 0 < ok.sum() < phi.size
         pos = _kernels.loop_solve_batch(k1, k2, k3, phi, fixed)
         flipping += bool(np.any(ok & (theta != pos)))
     # the cases exercise partly closing inputs and negative-branch picks

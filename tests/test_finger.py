@@ -416,7 +416,7 @@ class TestGraspAssess:
             fk.CylinderObject(100.0), registry, self.make_force(cfg))
         assert report.grasp_type == "cylindrical"
         assert report.feasible
-        assert report.predicted_force > 0.0
+        assert report.predicted_force_n > 0.0
         assert report.margin == pytest.approx(45.0)
 
     @pytest.mark.parametrize("diameter,feasible", [
@@ -428,7 +428,7 @@ class TestGraspAssess:
         assert report.feasible is feasible
         if not feasible:
             assert report.grasp_type == "infeasible"
-            assert report.predicted_force == 0.0
+            assert report.predicted_force_n == 0.0
             assert report.margin < 0.0
 
     def test_flat_sheet_pinch(self, cfg, registry):
@@ -436,7 +436,7 @@ class TestGraspAssess:
             fk.FlatObject(0.5), registry, self.make_force(cfg))
         assert report.grasp_type == "pinch"
         assert report.feasible
-        assert report.predicted_force <= registry.value("pinch_force_max_n")
+        assert report.predicted_force_n <= registry.value("pinch_force_max_n")
         assert 0.0 <= report.margin <= 1.0
 
     def test_force_cap_applies(self, cfg, registry):
@@ -447,7 +447,7 @@ class TestGraspAssess:
             big, cfg.geometry, cfg.require_finger(),
             cfg.geometry.theta1_range[0], 38.0)
         report = fk.grasp_assess(fk.FlatObject(1.0), registry, force)
-        assert report.predicted_force == registry.value("pinch_force_max_n")
+        assert report.predicted_force_n == registry.value("pinch_force_max_n")
         assert report.margin == 0.0
         assert "capped" in report.notes
 
@@ -458,6 +458,21 @@ class TestGraspAssess:
         with pytest.raises(ValueError):
             fk.grasp_assess(fk.FlatObject(-1.0), registry,
                             self.make_force(cfg))
+
+    @pytest.mark.parametrize("force", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("obj", [fk.FlatObject(1.0), fk.CylinderObject(80.0),
+                                     fk.CylinderObject(200.0)])
+    def test_force_outside_zero_to_inf_rejected(self, registry, obj, force):
+        with pytest.raises(fk.OutOfRangeError, match=r"outside \[0, inf\)"):
+            fk.grasp_assess(obj, registry, force)
+
+    @pytest.mark.parametrize("obj", [
+        fk.FlatObject(math.nan), fk.FlatObject(math.inf),
+        fk.CylinderObject(math.nan), fk.CylinderObject(math.inf),
+    ])
+    def test_non_finite_dimension_rejected(self, registry, obj):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            fk.grasp_assess(obj, registry, 5.0)
 
     def test_envelope_is_registry_driven(self, cfg):
         doc = fk.default_registry()

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fingerkit as fk
-from fingerkit import _kernels, linkage
+from fingerkit import _kernels
 from fingerkit._kernels import _PI_ROOT_TOL, _ROOT_MERGE_TOL, _TWO_PI, wrap
 from test_linkage import closure_residual, negative_root, reference_bisect
 
@@ -57,19 +57,19 @@ def test_batch_bisect_matches_closed_form(geometry):
         assert np.max(np.abs(t_c[both] - t_b[both])) <= 1e-9
 
 
-def test_continuity_seed_selects_branch(geometry):
-    c = fk.loop_coefficients(geometry, 1)
-    lo, hi = geometry.theta1_range
-    grid = np.linspace(lo, hi, 50)
-    pos_seed, neg_seed = (float(root(*c, grid[0], geometry.theta4_fixed))
-                          for root in (_kernels.loop_solve_batch, negative_root))
-    from_pos = _kernels.loop_sweep_continuity(
-        c.kappa1, c.kappa2, c.kappa3, grid, geometry.theta4_fixed, pos_seed)
+def test_continuity_seed_selects_branch():
+    # this loop closes on [-2.094, -1.159] and [1.159, 2.094] rad; a first
+    # sample at -2 rad has its positive root (about 2 rad) nearer the
+    # negative branch of the second window, so the sweep goes on along it
+    c = fk.LoopCoefficients(0.25, 0.4, 0.15)
+    grid = np.linspace(1.2, 2.0, 50)
+    from_pos = _kernels.loop_sweep_continuity(*c, grid, math.pi / 2)
     from_neg = _kernels.loop_sweep_continuity(
-        c.kappa1, c.kappa2, c.kappa3, grid, geometry.theta4_fixed, neg_seed)
-    assert from_pos[0] == pytest.approx(pos_seed, abs=1e-13)
-    assert from_neg[0] == pytest.approx(neg_seed, abs=1e-13)
-    assert not np.allclose(from_pos, from_neg)
+        *c, np.concatenate(([-2.0], grid)), math.pi / 2)
+    assert np.array_equal(from_pos, _kernels.loop_solve_batch(*c, grid, math.pi / 2))
+    assert from_neg[0] == _kernels.loop_solve_batch(*c, -2.0, math.pi / 2)
+    assert np.array_equal(from_neg[1:], negative_root(*c, grid, math.pi / 2))
+    assert not np.allclose(from_pos, from_neg[1:])
 
 
 # (k1, k2, k3, fixed_angle, phi) of one loop, and whether it closes there
@@ -89,11 +89,11 @@ CONTRACT_CASES = {
 CONTRACT_KERNELS = {
     "solve-positive": _kernels.loop_solve_batch,
     "solve-negative": negative_root,
-    "continuity": lambda *a: _kernels.loop_sweep_continuity(*a, 0.0),
+    "continuity": _kernels.loop_sweep_continuity,
     "oracle-positive": lambda *a: _kernels.loop_bisect_batch(*a, 1, 0.0, 4096),
     "oracle-negative": lambda *a: _kernels.loop_bisect_batch(*a, -1, 0.0, 4096),
-    # the loop solve of sweep_chain: on one sample, its positive-root seed
-    "closed-form-positive": linkage._continuity_sweep,
+    # the loop solve of sweep_chain: on one sample, the positive root
+    "closed-form-positive": _kernels.loop_sweep_continuity,
     "closed-form-negative": lambda k1, k2, k3, phi, fixed: (
         negative_root(*fk.LoopCoefficients(k1, k2, k3), phi, fixed)),
 }

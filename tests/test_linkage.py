@@ -238,12 +238,20 @@ class TestSolveLoop:
         neg = self.solve(c, t, -1)
         assert pos != neg
 
-        def nearest(reference):
-            return float(_kernels.loop_sweep_continuity(
-                *c, np.array([t]), math.pi / 2.0, reference)[0])
+        def after(start):
+            # the first sample's positive root is the reference for t
+            theta = _kernels.loop_sweep_continuity(
+                *c, np.array([start, t]), math.pi / 2.0)
+            return float(theta[0]), float(theta[1])
 
-        assert nearest(pos + 0.01) == pos
-        assert nearest(neg - 0.01) == neg
+        # the loop closes near 75 deg with a root beside pos, and at -2 rad
+        # with its positive root (about 2 rad) nearer neg
+        for start, nearer in ((math.radians(75.0), pos), (-2.0, neg)):
+            reference, picked = after(start)
+            other = neg if nearer == pos else pos
+            assert (abs(_kernels.wrap(nearer - reference))
+                    < abs(_kernels.wrap(other - reference)))
+            assert picked == nearer
 
 
 class TestOracle:

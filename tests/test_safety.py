@@ -38,7 +38,7 @@ class TestIsoContactCheck:
     def test_fingertip_force_passes_with_wide_margin(self, limit):
         verdict = iso_contact_check(7.8, limit)
         assert verdict.passed
-        assert verdict.applied_limit == 220.0
+        assert verdict.applied_limit_n == 220.0
         assert verdict.margin_ratio == pytest.approx(220.0 / 7.8)
 
     def test_boundary_inclusive(self, limit):
@@ -70,22 +70,22 @@ class TestIsoContactCheck:
 class TestClearanceCheck:
     def test_toilet_scenario_secondary_fits(self):
         result = clearance_check(800.0, 460.0, 75.0)
-        assert result.per_side_clearance == 170.0
+        assert result.per_side_clearance_mm == 170.0
         assert result.fits
 
     def test_primary_arm_does_not_fit(self):
         result = clearance_check(800.0, 460.0, 175.0)
-        assert result.per_side_clearance == 170.0
+        assert result.per_side_clearance_mm == 170.0
         assert not result.fits
 
     def test_body_fills_space(self):
         result = clearance_check(500.0, 500.0, 1.0)
-        assert result.per_side_clearance == 0.0
+        assert result.per_side_clearance_mm == 0.0
         assert not result.fits
 
     def test_body_wider_than_space(self):
         result = clearance_check(400.0, 500.0, 10.0)
-        assert result.per_side_clearance == -50.0
+        assert result.per_side_clearance_mm == -50.0
         assert not result.fits
 
     def test_nonpositive_rejected(self):
@@ -100,7 +100,7 @@ class TestClearanceCheck:
     )
     def test_verdict_is_the_arithmetic(self, space, body, device):
         result = clearance_check(space, body, device)
-        assert result.per_side_clearance == (space - body) / 2.0
+        assert result.per_side_clearance_mm == (space - body) / 2.0
         assert result.fits == (device <= (space - body) / 2.0)
 
 
@@ -113,7 +113,7 @@ class TestStrokeCheck:
     def test_examples(self, required, available, passed, slack):
         result = stroke_check(required, available)
         assert result.passed is passed
-        assert result.slack == pytest.approx(slack)
+        assert result.slack_mm == pytest.approx(slack)
 
     def test_negative_rejected(self):
         for bad in (-1.0, *NON_FINITE):
@@ -126,7 +126,7 @@ class TestStrokeCheck:
     def test_verdict_is_the_comparison(self, required, available):
         result = stroke_check(required, available)
         assert result.passed == (available >= required)
-        assert result.slack == available - required
+        assert result.slack_mm == available - required
 
 
 class TestRegistry:

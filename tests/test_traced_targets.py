@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+# the tracer patches only loaded modules, and the CLI imports this one lazily
+import fingerkit._array_cli  # noqa: F401
 from fingerkit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,20 +48,39 @@ def test_targets_install_trace_and_uninstall(capsys):
     capsys.readouterr()
 
 
+def _traced_spans(argv, out):
+    """The spans of one traced CLI invocation that writes into ``out``."""
+    tracer = Tracer()
+    tracer.install(TARGETS)
+    try:
+        tracer.invocation = 0
+        assert main([*argv, "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    return tracer.spans
+
+
 @pytest.mark.parametrize("argv, layers", [
     (["force", "--samples", "50"],
      {"finger.tendon_excursion", "finger.tip_velocity",
       "linkage.chain_derivatives", "kernels.loop_solve_batch"}),
     (["workspace", "--samples", "5", "--psi-samples", "3"],
      {"finger.workspace", "finger.tip_trace", "linkage.sweep_chain",
-      "kernels.loop_solve_batch", "kernels.loop_sweep_continuity"}),
+      "kernels.loop_sweep_continuity"}),
 ])
 def test_commands_run_the_traced_layers(argv, layers, tmp_path):
-    tracer = Tracer()
-    tracer.install(TARGETS)
-    try:
-        tracer.invocation = 0
-        assert main([*argv, "--out", str(tmp_path)]) == 0
-    finally:
-        tracer.uninstall()
-    assert layers <= {span.name for span in tracer.spans}
+    assert layers <= {span.name for span in _traced_spans(argv, tmp_path)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--samples", "20"],
+    ["workspace", "--samples", "5", "--psi-samples", "3"],
+])
+def test_sweep_chain_solves_each_loop_once_by_continuity(argv, tmp_path):
+    spans = _traced_spans(argv, tmp_path)
+    sweeps = [i for i, span in enumerate(spans) if span.name == "linkage.sweep_chain"]
+    assert len(sweeps) == 1
+    kernels = [span.name for span in spans if span.name.startswith("kernels.")]
+    assert kernels == ["kernels.loop_sweep_continuity"] * 2
+    assert all(span.parent == sweeps[0] for span in spans
+               if span.name.startswith("kernels."))
