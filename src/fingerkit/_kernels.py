@@ -5,8 +5,10 @@ through three batch kernels:
 
 * ``loop_solve_batch``      closed-form positive root over an input array,
 * ``loop_sweep_continuity`` sequential nearest-root sweep (no branch flips),
-* ``loop_bisect_batch``     scan-and-bisect oracle in fixed memory: row
-                            blocks, fine chunks and one bracket pool.
+* ``loop_bisect_batch``     scan-and-bisect oracle in fixed memory: a
+                            multi-level certified scan of row blocks, the
+                            one bracket per row the branch rule can pick,
+                            and one pool of brackets bisected at once.
 
 Each kernel returns the output angles, NaN exactly where the loop cannot
 close.  The oracle's ``branch`` is +1 for the positive quadratic branch,
@@ -29,14 +31,14 @@ _TWO_PI = 2.0 * math.pi
 _ROOT_MERGE_TOL = 1e-8
 # roots this close to +/-pi are the vanishing-leading-coefficient artifact
 _PI_ROOT_TOL = 1e-6
-# oracle rows scanned at once; the coarse scan takes every SCAN_STRIDE-th
-# grid point, the fine pass evaluates at most FINE_CELLS cells at once, and
-# a pool of whole blocks gathers POOL_BRACKETS brackets (or rows) before its
-# one bisection
-BISECT_BLOCK_ROWS = 256
-SCAN_STRIDE = 32
-FINE_CELLS = 2048
-POOL_BRACKETS = 4096
+# oracle rows scanned at once; the scan's levels take every SCAN_STRIDES[i]-th
+# grid point, each stride dividing the one before, and then every point; each
+# level evaluates at most FINE_CELLS finer cells at once, and a pool of whole
+# blocks gathers POOL_BRACKETS brackets (or rows) before its one bisection
+BISECT_BLOCK_ROWS = 1024
+SCAN_STRIDES = (256, 32, 4)
+FINE_CELLS = 8192
+POOL_BRACKETS = 3072
 
 
 def quadratic(k1, k2, k3, phi, fixed_angle):
@@ -165,7 +167,7 @@ def _residual(k1, fixed_angle, phi, c, x, x_term, out=None):
     """The residual ``(c + k1 * cos((phi + x) - fixed_angle)) + x_term``,
     broadcast, where ``c = k3 + cos(phi)`` and ``x_term = k2 * cos(x -
     fixed_angle)``: the oracle's only formula for it, so a grid point's
-    float does not depend on the pass or the block that evaluates it."""
+    float does not depend on the level or the block that evaluates it."""
     r = np.add(phi, x, out=out)
     np.subtract(r, fixed_angle, out=r)
     np.cos(r, out=r)
@@ -174,63 +176,162 @@ def _residual(k1, fixed_angle, phi, c, x, x_term, out=None):
     return np.add(r, x_term, out=r)
 
 
-def _coarse_scan(k1, k2, fixed_angle, phi, c, xs, x_term, cell_change):
-    """``(probe, cell_rows, cells)``: each row's residual at pi, and the
-    cells of the coarse scan that the Lipschitz bound cannot clear."""
-    coarse = _residual(k1, fixed_angle, phi[:, None], c[:, None],
-                       xs[::SCAN_STRIDE], x_term[::SCAN_STRIDE])
-    # several times the rounding error of one residual, which grows with
-    # |phi| and |fixed_angle| through (phi + x) - fixed_angle
-    err = 2.0**-48 * (abs(k1) * (np.abs(phi) + abs(fixed_angle) + 4.0)
-                      + abs(k2) * (abs(fixed_angle) + 4.0) + np.abs(c))
-    # Shubert's bound: no fine point of a cell is zero or of the other sign if
-    # its ends share a sign and sum to more than the residual can change across
-    # it, four rounding errors and an underflow floor; NaN clears nothing
-    probe = coarse[:, -1].copy()
-    ends = np.add(coarse[:, :-1], coarse[:, 1:])
-    cleared = np.abs(ends, out=ends) > cell_change + 4.0 * err[:, None] + 2.0**-1000
-    sign = np.sign(coarse, out=coarse)
-    cleared &= sign[:, :-1] == sign[:, 1:]
-    return (probe, *np.nonzero(~cleared))
+def _pickable(rows, lo, hi, probe, alpha_tol, branch):
+    """Indices of the brackets whose root the branch rule can pick.
 
-
-def _scan_block(k1, k2, k3, phi, fixed_angle, xs, x_term, cell_change):
-    """The scan of one block of rows: ``(probe, brackets)``.
-
-    ``probe`` is each row's residual at pi, and ``brackets`` a list of
-    ``(rows, lo, hi, flo)`` arrays, one entry per fine chunk: a strict sign
-    change between neighbouring grid points, ``flo`` the residual at
-    ``lo``, or an exact zero x as the bracket [x, x], which bisection keeps
-    at x.  ``xs`` is the scan grid padded with copies of pi to whole cells
-    of ``SCAN_STRIDE`` steps, ``x_term`` its column term and
-    ``cell_change`` the most the exact residual can change across one cell.
+    No two brackets of a row overlap, so sorted by ``lo`` their roots are
+    sorted too.  Where branch +1 or -1 takes a row's smallest root, it is
+    its first bracket's, which the merge keeps as the row's first.  Where it
+    takes the largest, it is the last bracket's, and only that bracket is
+    kept if it starts more than ``_ROOT_MERGE_TOL`` past the end of the one
+    before and ends less than 2 pi - ``_ROOT_MERGE_TOL`` past the start of
+    the first: then neither the merge nor the wrap onto -pi can drop its
+    root.  Every other row keeps all of its brackets, as do rows with
+    |probe| <= alpha_tol, whose +/-pi rule can drop a root, and every row
+    of branch 0.
     """
-    c = k3 + np.cos(phi)
-    probe, cell_rows, cells = _coarse_scan(k1, k2, fixed_angle, phi, c, xs,
-                                           x_term, cell_change)
+    order = np.lexsort((lo, rows))
+    rows, lo, hi = rows[order], lo[order], hi[order]
+    first = np.diff(rows, prepend=-1) != 0
+    last = np.diff(rows, append=probe.size) != 0
+    hi_prev = np.where(first, -np.inf, np.roll(hi, 1))
+    lo_first = lo[first][np.cumsum(first) - 1]
+    alone = np.zeros(probe.size, dtype=bool)
+    alone[rows[last & (lo - hi_prev > _ROOT_MERGE_TOL)
+               & (hi - lo_first < _TWO_PI - _ROOT_MERGE_TOL)]] = True
+    take_max = ((probe > 0.0) == (branch > 0))[rows]
+    keep = np.where(take_max, last | ~alone[rows], first)
+    keep |= (np.abs(probe) <= alpha_tol)[rows] | (branch == 0)
+    return order[keep]
 
-    # the fine pass: every grid point of the uncleared cells, FINE_CELLS
-    # cells at a time; a zero on an end two cells share, or on a copy of
-    # pi, shows twice, and the merge drops the copy
-    brackets = []
-    xs_cells, term_cells = (sliding_window_view(a, SCAN_STRIDE + 1)[::SCAN_STRIDE]
-                            for a in (xs, x_term))
-    for s in range(0, cells.size, FINE_CELLS):
-        rows, at = cell_rows[s:s + FINE_CELLS], cells[s:s + FINE_CELLS]
-        fine = xs_cells[at]
-        _residual(k1, fixed_angle, phi[rows, None], c[rows, None], fine,
-                  term_cells[at], out=fine)
-        # strict sign changes between grid points, neither one zero; then
-        # the zeros, each a bracket of width 0
-        neg = fine < 0.0
-        i, j = np.nonzero(neg[:, :-1] != neg[:, 1:])
-        strict = (fine[i, j] != 0.0) & (fine[i, j + 1] != 0.0)
-        zi, zj = np.nonzero(fine == 0.0)
-        i, j = np.concatenate((i[strict], zi)), np.concatenate((j[strict], zj))
-        col = at[i] * SCAN_STRIDE + j
-        width = np.arange(i.size) < np.count_nonzero(strict)
-        brackets.append((rows[i], xs[col], xs[col + width], fine[i, j]))
-    return probe, brackets
+
+class _Oracle:
+    """The per-call constants of ``loop_bisect_batch``, and its two steps:
+    the brackets of a block of rows, and the roots of a pool of blocks.
+
+    ``xs`` is the scan grid of ``n_scan + 1`` points, padded with copies of
+    pi to whole cells of ``SCAN_STRIDES[0]`` steps, and ``x_term`` its
+    column term.  The scan's level 0 takes every ``SCAN_STRIDES[0]``-th
+    point.  Each later level, and then a last one that takes every point,
+    evaluates only the points inside the cells that the level before could
+    not clear; a cell's ends come from that level, so every grid point is
+    evaluated once at most.
+    """
+
+    def __init__(self, k1, k2, k3, fixed_angle, branch, ref, n_scan):
+        self.k1, self.k2, self.k3, self.fixed_angle = k1, k2, k3, fixed_angle
+        self.branch, self.ref, self.n_scan = branch, ref, n_scan
+        self.alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
+        self.err_k2 = abs(k2) * (abs(fixed_angle) + 4.0)
+        top = SCAN_STRIDES[0]
+        n_pad = max(-(-n_scan // top), 1) * top
+        self.xs = np.linspace(-math.pi, math.pi, n_scan + 1)[
+            np.minimum(np.arange(n_pad + 1), n_scan)]
+        self.x_term = k2 * np.cos(self.xs - fixed_angle)
+        # per level: the Lipschitz constant times its widest cell, rounded up
+        self.change = [1.001 * (abs(k1) + abs(k2)) * np.diff(self.xs[::s]).max()
+                       for s in SCAN_STRIDES]
+        # per refinement: the k - 1 finer points inside each coarser cell
+        self.inner = []
+        for coarse, fine in zip(SCAN_STRIDES, SCAN_STRIDES[1:] + (1,)):
+            k = coarse // fine
+            self.inner.append((k, *(sliding_window_view(a[fine::fine], k - 1)[::k]
+                                    for a in (self.xs, self.x_term))))
+
+    def brackets(self, phi):
+        """``(probe, rows, lo, hi, flo)`` of one block of rows.
+
+        ``probe`` is each row's residual at pi.  The rest lists the brackets
+        whose root the branch rule can pick (``_pickable``): a strict sign
+        change between neighbouring grid points, ``flo`` the residual at
+        ``lo``, or an exact zero x as the bracket [x, x], which bisection
+        keeps at x.  A zero on an end two finest cells share shows twice, and
+        the merge drops the copy; one on a copy of pi is dropped here.  A row
+        whose ``c = k3 + cos(phi)`` is NaN has a NaN residual at every point,
+        so no root, and it is not scanned.
+        """
+        c = self.k3 + np.cos(phi)
+        probe = np.full(phi.size, np.nan)
+        live = np.flatnonzero(~np.isnan(c))
+        phi, c = phi[live], c[live]
+        # several times the rounding error of one residual, which grows with
+        # |phi| and |fixed_angle| through (phi + x) - fixed_angle
+        err = 2.0**-48 * (abs(self.k1) * (np.abs(phi) + abs(self.fixed_angle) + 4.0)
+                          + self.err_k2 + np.abs(c))
+        top = SCAN_STRIDES[0]
+        vals = _residual(self.k1, self.fixed_angle, phi[:, None], c[:, None],
+                         self.xs[::top], self.x_term[::top])
+        probe[live] = vals[:, -1]
+        found = [(live[:0], probe[:0], probe[:0], probe[:0])]
+        self._refine(0, phi, c, err, np.arange(live.size), np.zeros_like(live),
+                     vals, self._uncleared(vals, 0, err), found)
+        rows, lo, hi, flo = (np.concatenate(column) for column in zip(*found))
+        keep = _pickable(rows, lo, hi, probe[live], self.alpha_tol, self.branch)
+        return probe, live[rows[keep]], lo[keep], hi[keep], flo[keep]
+
+    def _uncleared(self, vals, level, err):
+        """Flat indices of the cells ``vals[i, j:j + 2]``, at the stride of
+        ``level``, that Shubert's bound cannot clear.
+
+        No grid point of a cell is zero or of the other sign if its ends have
+        one sign and sum to more than the residual can change across it,
+        four rounding errors and an underflow floor; NaN clears nothing.
+        """
+        lo, hi = vals[:, :-1], vals[:, 1:]
+        bound = self.change[level] + 4.0 * err[:, None] + 2.0**-1000
+        ends = np.add(lo, hi)
+        cleared = np.abs(ends, out=ends) > bound
+        cleared &= np.multiply(lo, hi) > 0.0
+        return np.flatnonzero(~cleared)
+
+    def _refine(self, level, phi, c, err, rows, cells, vals, uncleared, found):
+        """Appends to ``found`` the brackets inside the ``uncleared`` cells
+        of ``vals``, given as flat indices into its cells.
+
+        Row ``i`` of ``vals`` holds the residuals of the input ``rows[i]`` at
+        every ``SCAN_STRIDES[level]``-th grid point of the coarser cell
+        ``cells[i]`` (at level 0, of the whole grid).  Each uncleared cell
+        gets the points inside it at the next stride, FINE_CELLS finer cells
+        at a time, and their uncleared cells go one level deeper before the
+        next chunk, depth first; the last level takes every point and gives
+        the brackets."""
+        k, xs_inner, term_inner = self.inner[level]
+        step = max(FINE_CELLS // k, 1)
+        for s in range(0, uncleared.size, step):
+            i, j = np.divmod(uncleared[s:s + step], vals.shape[1] - 1)
+            r, at = rows[i], cells[i] * (vals.shape[1] - 1) + j
+            inner = xs_inner[at]
+            _residual(self.k1, self.fixed_angle, phi[r, None], c[r, None], inner,
+                      term_inner[at], out=inner)
+            sub = np.concatenate((vals[i, j, None], inner, vals[i, j + 1, None]),
+                                 axis=1)
+            del i, j, inner
+            if level + 1 < len(self.inner):
+                self._refine(level + 1, phi, c, err, r, at, sub,
+                             self._uncleared(sub, level + 1, err[r]), found)
+                continue
+            # strict sign changes between grid points, neither one zero; then
+            # the zeros, each a bracket of width 0, but for copies of pi
+            neg = sub < 0.0
+            i, j = np.nonzero(neg[:, :-1] != neg[:, 1:])
+            strict = (sub[i, j] != 0.0) & (sub[i, j + 1] != 0.0)
+            zi, zj = np.nonzero(sub == 0.0)
+            real = at[zi] * k + zj <= self.n_scan
+            i = np.concatenate((i[strict], zi[real]))
+            j = np.concatenate((j[strict], zj[real]))
+            col = at[i] * k + j
+            width = np.arange(i.size) < np.count_nonzero(strict)
+            found.append((r[i], self.xs[col], self.xs[col + width], sub[i, j]))
+
+    def settle(self, pool, phi, theta):
+        """Bisects the brackets of ``pool``, the ``brackets`` of consecutive
+        blocks of the rows ``phi``, and writes each row's root into ``theta``."""
+        probe, rows, lo, hi, flo = (np.concatenate(column) for column in zip(*pool))
+        phi = phi[rows]
+        roots = _bisect(self.k1, self.k2, self.fixed_angle, phi,
+                        self.k3 + np.cos(phi), lo, hi, flo)
+        _select_roots(rows, roots, probe, self.alpha_tol, self.branch, self.ref,
+                      theta)
 
 
 def _bisect(k1, k2, fixed_angle, phi, c, lo, hi, flo):
@@ -271,45 +372,33 @@ def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
     The roots are those of a residual scan at ``n_scan + 1`` points of
     [-pi, pi]: each sign change bisected 60 times, and each point where the
     residual is exactly zero; ``_select_roots`` picks one per row.  The scan
-    takes every ``SCAN_STRIDE``-th point, then every point of the cells
-    between them that a Lipschitz bound, rounding included, cannot clear of
-    sign changes and zeros: so every angle is the full scan's, bit for bit.
+    is multi-level: every ``SCAN_STRIDES[0]``-th point, then the points of
+    each finer stride inside the cells that a Lipschitz bound, rounding
+    included, cannot clear of sign changes and zeros, then every point of
+    the finest uncleared cells: so the brackets, the zeros and every angle
+    are the full scan's, bit for bit.  Only the brackets whose root the
+    branch rule can pick are bisected (``_pickable``), and a row whose
+    ``k3 + cos(phi)`` is NaN, NaN at every point, is not scanned.
 
     Memory is set by fixed budgets, not by the number of rows.  Rows are
-    scanned in blocks of ``BISECT_BLOCK_ROWS``, the fine pass at most
-    ``FINE_CELLS`` cells at a time.  The blocks' brackets gather in a pool
-    of consecutive rows, which is bisected in one pass, and its rows'
+    scanned in blocks of ``BISECT_BLOCK_ROWS``, each level at most
+    ``FINE_CELLS`` finer cells at a time.  The blocks' brackets gather in a
+    pool of consecutive rows, which is bisected in one pass, and its rows'
     roots selected, at the end of the block that brings it to
     ``POOL_BRACKETS`` brackets or rows, and after the last block.
     """
     phi = np.asarray(phi, dtype=np.float64)
     n = phi.shape[0]
-    n_cells = max(-(-n_scan // SCAN_STRIDE), 1)
-    xs = np.linspace(-math.pi, math.pi, n_scan + 1)[
-        np.minimum(np.arange(n_cells * SCAN_STRIDE + 1), n_scan)]
-    x_term = k2 * np.cos(xs - fixed_angle)
-    # the Lipschitz constant times the widest cell, rounded up
-    cell_change = 1.001 * (abs(k1) + abs(k2)) * np.diff(
-        xs[::SCAN_STRIDE]).max(initial=0.0)
-    alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
+    oracle = _Oracle(k1, k2, k3, fixed_angle, branch, ref, n_scan)
     theta = np.full(n, np.nan)
-    pool, probes, held, start = [], [], 0, 0
+    pool, held, start = [], 0, 0
     for block in range(0, n, BISECT_BLOCK_ROWS):
         stop = min(block + BISECT_BLOCK_ROWS, n)
-        probe, brackets = _scan_block(k1, k2, k3, phi[block:stop], fixed_angle,
-                                      xs, x_term, cell_change)
-        probes.append(probe)
-        for rows, lo, hi, flo in brackets:
-            pool.append((rows + (block - start), lo, hi, flo))
-            held += rows.size
+        probe, rows, *brackets = oracle.brackets(phi[block:stop])
+        pool.append((probe, rows + (block - start), *brackets))
+        held += rows.size
         if stop < n and max(held, stop - start) < POOL_BRACKETS:
             continue
-        if pool:
-            rows, lo, hi, flo = (np.concatenate(column) for column in zip(*pool))
-            phi_b = phi[start:stop][rows]
-            roots = _bisect(k1, k2, fixed_angle, phi_b, k3 + np.cos(phi_b),
-                            lo, hi, flo)
-            _select_roots(rows, roots, np.concatenate(probes), alpha_tol,
-                          branch, ref, theta[start:stop])
-        pool, probes, held, start = [], [], 0, stop
+        oracle.settle(pool, phi[start:stop], theta[start:stop])
+        pool, held, start = [], 0, stop
     return theta

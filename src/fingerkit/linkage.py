@@ -46,6 +46,10 @@ class JointState(NamedTuple):
         return JointState._make(float(values[index]) for values in self)
 
 
+# inputs per block of oracle_deviation; validate's usual sample counts fit in one
+_DEVIATION_BLOCK = 8192
+
+
 def _oracle(k1, k2, k3, theta_in: np.ndarray, fixed_angle: float) -> np.ndarray:
     """One loop's positive root over an input array, by bisection, NaN
     where it cannot close."""
@@ -210,13 +214,25 @@ def oracle_deviation(
     """Max |closed form - oracle| of theta2 and of theta6, positive root.
 
     Solves the chain twice over the inputs, once in closed form and once
-    purely by bisection, each loop 2 driven by its own chain's loop 1.  An
-    empty input has no deviation and is a ``ValueError``.
+    purely by bisection, each loop 2 driven by its own chain's loop 1.  It
+    does so ``_DEVIATION_BLOCK`` inputs at a time, keeping running maxima,
+    so memory does not grow with the input.  Over more than one block the
+    closed form first checks every block, so the error for a sample that is
+    out of range or cannot close is the one a single whole-array solve
+    raises.  An empty input has no deviation and is a ``ValueError``.
     """
     theta1 = _samples(theta1_values)
     if theta1.size == 0:
         raise ValueError("oracle_deviation needs a theta1 sample, got an empty input")
-    closed = _chain(geometry, theta1, _kernels.loop_solve_batch)
-    numeric = _chain(geometry, theta1, _oracle)
-    return (float(np.max(np.abs(closed.theta2 - numeric.theta2))),
-            float(np.max(np.abs(closed.theta6 - numeric.theta6))))
+    blocks = [theta1[s:s + _DEVIATION_BLOCK]
+              for s in range(0, theta1.size, _DEVIATION_BLOCK)]
+    if len(blocks) > 1:
+        for block in blocks:
+            _chain(geometry, block, _kernels.loop_solve_batch)
+    dev2 = dev6 = 0.0
+    for block in blocks:
+        closed = _chain(geometry, block, _kernels.loop_solve_batch)
+        numeric = _chain(geometry, block, _oracle)
+        dev2 = max(dev2, float(np.max(np.abs(closed.theta2 - numeric.theta2))))
+        dev6 = max(dev6, float(np.max(np.abs(closed.theta6 - numeric.theta6))))
+    return dev2, dev6

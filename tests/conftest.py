@@ -9,7 +9,9 @@ from fingerkit.config import FingerConfig, default_config
 from fingerkit.registry import ReferenceRegistry, default_registry
 
 # CI selects this profile (--hypothesis-profile=ci): the number-formatting
-# properties of test_emit_parity.py then run 2000 examples instead of 300
+# properties of test_emit_parity.py and the oracle's root-selection property
+# then run 2000 examples instead of 300, and its scan and bracket-prune
+# properties against the dense reference 2000 instead of 200
 settings.register_profile("ci", max_examples=2000)
 
 

@@ -1,8 +1,9 @@
 """The closed-form kernel against an independent bisection, the NaN contract
-of every loop kernel, and the bisection oracle's coarse-to-fine scan against
-a dense scan of every grid point."""
+of every loop kernel, and the bisection oracle's multi-level scan and bracket
+prune against a dense scan of every grid point."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fingerkit as fk
-from fingerkit import _kernels
+from fingerkit import _kernels, linkage
 from fingerkit._kernels import _PI_ROOT_TOL, _ROOT_MERGE_TOL, _TWO_PI, wrap
 from test_linkage import closure_residual, negative_root, reference_bisect
 
@@ -249,7 +250,7 @@ def dense_bisect_reference(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
 
 
 BLOCK = _kernels.BISECT_BLOCK_ROWS
-STRIDE = _kernels.SCAN_STRIDE
+STRIDES = _kernels.SCAN_STRIDES
 POOL = _kernels.POOL_BRACKETS
 SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 # closes for part of the circle only, so every size has non-closing rows
@@ -259,10 +260,18 @@ PARTIAL = (0.9, 0.7, 1.3, 0.4)
 TANGENT = (0.0, 0.5, -1.5, 0.0)
 
 
+def _dense(k1, k2, k3, phi, *rest, rows=256):
+    """``dense_bisect_reference`` in slices of ``rows`` inputs, whose results
+    do not depend on one another, so that its grid stays small."""
+    parts = [dense_bisect_reference(k1, k2, k3, phi[s:s + rows], *rest)
+             for s in range(0, phi.size, rows)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def _assert_same(args):
     theta = _kernels.loop_bisect_batch(*args)
     ok = ~np.isnan(theta)
-    ok_ref, theta_ref = dense_bisect_reference(*args)
+    ok_ref, theta_ref = _dense(*args)
     assert np.array_equal(ok, ok_ref)
     assert np.array_equal(theta, theta_ref, equal_nan=True)
     return ok
@@ -308,32 +317,35 @@ def test_many_blocks_match_dense():
 
 
 def test_two_roots_in_one_coarse_cell():
-    """Both roots lie inside one coarse cell whose ends are negative: the
-    residual is positive only within 0.02 rad of ``fixed``, mid-cell."""
+    """Both roots lie inside one cell whose ends are negative, of the top
+    stride and then of the middle one: the residual is positive only within
+    0.02 rad of ``fixed``, mid-cell."""
     n_scan = 4096
     xs = np.linspace(-math.pi, math.pi, n_scan + 1)
-    a, b = xs[40 * STRIDE], xs[41 * STRIDE]
-    fixed = 0.5 * (a + b)
     k1, k2, k3 = 0.0, 0.5, -0.5 * math.cos(0.02) - 1.0
-    ends = _residual_numpy(k1, k2, k3, 0.0, np.array([a, b]), fixed)
-    assert (ends < 0.0).all()
     phi = np.array([0.0, 0.1, -0.1])
-    roots = []
-    for branch in (1, -1, 0):
-        args = (k1, k2, k3, phi, fixed, branch, fixed + 0.01, n_scan)
-        assert _assert_same(args)[0]
-        roots.append(_kernels.loop_bisect_batch(*args)[0])
-    assert sorted(roots[:2]) == pytest.approx([fixed - 0.02, fixed + 0.02],
-                                              abs=1e-9)
-    assert roots[2] == pytest.approx(fixed + 0.02, abs=1e-9)
+    for stride in STRIDES[:2]:
+        cell = n_scan // stride * 5 // 8
+        a, b = xs[cell * stride], xs[(cell + 1) * stride]
+        fixed = 0.5 * (a + b)
+        ends = _residual_numpy(k1, k2, k3, 0.0, np.array([a, b]), fixed)
+        assert (ends < 0.0).all()
+        roots = []
+        for branch in (1, -1, 0):
+            args = (k1, k2, k3, phi, fixed, branch, fixed + 0.01, n_scan)
+            assert _assert_same(args)[0]
+            roots.append(_kernels.loop_bisect_batch(*args)[0])
+        assert sorted(roots[:2]) == pytest.approx([fixed - 0.02, fixed + 0.02],
+                                                  abs=1e-9)
+        assert roots[2] == pytest.approx(fixed + 0.02, abs=1e-9)
 
 
 def test_cells_beyond_one_fine_chunk_match_dense():
-    """At |phi| ~ 1e15 the rounding bound clears no cell, so these rows
-    hold more uncleared cells than one fine-pass chunk."""
+    """At |phi| ~ 1e15 the rounding bound clears no cell at any level, so
+    these rows hold more uncleared finest cells than one chunk."""
     n_scan = 4096
     phi = np.random.default_rng(7).uniform(1e15, 1e16, 70)
-    assert phi.size * (n_scan // STRIDE) > _kernels.FINE_CELLS
+    assert phi.size * (n_scan // STRIDES[-1]) > _kernels.FINE_CELLS
     for branch in (1, -1, 0):
         _assert_same((*PARTIAL[:3], phi, PARTIAL[3], branch, 0.3, n_scan))
 
@@ -342,7 +354,9 @@ def test_cells_beyond_one_fine_chunk_match_dense():
 def test_pooled_bisection_matches_dense(branch, monkeypatch):
     """At n_scan = 8 these rows fill the bracket pool at least twice, each
     pool spanning several blocks, the last pool partial, with NaN rows and
-    rows that cannot close among them."""
+    rows that cannot close among them.  Every row's residual at pi is
+    (0.5 + cos phi) + cos(phi + pi) - 0.5, zero but for rounding, so the
+    branch rule may drop a root near +/-pi and every bracket is bisected."""
     pool_brackets, pool_rows = [], []
     bisect, select = _kernels._bisect, _kernels._select_roots
 
@@ -359,7 +373,7 @@ def test_pooled_bisection_matches_dense(branch, monkeypatch):
     rng = np.random.default_rng(21 + branch)
     phi = rng.uniform(-math.pi, math.pi, 2 * POOL + 3 * BLOCK + 7)
     phi[rng.random(phi.size) < 0.1] = np.nan
-    ok = _assert_same((0.3, 1.0, 0.1, phi, 0.4, branch, 0.3, 8))
+    ok = _assert_same((1.0, 0.5, 0.5, phi, 0.0, branch, 0.3, 8))
     assert ok.any() and not ok[~np.isnan(phi)].all()
     assert sum(size >= POOL for size in pool_brackets) >= 2
     assert sum(pool_rows) == phi.size
@@ -372,7 +386,7 @@ COEFF = EXACT | st.floats(-3.0, 3.0)
 PHI = ANGLES | st.floats(-4.0, 4.0) | st.floats(-1e12, 1e12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
 @given(k1=COEFF, k2=COEFF, k3=EXACT | st.floats(-4.0, 4.0),
        fixed=ANGLES | st.floats(-4.0, 4.0),
        phi=st.lists(PHI, min_size=1, max_size=6),
@@ -380,6 +394,94 @@ PHI = ANGLES | st.floats(-4.0, 4.0) | st.floats(-1e12, 1e12)
        n_scan=st.sampled_from([8, 33, 64, 100, 4096]))
 def test_coarse_scan_matches_dense(k1, k2, k3, fixed, phi, branch, ref, n_scan):
     _assert_same((k1, k2, k3, np.array(phi), fixed, branch, ref, n_scan))
+
+
+@st.composite
+def prune_edges(draw):
+    """``(k1, k2, k3, fixed, phi, n_scan)`` on the edges of the bracket prune.
+
+    * touching: a bump of half-width below one grid step on a grid point,
+      so two brackets share that point;
+    * zero-at-pi: (c + k2 cos x) is exactly zero at -pi, pi and pi's copies;
+    * small-probe: k1 = 1, fixed = 0 and k3 = k2 make every row's residual
+      at pi zero but for rounding, |probe| <= alpha_tol, with a root near pi;
+    * near-pi: a bump around a point near pi, its two roots on either side
+      of the wrap, from 1e-10 to 0.1 rad apart.
+
+    ``k3`` is set for the first row; the other rows shift ``c``.
+    """
+    n_scan = draw(st.sampled_from([8, 33, 64, 100, 4096]))
+    xs = np.linspace(-math.pi, math.pi, n_scan + 1)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    phi = [draw(st.sampled_from([0.0, 0.5, -2.0]) | st.floats(-4.0, 4.0))]
+    family = draw(st.sampled_from(["touching", "zero-at-pi", "small-probe", "near-pi"]))
+    if family == "touching":
+        fixed = float(xs[draw(st.integers(1, n_scan - 1))])
+        width = draw(st.floats(0.05, 0.95)) * (xs[1] - xs[0])
+        k1, k2, k3 = 0.0, 0.5 * sign, -0.5 * sign * math.cos(width) - math.cos(phi[0])
+    elif family == "zero-at-pi":
+        phi[0], fixed = 0.0, 0.0
+        k1, k2, k3 = 0.0, 0.5 * sign, 0.5 * sign - 1.0
+    elif family == "small-probe":
+        k1, fixed = 1.0, 0.0
+        k2 = k3 = draw(st.floats(0.05, 2.0))
+    else:
+        fixed = math.pi - draw(st.sampled_from([0.0, 1e-9]) | st.floats(-1e-3, 1e-3))
+        width = 10.0 ** draw(st.floats(-10.0, -1.0))
+        k1, k2, k3 = 0.0, 0.5 * sign, -0.5 * sign * math.cos(width) - math.cos(phi[0])
+    phi += draw(st.lists(st.floats(-4.0, 4.0), max_size=3))
+    return k1, k2, k3, fixed, phi, n_scan
+
+
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+@given(case=prune_edges(), branch=st.sampled_from([1, -1, 0]),
+       ref=st.floats(-4.0, 4.0))
+def test_bracket_prune_edges_match_dense(case, branch, ref):
+    k1, k2, k3, fixed, phi, n_scan = case
+    _assert_same((k1, k2, k3, np.array(phi), fixed, branch, ref, n_scan))
+
+
+def test_one_bracket_per_closing_row_on_shipped_geometry(geometry, monkeypatch):
+    """Branch +1 bisects only the bracket it picks: on the shipped geometry,
+    exactly one per closing input of each loop of ``oracle_deviation``."""
+    bisected = []
+    bisect = _kernels._bisect
+
+    def spy_bisect(*args):
+        bisected.append(args[-1].size)
+        return bisect(*args)
+
+    monkeypatch.setattr(_kernels, "_bisect", spy_bisect)
+    theta1 = np.linspace(*geometry.theta1_range, 5000)
+    # the chain raises unless both loops close at every input
+    linkage.oracle_deviation(geometry, theta1)
+    assert sum(bisected) == 2 * theta1.size
+
+
+def test_rows_that_cannot_close_skip_the_scan(monkeypatch):
+    """A NaN phi makes ``k3 + cos(phi)``, and so the residual at every
+    point, NaN: such rows return NaN without one residual evaluated,
+    30 000 of them in under 0.1 s, and mixed among other rows they leave
+    the dense reference's angles unchanged."""
+    evaluated = []
+    residual = _kernels._residual
+
+    def spy_residual(*args, **kwargs):
+        out = residual(*args, **kwargs)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(_kernels, "_residual", spy_residual)
+    phi = np.full(30_000, np.nan)
+    started = time.perf_counter()
+    theta = _kernels.loop_bisect_batch(*PARTIAL[:3], phi, PARTIAL[3], 1, 0.0, 4096)
+    assert time.perf_counter() - started < 0.1
+    assert np.isnan(theta).all()
+    assert sum(evaluated) == 0
+    mixed = np.random.default_rng(3).uniform(-math.pi, math.pi, 600)
+    mixed[::3] = np.nan
+    for branch in (1, -1, 0):
+        _assert_same((*PARTIAL[:3], mixed, PARTIAL[3], branch, 0.3, 4096))
 
 
 # a row's roots as the scan finds them: at distinct grid points, each one
@@ -453,9 +555,10 @@ def test_oracle_memory_does_not_grow_with_rows():
 
 
 def test_oracle_memory_with_no_cell_cleared():
-    """NaN inputs clear no cell, the fine pass's worst case, and the peak
-    stays under the same bound."""
-    small, large = (_oracle_peak(np.full(n, np.nan)) for n in (3_000, 30_000))
+    """At |phi| ~ 1e15 the rounding bound clears no cell at any level, every
+    level's worst case, and the peak stays under the same bound."""
+    small, large = (_oracle_peak(np.random.default_rng(7).uniform(1e15, 1e16, n))
+                    for n in (3_000, 30_000))
     assert large < 64 * 2**20
     assert large < 1.5 * small
 

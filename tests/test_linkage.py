@@ -322,6 +322,24 @@ class TestSolveChain:
         with pytest.raises(ValueError, match="empty input"):
             linkage.oracle_deviation(geometry, np.array([]))
 
+    def test_oracle_deviation_in_blocks_is_the_whole_arrays(self, geometry,
+                                                            monkeypatch):
+        """Blocks of 64 inputs give the whole-array deviations bit for bit,
+        and the error for the first input, of two in different blocks, that
+        is out of range."""
+        lo, hi = geometry.theta1_range
+        theta1 = np.linspace(lo, hi, 1000)
+        whole = linkage.oracle_deviation(geometry, theta1)
+        bad = theta1.copy()
+        bad[[700, 900]] = hi + 0.1, lo - 0.1
+        with pytest.raises(fk.OutOfRangeError) as whole_error:
+            linkage.oracle_deviation(geometry, bad)
+        monkeypatch.setattr(linkage, "_DEVIATION_BLOCK", 64)
+        assert linkage.oracle_deviation(geometry, theta1) == whole
+        with pytest.raises(fk.OutOfRangeError) as blocked_error:
+            linkage.oracle_deviation(geometry, bad)
+        assert str(blocked_error.value) == str(whole_error.value)
+
     def test_closed_vs_numeric_midrange(self, geometry):
         theta1 = 0.5 * sum(geometry.theta1_range)
         s = fk.solve_chain(geometry, theta1)
