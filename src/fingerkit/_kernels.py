@@ -5,10 +5,10 @@ through three batch kernels:
 
 * ``loop_solve_batch``      closed-form positive root over an input array,
 * ``loop_sweep_continuity`` sequential nearest-root sweep (no branch flips),
-* ``loop_bisect_batch``     scan-and-bisect oracle in fixed memory: a
-                            multi-level certified scan of row blocks, the
-                            one bracket per row the branch rule can pick,
-                            and one pool of brackets bisected at once.
+* ``loop_bisect_batch``     scan-and-bisect oracle in fixed memory: one
+                            block of rows at a time, a multi-level certified
+                            scan and a bisection of the one bracket per row
+                            the branch rule can pick.
 
 Each kernel returns the output angles, NaN exactly where the loop cannot
 close.  The oracle's ``branch`` is +1 for the positive quadratic branch,
@@ -33,12 +33,10 @@ _ROOT_MERGE_TOL = 1e-8
 _PI_ROOT_TOL = 1e-6
 # oracle rows scanned at once; the scan's levels take every SCAN_STRIDES[i]-th
 # grid point, each stride dividing the one before, and then every point; each
-# level evaluates at most FINE_CELLS finer cells at once, and a pool of whole
-# blocks gathers POOL_BRACKETS brackets (or rows) before its one bisection
-BISECT_BLOCK_ROWS = 1024
+# level evaluates at most FINE_CELLS finer cells at once
+BISECT_BLOCK_ROWS = 2048
 SCAN_STRIDES = (256, 32, 4)
 FINE_CELLS = 8192
-POOL_BRACKETS = 3072
 
 
 def quadratic(k1, k2, k3, phi, fixed_angle):
@@ -206,8 +204,8 @@ def _pickable(rows, lo, hi, probe, alpha_tol, branch):
 
 
 class _Oracle:
-    """The per-call constants of ``loop_bisect_batch``, and its two steps:
-    the brackets of a block of rows, and the roots of a pool of blocks.
+    """The per-call constants of ``loop_bisect_batch``, and its one step:
+    the roots of a block of rows.
 
     ``xs`` is the scan grid of ``n_scan + 1`` points, padded with copies of
     pi to whole cells of ``SCAN_STRIDES[0]`` steps, and ``x_term`` its
@@ -238,17 +236,17 @@ class _Oracle:
             self.inner.append((k, *(sliding_window_view(a[fine::fine], k - 1)[::k]
                                     for a in (self.xs, self.x_term))))
 
-    def brackets(self, phi):
-        """``(probe, rows, lo, hi, flo)`` of one block of rows.
+    def solve(self, phi, theta):
+        """Writes each root of the block of rows ``phi`` into ``theta``.
 
-        ``probe`` is each row's residual at pi.  The rest lists the brackets
-        whose root the branch rule can pick (``_pickable``): a strict sign
+        ``probe`` is each row's residual at pi.  A bracket is a strict sign
         change between neighbouring grid points, ``flo`` the residual at
         ``lo``, or an exact zero x as the bracket [x, x], which bisection
         keeps at x.  A zero on an end two finest cells share shows twice, and
-        the merge drops the copy; one on a copy of pi is dropped here.  A row
-        whose ``c = k3 + cos(phi)`` is NaN has a NaN residual at every point,
-        so no root, and it is not scanned.
+        the merge drops the copy; one on a copy of pi is dropped in the scan.
+        Only the brackets whose root the branch rule can pick (``_pickable``)
+        are bisected.  A row whose ``c = k3 + cos(phi)`` is NaN has a NaN
+        residual at every point, so no root, and it is not scanned.
         """
         c = self.k3 + np.cos(phi)
         probe = np.full(phi.size, np.nan)
@@ -267,7 +265,11 @@ class _Oracle:
                      vals, self._uncleared(vals, 0, err), found)
         rows, lo, hi, flo = (np.concatenate(column) for column in zip(*found))
         keep = _pickable(rows, lo, hi, probe[live], self.alpha_tol, self.branch)
-        return probe, live[rows[keep]], lo[keep], hi[keep], flo[keep]
+        rows = rows[keep]
+        roots = _bisect(self.k1, self.k2, self.fixed_angle, phi[rows], c[rows],
+                        lo[keep], hi[keep], flo[keep])
+        _select_roots(live[rows], roots, probe, self.alpha_tol, self.branch,
+                      self.ref, theta)
 
     def _uncleared(self, vals, level, err):
         """Flat indices of the cells ``vals[i, j:j + 2]``, at the stride of
@@ -323,16 +325,6 @@ class _Oracle:
             width = np.arange(i.size) < np.count_nonzero(strict)
             found.append((r[i], self.xs[col], self.xs[col + width], sub[i, j]))
 
-    def settle(self, pool, phi, theta):
-        """Bisects the brackets of ``pool``, the ``brackets`` of consecutive
-        blocks of the rows ``phi``, and writes each row's root into ``theta``."""
-        probe, rows, lo, hi, flo = (np.concatenate(column) for column in zip(*pool))
-        phi = phi[rows]
-        roots = _bisect(self.k1, self.k2, self.fixed_angle, phi,
-                        self.k3 + np.cos(phi), lo, hi, flo)
-        _select_roots(rows, roots, probe, self.alpha_tol, self.branch, self.ref,
-                      theta)
-
 
 def _bisect(k1, k2, fixed_angle, phi, c, lo, hi, flo):
     """The midpoints of the brackets ``[lo, hi]`` after bisecting them in
@@ -380,25 +372,15 @@ def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
     branch rule can pick are bisected (``_pickable``), and a row whose
     ``k3 + cos(phi)`` is NaN, NaN at every point, is not scanned.
 
-    Memory is set by fixed budgets, not by the number of rows.  Rows are
-    scanned in blocks of ``BISECT_BLOCK_ROWS``, each level at most
-    ``FINE_CELLS`` finer cells at a time.  The blocks' brackets gather in a
-    pool of consecutive rows, which is bisected in one pass, and its rows'
-    roots selected, at the end of the block that brings it to
-    ``POOL_BRACKETS`` brackets or rows, and after the last block.
+    Memory is set by fixed budgets, not by the number of rows.  Rows go
+    in blocks of ``BISECT_BLOCK_ROWS``, each scanned, its brackets bisected
+    in one pass and its rows' roots selected before the next; each scan
+    level evaluates at most ``FINE_CELLS`` finer cells at a time.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    n = phi.shape[0]
     oracle = _Oracle(k1, k2, k3, fixed_angle, branch, ref, n_scan)
-    theta = np.full(n, np.nan)
-    pool, held, start = [], 0, 0
-    for block in range(0, n, BISECT_BLOCK_ROWS):
-        stop = min(block + BISECT_BLOCK_ROWS, n)
-        probe, rows, *brackets = oracle.brackets(phi[block:stop])
-        pool.append((probe, rows + (block - start), *brackets))
-        held += rows.size
-        if stop < n and max(held, stop - start) < POOL_BRACKETS:
-            continue
-        oracle.settle(pool, phi[start:stop], theta[start:stop])
-        pool, held, start = [], 0, stop
+    theta = np.full(phi.shape[0], np.nan)
+    for block in range(0, phi.shape[0], BISECT_BLOCK_ROWS):
+        stop = block + BISECT_BLOCK_ROWS
+        oracle.solve(phi[block:stop], theta[block:stop])
     return theta

@@ -59,6 +59,10 @@ class ReferenceRegistry(NamedTuple):
     def _check(self) -> "ReferenceRegistry":
         seen: set[str] = set()
         for entry in self.entries:
+            if not all(isinstance(text, str) for text in
+                       (entry.key, entry.unit, entry.source, entry.quote)):
+                raise ConfigError("registry entry key, unit, source and quote "
+                                  "must be strings")
             if entry.key in seen:
                 raise ConfigError(f"duplicate registry key: {entry.key}")
             seen.add(entry.key)
@@ -91,13 +95,8 @@ class ReferenceRegistry(NamedTuple):
                 'registry root must be {"entries": [...]} with no other key')
         try:
             entries = tuple(
-                RegistryEntry(
-                    key=str(e["key"]),
-                    value=e["value"],
-                    unit=str(e["unit"]),
-                    source=str(e["source"]),
-                    quote=str(e["quote"]),
-                )
+                RegistryEntry(e["key"], e["value"], e["unit"], e["source"],
+                              e["quote"])
                 for e in doc["entries"]
             )
         except (KeyError, TypeError) as exc:

@@ -10,8 +10,9 @@ from fingerkit.registry import ReferenceRegistry, default_registry
 
 # CI selects this profile (--hypothesis-profile=ci): the number-formatting
 # properties of test_emit_parity.py and the oracle's root-selection property
-# then run 2000 examples instead of 300, and its scan and bracket-prune
-# properties against the dense reference 2000 instead of 200
+# then run 2000 examples instead of 300, its scan and bracket-prune
+# properties against the dense reference 2000 instead of 200, and the config
+# and registry document fuzz of test_cli.py 500 instead of 60
 settings.register_profile("ci", max_examples=2000)
 
 

@@ -21,6 +21,7 @@ from fingerkit.cli import main
 from fingerkit.config import default_config_path
 from fingerkit.errors import ConfigError, FingerkitError, strict_json
 from fingerkit.finger import GraspReport
+from fingerkit.registry import default_registry
 from fingerkit.safety import ClearanceResult, SafetyVerdict, StrokeResult
 from test_safety import registry_json
 
@@ -240,7 +241,6 @@ class TestRegistryCommand:
         assert "4/4 rules passed" in out
 
     def test_faulted_registry_fails(self, tmp_path, capsys):
-        from fingerkit.registry import default_registry
         text = registry_json(default_registry()).replace(
             '"value": 7.8', '"value": 12.5', 1)
         path = tmp_path / "reg.json"
@@ -249,7 +249,6 @@ class TestRegistryCommand:
         assert "FAIL pinch-ordering" in capsys.readouterr().out
 
     def test_rules_cannot_be_dropped_by_the_file(self, tmp_path, capsys):
-        from fingerkit.registry import default_registry
         doc = json.loads(registry_json(default_registry()))
         for entry in doc["entries"]:
             if entry["key"] == "gripper_weight_g":
@@ -284,7 +283,6 @@ class TestRegistryCommand:
                                        float("inf"), float("-inf"),
                                        pytest.param(10**400, id="400-digits")])
     def test_non_numeric_value_is_two(self, value, tmp_path, capsys):
-        from fingerkit.registry import default_registry
         doc = json.loads(registry_json(default_registry()))
         doc["entries"][0]["value"] = value
         path = tmp_path / "reg.json"
@@ -294,6 +292,19 @@ class TestRegistryCommand:
         assert captured.out == ""
         assert captured.err == (f"error: registry entry {doc['entries'][0]['key']}"
                                 " value must be a number\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("key", float("nan")), ("unit", 5), ("source", None), ("quote", ["x"])])
+    def test_non_string_text_is_two(self, field, value, tmp_path, capsys):
+        doc = json.loads(registry_json(default_registry()))
+        doc["entries"][0][field] = value
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["registry", "--registry-path", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: registry entry key, unit, source and "
+                                "quote must be strings\n")
 
 
 class TestExitCodes:
@@ -884,42 +895,77 @@ JSON_VALUES = st.recursive(
 
 
 @st.composite
-def mutated_config(draw):
-    """The shipped config after one or two edits, each of which scales a
-    number (the edit most likely to leave a config that still runs), sets
-    an item to a number or to any JSON value, or deletes an item."""
-    doc = json.loads(default_config_path().read_text())
+def mutated_document(draw, text):
+    """The JSON document ``text`` after one or two edits, each of which
+    scales a number (the edit most likely to leave a document that still
+    runs), sets an item to a number or to any JSON value, nests an item in
+    lists or objects, up to far beyond the parser's recursion limit, or
+    deletes an item; then, at times, cut short."""
+    doc = json.loads(text)
+    nests = {}
     for _ in range(draw(st.integers(1, 2))):
         *parents, last = draw(st.sampled_from(list(_paths(doc))[1:]))
         holder = doc
         for key in parents:
             holder = holder[key]
         action = draw(st.sampled_from(["scale", "scale", "number", "value",
-                                       "delete"]))
+                                       "nest", "delete"]))
         if action == "delete":
             del holder[last]
+        elif action == "nest":
+            # json.dumps cannot write the deep ones: a marker string stands in
+            depth = draw(st.sampled_from([1, 20, 100_000]))
+            start, end = draw(st.sampled_from([("[", "]"), ('{"x": ', "}")]))
+            marker = f"nest-{len(nests)}"
+            nests[marker] = start * depth + json.dumps(holder[last]) + end * depth
+            holder[last] = marker
         elif action == "scale" and isinstance(holder[last], float):
             holder[last] *= draw(st.sampled_from(
                 [0.5, 0.9, 1.1, 2.0, -1.0, 0.0, 1e-300, 1e300]))
         else:
             holder[last] = draw(NUMBERS if action == "number" else JSON_VALUES)
-    return doc
+    text = json.dumps(doc)
+    # a later nest may hold an earlier one's marker
+    for marker in reversed(nests):
+        text = text.replace(json.dumps(marker), nests[marker])
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+# a few seconds of each document fuzz under the default profile
+DOCUMENT_EXAMPLES = max(60, settings().max_examples // 4)
 
 
 class TestFuzzedConfig:
     """A mutated config file has the outcomes of ``assert_two_outcomes``
-    for every command that reads a config, run by ``analyze``, ``grasp``
-    and ``sweep`` (the lightest ones; the others read the same keys)."""
+    for every command that reads a config, each with few samples."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(mutated_config())
-    def test_two_outcomes(self, doc):
+    @settings(max_examples=DOCUMENT_EXAMPLES, deadline=None)
+    @given(mutated_document(default_config_path().read_text()))
+    def test_two_outcomes(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "config.json"
-            config.write_text(json.dumps(doc), encoding="utf-8")
-            out = Path(tmp) / "out"
-            base = ["--config", str(config)]
-            assert_two_outcomes(["analyze", *base], out)
-            assert_two_outcomes(["grasp", *base, "--diameter-mm", "80"], out)
-            assert_two_outcomes(
-                ["sweep", *base, "--samples", "20", "--out", str(out)], out)
+            config.write_text(text, encoding="utf-8")
+            for argv in (["analyze"], ["grasp", "--diameter-mm", "80"],
+                         ["sweep", "--samples", "20"],
+                         ["workspace", "--samples", "8", "--psi-samples", "3"],
+                         ["force", "--samples", "20"],
+                         ["validate", "--samples", "16"]):
+                out = Path(tmp) / argv[0]
+                if argv[0] in ("sweep", "workspace", "force"):
+                    argv = argv + ["--out", str(out)]
+                assert_two_outcomes([*argv, "--config", str(config)], out)
+
+
+class TestFuzzedRegistry:
+    """A mutated registry file has the outcomes of ``assert_two_outcomes``."""
+
+    @settings(max_examples=DOCUMENT_EXAMPLES, deadline=None)
+    @given(mutated_document(registry_json(default_registry())))
+    def test_two_outcomes(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "registry.json"
+            path.write_text(text, encoding="utf-8")
+            assert_two_outcomes(["registry", "--registry-path", str(path)],
+                                Path(tmp) / "out")

@@ -90,11 +90,10 @@ CONTRACT_CASES = {
 CONTRACT_KERNELS = {
     "solve-positive": _kernels.loop_solve_batch,
     "solve-negative": negative_root,
+    # also the loop solve of sweep_chain: on one sample, the positive root
     "continuity": _kernels.loop_sweep_continuity,
     "oracle-positive": lambda *a: _kernels.loop_bisect_batch(*a, 1, 0.0, 4096),
     "oracle-negative": lambda *a: _kernels.loop_bisect_batch(*a, -1, 0.0, 4096),
-    # the loop solve of sweep_chain: on one sample, the positive root
-    "closed-form-positive": _kernels.loop_sweep_continuity,
     "closed-form-negative": lambda k1, k2, k3, phi, fixed: (
         negative_root(*fk.LoopCoefficients(k1, k2, k3), phi, fixed)),
 }
@@ -251,13 +250,16 @@ def dense_bisect_reference(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
 
 BLOCK = _kernels.BISECT_BLOCK_ROWS
 STRIDES = _kernels.SCAN_STRIDES
-POOL = _kernels.POOL_BRACKETS
 SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 # closes for part of the circle only, so every size has non-closing rows
 PARTIAL = (0.9, 0.7, 1.3, 0.4)
 # at phi = 0: (-1.5 + cos 0) + 0 * cos(x) + 0.5 * cos(x) is exactly 0.0 at the
 # grid point x = 0 and negative everywhere else, a root only the zero path sees
 TANGENT = (0.0, 0.5, -1.5, 0.0)
+# every row's residual at pi is (0.5 + cos phi) + cos(phi + pi) - 0.5, zero
+# but for rounding, so the branch rule may drop a root near +/-pi and every
+# bracket is bisected
+ZERO_PROBE = (1.0, 0.5, 0.5, 0.0)
 
 
 def _dense(k1, k2, k3, phi, *rest, rows=256):
@@ -279,14 +281,33 @@ def _assert_same(args):
 
 @pytest.mark.parametrize("n_scan", [8, 64, 4096])
 @pytest.mark.parametrize("branch", [1, -1, 0])
-def test_blocked_oracle_is_bit_equal_to_dense(branch, n_scan):
+def test_blocked_oracle_is_bit_equal_to_dense(branch, n_scan, monkeypatch):
+    """Rows that close and rows that cannot, around block edges, and at
+    n_scan = 8 several blocks of ZERO_PROBE rows, the last one partial, with
+    NaN rows among them; each block's rows are bisected alone."""
+    bisected = []
+    bisect = _kernels._bisect
+
+    def spy_bisect(*args):
+        bisected.append(args[3])
+        return bisect(*args)
+
+    monkeypatch.setattr(_kernels, "_bisect", spy_bisect)
     rng = np.random.default_rng(1000 * n_scan + branch)
-    k1, k2, k3, fixed = PARTIAL
-    for n in SIZES:
-        phi = rng.uniform(-math.pi, math.pi, n)
+    cases = [(PARTIAL, rng.uniform(-math.pi, math.pi, n)) for n in SIZES]
+    if n_scan == 8:
+        phi = rng.uniform(-math.pi, math.pi, 3 * BLOCK + 7)
+        phi[rng.random(phi.size) < 0.1] = np.nan
+        cases.append((ZERO_PROBE, phi))
+    for (k1, k2, k3, fixed), phi in cases:
+        bisected.clear()
         ok = _assert_same((k1, k2, k3, phi, fixed, branch, 0.3, n_scan))
-        if n > 8:
-            assert ok.any() and not ok.all()
+        if phi.size > 8:
+            assert ok.any() and not ok[~np.isnan(phi)].all()
+        blocks = [phi[s:s + BLOCK] for s in range(0, phi.size, BLOCK)]
+        assert len(bisected) == len(blocks)
+        assert all(np.isin(rows, block).all()
+                   for rows, block in zip(bisected, blocks))
 
 
 @pytest.mark.parametrize("n_scan", [8, 64, 4096])
@@ -348,37 +369,6 @@ def test_cells_beyond_one_fine_chunk_match_dense():
     assert phi.size * (n_scan // STRIDES[-1]) > _kernels.FINE_CELLS
     for branch in (1, -1, 0):
         _assert_same((*PARTIAL[:3], phi, PARTIAL[3], branch, 0.3, n_scan))
-
-
-@pytest.mark.parametrize("branch", [1, -1, 0])
-def test_pooled_bisection_matches_dense(branch, monkeypatch):
-    """At n_scan = 8 these rows fill the bracket pool at least twice, each
-    pool spanning several blocks, the last pool partial, with NaN rows and
-    rows that cannot close among them.  Every row's residual at pi is
-    (0.5 + cos phi) + cos(phi + pi) - 0.5, zero but for rounding, so the
-    branch rule may drop a root near +/-pi and every bracket is bisected."""
-    pool_brackets, pool_rows = [], []
-    bisect, select = _kernels._bisect, _kernels._select_roots
-
-    def spy_bisect(*args):
-        pool_brackets.append(args[-1].size)
-        return bisect(*args)
-
-    def spy_select(*args):
-        pool_rows.append(args[-1].size)
-        return select(*args)
-
-    monkeypatch.setattr(_kernels, "_bisect", spy_bisect)
-    monkeypatch.setattr(_kernels, "_select_roots", spy_select)
-    rng = np.random.default_rng(21 + branch)
-    phi = rng.uniform(-math.pi, math.pi, 2 * POOL + 3 * BLOCK + 7)
-    phi[rng.random(phi.size) < 0.1] = np.nan
-    ok = _assert_same((1.0, 0.5, 0.5, phi, 0.0, branch, 0.3, 8))
-    assert ok.any() and not ok[~np.isnan(phi)].all()
-    assert sum(size >= POOL for size in pool_brackets) >= 2
-    assert sum(pool_rows) == phi.size
-    assert all(BLOCK < rows < POOL for rows in pool_rows)
-    assert pool_rows[-1] % BLOCK != 0
 
 
 COEFF = EXACT | st.floats(-3.0, 3.0)
@@ -545,27 +535,35 @@ def _oracle_peak(phi):
         tracemalloc.stop()
 
 
+def _working_sets(make_phi):
+    """The traced peak less the output, 8 bytes a row, of oracle calls over
+    ``make_phi(n)`` for one block and a row, and for four blocks and a row."""
+    return [_oracle_peak(phi) - 8 * phi.size
+            for phi in map(make_phi, (BLOCK + 1, 4 * BLOCK + 1))]
+
+
 def test_oracle_memory_does_not_grow_with_rows():
-    """Peak traced allocation stays bounded: one block at a time."""
-    # the dense grid took 32 KB per row: about 1 GB at 30 000 rows
-    small, large = (_oracle_peak(np.linspace(-math.pi, math.pi, n))
-                    for n in (3_000, 30_000))
+    """The peak less the output does not grow with the rows: one block at a
+    time."""
+    # the dense grid took 32 KB per row: about 270 MB at 4 * BLOCK + 1 rows
+    small, large = _working_sets(lambda n: np.linspace(-math.pi, math.pi, n))
     assert large < 64 * 2**20
-    assert large < 1.5 * small
+    assert large <= 1.1 * small
 
 
 def test_oracle_memory_with_no_cell_cleared():
-    """At |phi| ~ 1e15 the rounding bound clears no cell at any level, every
-    level's worst case, and the peak stays under the same bound."""
-    small, large = (_oracle_peak(np.random.default_rng(7).uniform(1e15, 1e16, n))
-                    for n in (3_000, 30_000))
+    """At |phi| ~ 1e15 the rounding bound clears no cell at any level, each
+    block's worst case, and the peak less the output stays under the same
+    bounds."""
+    small, large = _working_sets(
+        lambda n: np.random.default_rng(7).uniform(1e15, 1e16, n))
     assert large < 64 * 2**20
-    assert large < 1.5 * small
+    assert large <= 1.1 * small
 
 
 def test_oracle_memory_within_a_fixed_budget():
-    """Row blocks, fine chunks and one bracket pool keep the traced peak of
-    30 000 rows, the output included, under 5 MiB, whether the rows close
-    or are NaN and clear no cell."""
+    """Row blocks, each bisected after its own scan, and fine chunks keep the
+    traced peak of 30 000 rows, the output included, under 5 MiB, whether
+    the rows close or are NaN and clear no cell."""
     for phi in (np.linspace(-math.pi, math.pi, 30_000), np.full(30_000, np.nan)):
         assert _oracle_peak(phi) < 5 * 2**20
