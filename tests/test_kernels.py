@@ -90,10 +90,11 @@ CONTRACT_CASES = {
 CONTRACT_KERNELS = {
     "solve-positive": _kernels.loop_solve_batch,
     "solve-negative": negative_root,
-    # also the loop solve of sweep_chain: on one sample, the positive root
     "continuity": _kernels.loop_sweep_continuity,
     "oracle-positive": lambda *a: _kernels.loop_bisect_batch(*a, 1, 0.0, 4096),
     "oracle-negative": lambda *a: _kernels.loop_bisect_batch(*a, -1, 0.0, 4096),
+    # the loop solve of sweep_chain: on one sample, the positive root
+    "closed-form-positive": _kernels.loop_sweep_continuity,
     "closed-form-negative": lambda k1, k2, k3, phi, fixed: (
         negative_root(*fk.LoopCoefficients(k1, k2, k3), phi, fixed)),
 }
@@ -279,12 +280,8 @@ def _assert_same(args):
     return ok
 
 
-@pytest.mark.parametrize("n_scan", [8, 64, 4096])
-@pytest.mark.parametrize("branch", [1, -1, 0])
-def test_blocked_oracle_is_bit_equal_to_dense(branch, n_scan, monkeypatch):
-    """Rows that close and rows that cannot, around block edges, and at
-    n_scan = 8 several blocks of ZERO_PROBE rows, the last one partial, with
-    NaN rows among them; each block's rows are bisected alone."""
+def _spy_bisect(monkeypatch):
+    """The inputs of each ``_bisect`` call, in order, as ``_bisect`` runs."""
     bisected = []
     bisect = _kernels._bisect
 
@@ -293,21 +290,47 @@ def test_blocked_oracle_is_bit_equal_to_dense(branch, n_scan, monkeypatch):
         return bisect(*args)
 
     monkeypatch.setattr(_kernels, "_bisect", spy_bisect)
+    return bisected
+
+
+def _assert_bisected_per_block(bisected, phi):
+    blocks = [phi[s:s + BLOCK] for s in range(0, phi.size, BLOCK)]
+    assert len(bisected) == len(blocks)
+    assert all(np.isin(rows, block).all()
+               for rows, block in zip(bisected, blocks))
+
+
+@pytest.mark.parametrize("n_scan", [8, 64, 4096])
+@pytest.mark.parametrize("branch", [1, -1, 0])
+def test_blocked_oracle_is_bit_equal_to_dense(branch, n_scan, monkeypatch):
+    """Rows that close and rows that cannot, around block edges; each
+    block's rows are bisected alone."""
+    bisected = _spy_bisect(monkeypatch)
     rng = np.random.default_rng(1000 * n_scan + branch)
-    cases = [(PARTIAL, rng.uniform(-math.pi, math.pi, n)) for n in SIZES]
-    if n_scan == 8:
-        phi = rng.uniform(-math.pi, math.pi, 3 * BLOCK + 7)
-        phi[rng.random(phi.size) < 0.1] = np.nan
-        cases.append((ZERO_PROBE, phi))
-    for (k1, k2, k3, fixed), phi in cases:
+    k1, k2, k3, fixed = PARTIAL
+    for n in SIZES:
+        phi = rng.uniform(-math.pi, math.pi, n)
         bisected.clear()
         ok = _assert_same((k1, k2, k3, phi, fixed, branch, 0.3, n_scan))
-        if phi.size > 8:
-            assert ok.any() and not ok[~np.isnan(phi)].all()
-        blocks = [phi[s:s + BLOCK] for s in range(0, phi.size, BLOCK)]
-        assert len(bisected) == len(blocks)
-        assert all(np.isin(rows, block).all()
-                   for rows, block in zip(bisected, blocks))
+        if n > 8:
+            assert ok.any() and not ok.all()
+        _assert_bisected_per_block(bisected, phi)
+
+
+@pytest.mark.parametrize("branch", [1, -1, 0])
+def test_pooled_bisection_matches_dense(branch, monkeypatch):
+    """At n_scan = 8, several blocks of ZERO_PROBE rows, the last one
+    partial, with NaN rows and rows that cannot close among them: all the
+    brackets of one block are bisected in one pooled call, and no call
+    spans two blocks."""
+    bisected = _spy_bisect(monkeypatch)
+    rng = np.random.default_rng(21 + branch)
+    phi = rng.uniform(-math.pi, math.pi, 3 * BLOCK + 7)
+    phi[rng.random(phi.size) < 0.1] = np.nan
+    k1, k2, k3, fixed = ZERO_PROBE
+    ok = _assert_same((k1, k2, k3, phi, fixed, branch, 0.3, 8))
+    assert ok.any() and not ok[~np.isnan(phi)].all()
+    _assert_bisected_per_block(bisected, phi)
 
 
 @pytest.mark.parametrize("n_scan", [8, 64, 4096])
