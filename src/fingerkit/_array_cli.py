@@ -38,7 +38,7 @@ from .finger import (
     tip_trace,
     workspace,
 )
-from .geometry import TendonModel
+from .geometry import DOUBLE, TendonModel
 from .linkage import oracle_deviation, sweep_chain
 from .registry import default_registry
 from .svgplot import Series, render_svg
@@ -148,7 +148,7 @@ def _resolve_tendon(cfg: FingerConfig,
                     args: argparse.Namespace) -> tuple[TendonModel, float]:
     """The requested tendon variant and tension (default: its maximum)."""
     tendon = cfg.require_tendon()
-    if args.tendon == "double":
+    if args.tendon == DOUBLE:
         tendon = tendon.as_double()
     elif args.tendon not in (None, tendon.kind):
         raise ConfigError(

@@ -128,26 +128,34 @@ def loop_sweep_continuity(k1, k2, k3, phi, fixed_angle):
     return theta
 
 
+def _distinct(first, lo, hi):
+    """Whether each root, in ``[lo, hi]``, is no copy of one before it: the
+    merge rule, on roots (``lo`` is ``hi``) or on bracket ends.
+
+    Entries go by row, then ``lo``; ``first`` marks each row's first.  A
+    root counts if it is its row's first, or lies more than
+    ``_ROOT_MERGE_TOL`` past the one before and less than 2 pi -
+    ``_ROOT_MERGE_TOL`` past its row's first (pi is -pi; all lie in
+    [-pi, pi]).  No three roots chain, as none is next to an exact zero and
+    a grid interval, far wider than the tolerance, holds one bracket at most.
+    Float subtraction is monotone, so a counted bracket holds a counted root.
+    """
+    row_first = lo[first][np.cumsum(first) - 1]
+    return first | ((lo - np.roll(hi, 1) > _ROOT_MERGE_TOL)
+                    & ~(_TWO_PI - (hi - row_first) < _ROOT_MERGE_TOL))
+
+
 def _select_roots(rows, roots, probe, alpha_tol, branch, ref, theta):
     """Writes into ``theta`` one root per row by the branch rule, if one fits.
 
-    ``rows`` and ``roots`` pair each root found with its row, in any order.
-    Sorted by row, then root, a root within ``_ROOT_MERGE_TOL`` of the one
-    before it, or of its row's first plus 2 pi (a last root at pi, as all
-    lie in [-pi, pi]), is that root again, though the one before may itself
-    be dropped: no three roots chain, as none is next to an exact zero and
-    a grid interval, far wider than the tolerance, gives one bracket at
-    most.  ``probe`` (the residual at pi, the leading coefficient) says by
-    its sign whether branch +1 or -1 takes the largest or smallest root;
-    near zero (``alpha_tol``), roots within ``_PI_ROOT_TOL`` of +/-pi do
-    not count.  Branch 0 takes the root nearest ``ref``, the smaller on a tie.
+    ``rows`` and ``roots`` pair each root found with its row, sorted by row,
+    then root, and only the roots ``_distinct`` counts are candidates.
+    ``probe`` (the residual at pi, the leading coefficient) says by its sign
+    whether branch +1 or -1 takes the largest or smallest root; near zero
+    (``alpha_tol``), roots within ``_PI_ROOT_TOL`` of +/-pi do not count.
+    Branch 0 takes the root nearest ``ref``, the smaller on a tie.
     """
-    order = np.lexsort((roots, rows))
-    rows, roots = rows[order], roots[order]
-    new_row = np.diff(rows, prepend=-1) != 0
-    first = roots[new_row][np.cumsum(new_row) - 1]
-    keep = new_row | ((np.diff(roots, prepend=-np.inf) > _ROOT_MERGE_TOL)
-                      & ~(_TWO_PI - (roots - first) < _ROOT_MERGE_TOL))
+    keep = _distinct(np.diff(rows, prepend=-1) != 0, roots, roots)
     if branch == 0:
         score = np.abs(wrap(roots - ref))
     else:
@@ -175,32 +183,24 @@ def _residual(k1, fixed_angle, phi, c, x, x_term, out=None):
 
 
 def _pickable(rows, lo, hi, probe, alpha_tol, branch):
-    """Indices of the brackets whose root the branch rule can pick.
+    """Whether the branch rule can pick each bracket's root.
 
-    No two brackets of a row overlap, so sorted by ``lo`` their roots are
-    sorted too.  Where branch +1 or -1 takes a row's smallest root, it is
-    its first bracket's, which the merge keeps as the row's first.  Where it
-    takes the largest, it is the last bracket's, and only that bracket is
-    kept if it starts more than ``_ROOT_MERGE_TOL`` past the end of the one
-    before and ends less than 2 pi - ``_ROOT_MERGE_TOL`` past the start of
-    the first: then neither the merge nor the wrap onto -pi can drop its
-    root.  Every other row keeps all of its brackets, as do rows with
-    |probe| <= alpha_tol, whose +/-pi rule can drop a root, and every row
-    of branch 0.
+    The brackets go by row, then ``lo``, and no two of a row overlap, so
+    their roots are sorted too.  Where branch +1 or -1 takes a row's
+    smallest root, it is its first bracket's.  Where it takes the largest,
+    it is the last bracket's, and only that bracket is kept if
+    ``_distinct`` counts it: then neither the merge nor the wrap onto -pi
+    can drop its root.  Every other row keeps all of its brackets, as do
+    rows with |probe| <= alpha_tol, whose +/-pi rule can drop a root, and
+    every row of branch 0.
     """
-    order = np.lexsort((lo, rows))
-    rows, lo, hi = rows[order], lo[order], hi[order]
     first = np.diff(rows, prepend=-1) != 0
     last = np.diff(rows, append=probe.size) != 0
-    hi_prev = np.where(first, -np.inf, np.roll(hi, 1))
-    lo_first = lo[first][np.cumsum(first) - 1]
     alone = np.zeros(probe.size, dtype=bool)
-    alone[rows[last & (lo - hi_prev > _ROOT_MERGE_TOL)
-               & (hi - lo_first < _TWO_PI - _ROOT_MERGE_TOL)]] = True
+    alone[rows[last & _distinct(first, lo, hi)]] = True
     take_max = ((probe > 0.0) == (branch > 0))[rows]
     keep = np.where(take_max, last | ~alone[rows], first)
-    keep |= (np.abs(probe) <= alpha_tol)[rows] | (branch == 0)
-    return order[keep]
+    return keep | (np.abs(probe) <= alpha_tol)[rows] | (branch == 0)
 
 
 class _Oracle:
@@ -295,8 +295,9 @@ class _Oracle:
         ``cells[i]`` (at level 0, of the whole grid).  Each uncleared cell
         gets the points inside it at the next stride, FINE_CELLS finer cells
         at a time, and their uncleared cells go one level deeper before the
-        next chunk, depth first; the last level takes every point and gives
-        the brackets."""
+        next chunk, depth first.  The last level lists each grid point's
+        exact zero, then its strict sign change to the next; rows and cells
+        go in row-major order, so ``found`` is sorted by input, then ``lo``."""
         k, xs_inner, term_inner = self.inner[level]
         step = max(FINE_CELLS // k, 1)
         for s in range(0, uncleared.size, step):
@@ -312,18 +313,16 @@ class _Oracle:
                 self._refine(level + 1, phi, c, err, r, at, sub,
                              self._uncleared(sub, level + 1, err[r]), found)
                 continue
-            # strict sign changes between grid points, neither one zero; then
-            # the zeros, each a bracket of width 0, but for copies of pi
-            neg = sub < 0.0
-            i, j = np.nonzero(neg[:, :-1] != neg[:, 1:])
-            strict = (sub[i, j] != 0.0) & (sub[i, j + 1] != 0.0)
-            zi, zj = np.nonzero(sub == 0.0)
-            real = at[zi] * k + zj <= self.n_scan
-            i = np.concatenate((i[strict], zi[real]))
-            j = np.concatenate((j[strict], zj[real]))
+            # mark each grid point's exact zero (a bracket of width 0), or
+            # else its strict sign change to the next; copies of pi are dropped
+            mark = sub == 0.0
+            mark[:, :-1] |= ((sub[:, :-1] < 0.0) != (sub[:, 1:] < 0.0)) & ~mark[:, 1:]
+            i, j = np.nonzero(mark)
             col = at[i] * k + j
-            width = np.arange(i.size) < np.count_nonzero(strict)
-            found.append((r[i], self.xs[col], self.xs[col + width], sub[i, j]))
+            real = col <= self.n_scan
+            i, j, col = i[real], j[real], col[real]
+            flo = sub[i, j]
+            found.append((r[i], self.xs[col], self.xs[col + (flo != 0.0)], flo))
 
 
 def _bisect(k1, k2, fixed_angle, phi, c, lo, hi, flo):

@@ -29,8 +29,10 @@ from pathlib import Path
 from .config import FingerConfig, default_config_path, load_config
 from .errors import ConfigError, FingerkitError, require_finite, strict_json
 from .geometry import (
+    DOUBLE,
     NUM_JOINTS,
     NUM_LINKS,
+    SINGLE,
     compute_mobility,
     count_loops,
     loop_coefficients,
@@ -139,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out: bool = False, samples: int | None = None):
+    def common(p: argparse.ArgumentParser, out: bool = False,
+               samples: int | None = None, tendon: bool = False):
         p.add_argument("--config", type=Path, default=default_config_path(),
                        help="finger config JSON (default: shipped demo finger)")
         if out:
@@ -151,6 +154,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if samples is not None:
             p.add_argument("--samples", type=int, default=samples,
                            help=f"sample count (default {samples})")
+        if tendon:
+            p.add_argument("--tendon", choices=(SINGLE, DOUBLE), default=None,
+                           help="override the config's tendon variant")
+            p.add_argument("--tension-n", type=float, default=None,
+                           help="tendon tension (default: config max tension)")
 
     common(sub.add_parser("analyze", help="mobility, loops, coefficients"))
 
@@ -165,19 +173,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="orientation sample count (default 25)")
 
     p = sub.add_parser("force", help="static tip-force profile")
-    common(p, out=True, samples=100)
-    p.add_argument("--tendon", choices=("single", "double"), default=None,
-                   help="override the config's tendon variant")
-    p.add_argument("--tension-n", type=float, default=None,
-                   help="tendon tension (default: config max tension)")
+    common(p, out=True, samples=100, tendon=True)
 
     p = sub.add_parser("grasp", help="grasp feasibility report")
-    common(p)
+    common(p, tendon=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--diameter-mm", type=float, help="cylindrical object")
     group.add_argument("--thickness-mm", type=float, help="flat object")
-    p.add_argument("--tendon", choices=("single", "double"), default=None)
-    p.add_argument("--tension-n", type=float, default=None)
     p.add_argument("--theta1-deg", type=float, default=None,
                    help="contact configuration (default: range start)")
 

@@ -110,13 +110,10 @@ def _parse_tendon(block) -> TendonModel:
     unknown = set(block) - TENDON_KEYS
     if unknown:
         raise ConfigError(f"unknown tendon keys: {sorted(unknown)}")
-    kind = block.get("kind")
-    if kind not in ("single", "double"):
-        raise ConfigError("tendon kind must be 'single' or 'double'")
     arms = _number_list(block, "arms_mm", 3)
     try:
         return TendonModel(
-            kind=kind,
+            kind=block.get("kind"),
             moment_arms=tuple(arms),
             spring_stiffness=_number(block, "spring_nmm_per_rad", default=0.0),
             spring_preload=_number(block, "preload_nmm", default=0.0),

@@ -4,6 +4,7 @@ or written as JSON."""
 
 import json
 import math
+import operator
 
 
 class FingerkitError(Exception):
@@ -79,6 +80,17 @@ def finite_number(value, message: str) -> float:
         if math.isfinite(number):
             return number
     raise ConfigError(message)
+
+
+def require_integer(value, name: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer, not a bool,
+    else ``ValueError`` naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def require_finite(value: float, flag: str, minimum: float | None = None,

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, OutOfRangeError
+from .errors import DegenerateGeometryError, OutOfRangeError, require_integer
 from .geometry import FingerGeometry, LinkageGeometry, TendonModel
 from .linkage import JointState, chain_derivatives, solve_chain, sweep_chain
 from .registry import ReferenceRegistry
@@ -126,6 +126,8 @@ def workspace(
     is the maximum distance from any gripper-frame tip to the fixed-thumb
     contact segment.
     """
+    theta1_samples = require_integer(theta1_samples, "theta1_samples")
+    psi_samples = require_integer(psi_samples, "psi_samples")
     if theta1_samples < 2 or psi_samples < 2:
         raise ValueError("workspace requires at least 2 samples on each axis")
     t_lo, t_hi = geometry.theta1_range

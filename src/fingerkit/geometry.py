@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import validated
+from .errors import require_integer, validated
 
 # The finger linkage is always the same topology: six links, seven revolute
 # joints, giving mobility 1 and two independent loops.
@@ -32,6 +32,8 @@ DOUBLE = "double"
 
 def compute_mobility(num_links: int, num_joints: int) -> int:
     """Degrees of freedom of a planar linkage: 3*(L-1) - 2*j."""
+    num_links = require_integer(num_links, "num_links")
+    num_joints = require_integer(num_joints, "num_joints")
     if num_links < 1:
         raise ValueError("num_links must be >= 1")
     if num_joints < 0:
@@ -41,6 +43,8 @@ def compute_mobility(num_links: int, num_joints: int) -> int:
 
 def count_loops(num_joints: int, num_links: int) -> int:
     """Number of independent closure loops: j - L + 1."""
+    num_joints = require_integer(num_joints, "num_joints")
+    num_links = require_integer(num_links, "num_links")
     if num_joints < num_links - 1:
         raise ValueError("num_joints must be >= num_links - 1")
     return num_joints - num_links + 1

@@ -78,11 +78,14 @@ def _vector_closure_angles(
 
 
 def _samples(theta1) -> np.ndarray:
-    """``theta1``, a float or a 1-D array, as a 1-D float array."""
-    theta1 = np.atleast_1d(np.asarray(theta1, dtype=np.float64))
+    """``theta1``, a float or a 1-D array of integers or floats, as a 1-D
+    float array; strings, bools and other kinds are a ``ValueError``."""
+    theta1 = np.atleast_1d(np.asarray(theta1))
+    if theta1.dtype.kind not in "iuf":
+        raise ValueError(f"theta1 must be integers or floats, not {theta1.dtype}")
     if theta1.ndim != 1:
         raise ValueError(f"theta1 must be a float or a 1-D array, not {theta1.ndim}-D")
-    return theta1
+    return theta1.astype(np.float64, copy=False)
 
 
 def _chain(geometry: LinkageGeometry, theta1: np.ndarray, solve) -> JointState:

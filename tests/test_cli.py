@@ -904,7 +904,10 @@ def mutated_document(draw, text):
     doc = json.loads(text)
     nests = {}
     for _ in range(draw(st.integers(1, 2))):
-        *parents, last = draw(st.sampled_from(list(_paths(doc))[1:]))
+        items = list(_paths(doc))[1:]
+        if not items:  # the first edit deleted the one top-level key
+            break
+        *parents, last = draw(st.sampled_from(items))
         holder = doc
         for key in parents:
             holder = holder[key]

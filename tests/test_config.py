@@ -164,6 +164,20 @@ class TestRejection:
         with pytest.raises(fk.ConfigError, match="invalid tendon"):
             parse(doc)
 
+    @pytest.mark.parametrize("tendon, message", [
+        ([10.0, 8.0, 6.0], "config key 'tendon' must be an object"),
+        (dict(GOOD["tendon"], kind="triple"), "got 'triple'"),
+        ({k: v for k, v in GOOD["tendon"].items() if k != "kind"}, "got None"),
+    ], ids=["not-an-object", "unknown-kind", "no-kind"])
+    def test_bad_tendon_is_two(self, tendon, message, tmp_path, capsys):
+        path = tmp_path / "finger.json"
+        path.write_text(json.dumps(dict(GOOD, tendon=tendon)), encoding="utf-8")
+        assert main(["analyze", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0] and captured.out == ""
+
     @pytest.mark.parametrize("text", [
         "[[0.0, 0.0]]",
         "[[true, -85], [80, -85]]",

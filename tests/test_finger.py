@@ -218,6 +218,22 @@ class TestWorkspace:
         with pytest.raises(ValueError):
             fk.workspace(geometry, finger, 4, 1, thumb_line)
 
+    @pytest.mark.parametrize("counts, name", [
+        ((2.5, 3), "theta1_samples"),
+        ((3, True), "psi_samples"),
+        ((3, 3.0), "psi_samples"),
+    ], ids=["float", "bool", "integral-float"])
+    def test_sample_counts_are_integers(self, counts, name, geometry, finger,
+                                        thumb_line):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            fk.workspace(geometry, finger, *counts, thumb_line)
+
+    def test_numpy_integer_sample_counts(self, geometry, finger, thumb_line):
+        result = fk.workspace(geometry, finger, np.int64(3), np.int32(2), thumb_line)
+        expected = fk.workspace(geometry, finger, 3, 2, thumb_line)
+        assert np.array_equal(result.points, expected.points)
+        assert result.max_opening_mm == expected.max_opening_mm
+
 
 class TestSegmentDistance:
     def test_perpendicular_and_endpoint(self):

@@ -471,6 +471,50 @@ def test_one_bracket_per_closing_row_on_shipped_geometry(geometry, monkeypatch):
     assert sum(bisected) == 2 * theta1.size
 
 
+ORDER_CASES = {
+    # (k1, k2, k3, fixed), n_scan and the row with an exact zero, if any
+    "partial": (PARTIAL, 4096, None),
+    "tangent": (TANGENT, 4096, BLOCK + 5),
+    "zero-probe": (ZERO_PROBE, 4096, None),
+    "padded-8": (PARTIAL, 8, None),
+    "padded-100": (PARTIAL, 100, None),
+}
+
+
+@pytest.mark.parametrize("case", [*ORDER_CASES, "shipped", "small-chunks"])
+def test_bracket_table_is_sorted_by_row_then_lo(case, geometry, monkeypatch):
+    """The prune and the root selection sort nothing: the scan lists each
+    block's brackets by row, then ``lo``, exact zeros and their copies on
+    shared cell ends included.  ``small-chunks`` sets ``FINE_CELLS`` so low
+    that a row's uncleared cells span several chunks at every level."""
+    tables = []
+    pickable = _kernels._pickable
+
+    def spy_pickable(rows, lo, *rest):
+        tables.append((rows, lo))
+        return pickable(rows, lo, *rest)
+
+    monkeypatch.setattr(_kernels, "_pickable", spy_pickable)
+    phi = np.linspace(-3.0, 3.0, 2 * BLOCK + 7)
+    if case == "shipped":
+        linkage.oracle_deviation(geometry, np.linspace(*geometry.theta1_range, 5000))
+    elif case == "small-chunks":
+        monkeypatch.setattr(_kernels, "FINE_CELLS", 16)
+        for branch in (1, -1, 0):
+            _assert_same((*PARTIAL[:3], phi[::16], PARTIAL[3], branch, 0.3, 4096))
+    else:
+        (k1, k2, k3, fixed), n_scan, zero = ORDER_CASES[case]
+        if zero is not None:
+            phi[zero] = 0.0
+        theta = _kernels.loop_bisect_batch(k1, k2, k3, phi, fixed, 1, 0.0, n_scan)
+        assert zero is None or theta[zero] == 0.0
+    rows, lo = (np.concatenate(column) for column in zip(*tables))
+    assert (np.diff(rows) == 0).any()
+    for rows, lo in tables:
+        assert np.all(np.diff(rows) >= 0)
+        assert np.all(np.diff(lo)[np.diff(rows) == 0] >= 0.0)
+
+
 def test_rows_that_cannot_close_skip_the_scan(monkeypatch):
     """A NaN phi makes ``k3 + cos(phi)``, and so the residual at every
     point, NaN: such rows return NaN without one residual evaluated,
@@ -499,7 +543,8 @@ def test_rows_that_cannot_close_skip_the_scan(monkeypatch):
 
 # a row's roots as the scan finds them: at distinct grid points, each one
 # single, as exact copies (a zero on a shared cell end or a copy of pi), or
-# as a pair within the merge tolerance, drawn toward the inside of [-pi, pi]
+# as a pair within the merge tolerance, drawn toward the inside of [-pi, pi];
+# the table goes by row, then root, as the scan lists and bisects them
 ROOT_GROUP = st.sampled_from(["single", "copies", "pair"])
 PROBE = st.sampled_from([0.0, 5e-13, -5e-13, 0.3, -0.3, math.nan])
 
@@ -526,7 +571,7 @@ def root_tables(draw):
             else:
                 found = [r]
             table += [(row, x) for x in found]
-    table = draw(st.permutations(table))
+    table.sort()
     probe = draw(st.lists(PROBE, min_size=n_rows, max_size=n_rows))
     return table, np.array(probe)
 
@@ -535,7 +580,7 @@ def root_tables(draw):
 @given(tables=root_tables(), branch=st.sampled_from([1, -1, 0]),
        ref=st.floats(-4.0, 4.0))
 # an exact tie: wrap moves 0.25 and -0.25 through pi without rounding
-@example(tables=([(0, 0.75), (0, 0.25)], np.array([0.3])), branch=0, ref=0.5)
+@example(tables=([(0, 0.25), (0, 0.75)], np.array([0.3])), branch=0, ref=0.5)
 def test_array_root_selection_matches_python(tables, branch, ref):
     table, probe = tables
     rows = np.array([r for r, _ in table], dtype=np.intp)

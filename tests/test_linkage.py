@@ -88,6 +88,20 @@ class TestCounting:
         with pytest.raises(ValueError):
             fk.count_loops(2, 4)
 
+    @pytest.mark.parametrize("count, args, name", [
+        (fk.compute_mobility, (1.5, 2), "num_links"),
+        (fk.compute_mobility, (6, True), "num_joints"),
+        (fk.count_loops, (7.5, 6), "num_joints"),
+        (fk.count_loops, (7, "6"), "num_links"),
+    ], ids=["mobility-float", "mobility-bool", "loops-float", "loops-string"])
+    def test_counts_are_integers(self, count, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            count(*args)
+
+    def test_numpy_integers_count(self):
+        assert fk.compute_mobility(np.int64(6), np.int32(7)) == 1
+        assert fk.count_loops(np.int64(7), np.uint8(6)) == 2
+
     @given(
         links=st.integers(min_value=1, max_value=500),
         joints=st.integers(min_value=0, max_value=500),
@@ -309,8 +323,14 @@ class TestSolveChain:
                 (fk.solve_chain, [[[lo]]])):
             with pytest.raises(ValueError, match=f"not {np.ndim(theta1)}-D"):
                 solve(geometry, np.array(theta1))
+        # numpy would read these as 1.0 and [1.0, 1.2] rad
+        for solve in (fk.solve_chain, fk.sweep_chain, linkage.oracle_deviation):
+            for theta1 in ("1.0", True, ["1.0", "1.2"], [True, True], [1 + 0j]):
+                with pytest.raises(ValueError, match="theta1 must be integers or floats"):
+                    solve(geometry, theta1)
         dev2, dev6 = linkage.oracle_deviation(geometry, 0.5 * (lo + hi))
         assert dev2 <= 1e-9 and dev6 <= 1e-9
+        assert fk.solve_chain(geometry, 1) == fk.solve_chain(geometry, 1.0)
 
     def test_oracle_deviation_of_no_samples_is_a_value_error(self, geometry):
         """The oracle itself returns no angles for no inputs; the deviation
