@@ -508,11 +508,11 @@ def test_bracket_table_is_sorted_by_row_then_lo(case, geometry, monkeypatch):
             phi[zero] = 0.0
         theta = _kernels.loop_bisect_batch(k1, k2, k3, phi, fixed, 1, 0.0, n_scan)
         assert zero is None or theta[zero] == 0.0
-    rows, lo = (np.concatenate(column) for column in zip(*tables))
-    assert (np.diff(rows) == 0).any()
+    # some row has more than one bracket, so the order within rows is tested
+    assert any((np.diff(rows) == 0).any() for rows, _ in tables)
     for rows, lo in tables:
-        assert np.all(np.diff(rows) >= 0)
-        assert np.all(np.diff(lo)[np.diff(rows) == 0] >= 0.0)
+        assert (np.diff(rows) >= 0).all()
+        assert (np.diff(lo)[np.diff(rows) == 0] >= 0.0).all()
 
 
 def test_rows_that_cannot_close_skip_the_scan(monkeypatch):
