@@ -22,7 +22,9 @@ import numpy.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -211,5 +213,31 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def console() -> None:
+    """The process entry of the ``fingerkit`` script and of ``python -m
+    fingerkit.cli``: :func:`main`, then a flush of stdout whose failure is
+    one ``error:`` line naming ``<stdout>`` (exit 2), then an exit that
+    skips the interpreter's final garbage collections.
+
+    ``gc.freeze`` moves every tracked object, about 22k once numpy is
+    imported, into the permanent generation, which those collections
+    never scan; shutdown still flushes the standard streams, and every
+    emitted file is closed before :func:`main` returns.  Library callers
+    and tests call :func:`main`, which keeps normal collection.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:  # None if started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        exc.filename = sys.stdout.name
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+        # shutdown would flush the same buffered bytes and fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -83,13 +83,16 @@ def _planar_tip(finger: FingerGeometry, state: JointState):
 
 def tip_trace(finger: FingerGeometry, state: JointState, psi) -> np.ndarray:
     """TIP_DTYPE rows of solved configurations for every (sample, psi)
-    pair, sample-major; ``psi`` is a float or an array.
+    pair, sample-major; ``psi`` is a float or an array, finite, else
+    ``ValueError``.
 
     The gripper-frame point is the planar point rotated by psi about the
     orientation axis.
     """
-    x, y = (np.atleast_1d(v)[:, None] for v in _planar_tip(finger, state))
     psi = np.atleast_1d(np.asarray(psi, dtype=np.float64))
+    if not np.isfinite(psi).all():
+        raise ValueError("psi must be finite")
+    x, y = (np.atleast_1d(v)[:, None] for v in _planar_tip(finger, state))
     cos_p, sin_p = np.cos(psi), np.sin(psi)
     rows = np.empty((x.shape[0], psi.size), TIP_DTYPE)
     rows["theta1"] = np.atleast_1d(state.theta1)[:, None]
@@ -168,7 +171,8 @@ def tendon_excursion(tendon: TendonModel, state: JointState, start: JointState,
 
 def tip_velocity(finger: FingerGeometry, state: JointState, derivatives):
     """d(tip)/d(theta1) of the planar fingertip, mm/rad, given
-    ``derivatives``, the :func:`chain_derivatives` at ``state``."""
+    ``derivatives``, the :func:`chain_derivatives` at ``state``.  Floats or
+    arrays back."""
     d21, d61 = derivatives
     p1, p2, p3 = finger.phalanx_lengths
     a1, a2, a3 = _phalanx_angles(state)
@@ -177,7 +181,9 @@ def tip_velocity(finger: FingerGeometry, state: JointState, derivatives):
     da3 = d61 + d21 + 1.0
     vx = -(p1 * np.sin(a1) * da1 + p2 * np.sin(a2) * da2 + p3 * np.sin(a3) * da3)
     vy = p1 * np.cos(a1) * da1 + p2 * np.cos(a2) * da2 + p3 * np.cos(a3) * da3
-    return vx, vy
+    if np.ndim(state.theta1):
+        return vx, vy
+    return float(vx), float(vy)
 
 
 def force_profile(

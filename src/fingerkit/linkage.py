@@ -79,8 +79,16 @@ def _vector_closure_angles(
 
 def _samples(theta1) -> np.ndarray:
     """``theta1``, a float or a 1-D array of integers or floats, as a 1-D
-    float array; strings, bools and other kinds are a ``ValueError``."""
+    float array; strings, bools and other kinds are a ``ValueError``, as is
+    an integer beyond the float range."""
     theta1 = np.atleast_1d(np.asarray(theta1))
+    # numpy holds a Python integer beyond int64 as an object
+    kinds = {type(x) for x in theta1.flat} if theta1.dtype == object else set()
+    if int in kinds and kinds <= {int, float}:
+        try:
+            theta1 = theta1.astype(np.float64)
+        except OverflowError:
+            raise ValueError("theta1 has an integer too large for a float") from None
     if theta1.dtype.kind not in "iuf":
         raise ValueError(f"theta1 must be integers or floats, not {theta1.dtype}")
     if theta1.ndim != 1:
@@ -170,8 +178,8 @@ def chain_derivatives(geometry: LinkageGeometry, state):
     loop-2 input moves one-for-one with the loop-1 output, so the second
     derivative is the product of the per-loop transmission ratios.
     ``state`` is a :class:`JointState` of floats or of arrays, and the
-    derivatives come back in the same shape; a singular sample anywhere
-    raises.
+    derivatives come back as floats or as arrays; a singular sample
+    anywhere raises.
     """
     ratios = []
     for loop, theta_in, theta_out, fixed_angle in (
@@ -189,7 +197,9 @@ def chain_derivatives(geometry: LinkageGeometry, state):
             )
         ratios.append(-d_in / d_out)
     d21, d65 = ratios
-    return d21, d65 * d21
+    if np.ndim(state.theta1):
+        return d21, d65 * d21
+    return float(d21), float(d65 * d21)
 
 
 def sweep_chain(geometry: LinkageGeometry, theta1_values: np.ndarray) -> JointState:

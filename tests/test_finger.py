@@ -109,6 +109,13 @@ class TestTipTrace:
             fk.tip_trace(finger, fk.sweep_chain(geometry, np.array([lo, hi + 0.5])),
                          psi=0.0)
 
+    @pytest.mark.parametrize("psi", [math.inf, -math.inf, math.nan,
+                                     [0.0, math.nan]])
+    def test_non_finite_psi_rejected(self, geometry, finger, psi):
+        state = fk.solve_chain(geometry, 1.0)
+        with pytest.raises(ValueError, match="psi must be finite"):
+            fk.tip_trace(finger, state, psi)
+
     def test_failed_closure_reports_theta1(self, finger):
         g = fk.LinkageGeometry(
             v=(25, 40, 45, 10, 25, 40, 45, 10), sigma=0.0, rho=0.0,
@@ -317,6 +324,17 @@ class TestTipVelocity:
                 finger, fk.solve_chain(geometry, theta1 - h), 0.0)[0]
             assert vx == pytest.approx((sp["tip_x"] - sm["tip_x"]) / (2 * h), rel=1e-6)
             assert vy == pytest.approx((sp["tip_y"] - sm["tip_y"]) / (2 * h), rel=1e-6)
+
+
+def test_float_state_gives_floats(geometry, finger, tendon):
+    """A float state gives floats, as the float solve does; a sweep gives
+    arrays."""
+    for theta1, kind in ((1.0, float), (np.array([1.0, 1.2]), np.ndarray)):
+        state = fk.solve_chain(geometry, theta1)
+        derivatives = fk.chain_derivatives(geometry, state)
+        values = (*derivatives, *excursion_at(tendon, geometry, state),
+                  *fk.tip_velocity(finger, state, derivatives))
+        assert [type(v) for v in values] == [kind] * 6
 
 
 class TestStaticTipForce:

@@ -332,6 +332,24 @@ class TestSolveChain:
         assert dev2 <= 1e-9 and dev6 <= 1e-9
         assert fk.solve_chain(geometry, 1) == fk.solve_chain(geometry, 1.0)
 
+    def test_integers_beyond_int64_reach_the_range_check(self, geometry):
+        """numpy holds these as objects; they are integers all the same, and
+        one beyond the float range is too large, not of the wrong kind."""
+        lo, hi = geometry.theta1_range
+        for solve in (fk.solve_chain, fk.sweep_chain, linkage.oracle_deviation):
+            for theta1 in ([lo, 10**30], [-10**30, hi], [lo, 2.0**70, 10**30]):
+                with pytest.raises(fk.OutOfRangeError, match="outside admissible"):
+                    solve(geometry, theta1)
+            for theta1 in ([lo, 10**400], [-10**400, hi]):
+                with pytest.raises(ValueError, match="theta1 has an integer too large"):
+                    solve(geometry, theta1)
+            for theta1 in ([True, 10**30], [None, 10**30], ["1", 10**30],
+                           np.array([1.0, 1.2], dtype=object)):
+                with pytest.raises(ValueError, match="theta1 must be integers or floats"):
+                    solve(geometry, theta1)
+        with pytest.raises(fk.OutOfRangeError, match="theta1=1e\\+30 rad"):
+            fk.solve_chain(geometry, 10**30)
+
     def test_oracle_deviation_of_no_samples_is_a_value_error(self, geometry):
         """The oracle itself returns no angles for no inputs; the deviation
         of none is undefined."""
