@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +116,7 @@ def _emit(out: Path, fmt: str, sha256: str, tables, docs=(), plots=()) -> None:
 
 
 def _table(rows: np.ndarray, angle_columns: int) -> np.ndarray:
-    """Structured float rows as a 2-D table, the leading angles in degrees.
+    """Float rows, structured or 2-D, as a table, the leading angles in degrees.
 
     The table is a view of ``rows``, converted in place: the rows are the
     caller's own and not used again.
@@ -174,8 +172,7 @@ def _cmd_sweep(cfg: FingerConfig, args: argparse.Namespace):
         "theta6_deg", "theta7_deg", "mcp_deg", "pip_deg", "dip_deg",
     ]
     # JointState's fields are the header's columns, in order
-    angles = np.column_stack(sweep)
-    np.degrees(angles, out=angles)
+    angles = _table(np.column_stack(sweep), len(angle_header))
     trace = _table(tip_trace(finger, sweep, psi), 2)
     tables = [("joint_angles", angle_header, angles, {}),
               ("tip_trace", _TIP_HEADER, trace, {})]
@@ -261,14 +258,11 @@ def _cmd_grasp(cfg: FingerConfig, args: argparse.Namespace) -> int:
 
 def _cmd_validate(cfg: FingerConfig, args: argparse.Namespace) -> int:
     _require_counts("validate requires --samples >= 2", args.samples)
-    started = time.perf_counter()
     dev2, dev6 = oracle_deviation(cfg.geometry, _theta1_grid(cfg, args.samples))
-    elapsed = time.perf_counter() - started
     print(f"samples={args.samples}")
     print(f"max |theta2 closed - numeric| = {dev2:.3e} rad")
     print(f"max |theta6 closed - numeric| = {dev6:.3e} rad")
     print(f"max deviation = {max(dev2, dev6):.3e} rad")
-    print(f"elapsed: {elapsed:.3f} s", file=sys.stderr)
     return 0
 
 

@@ -207,24 +207,20 @@ class _Oracle:
     """The per-call constants of ``loop_bisect_batch``, and its one step:
     the roots of a block of rows.
 
-    ``xs`` is the scan grid of ``n_scan + 1`` points, padded with copies of
-    pi to whole cells of ``SCAN_STRIDES[0]`` steps, and ``x_term`` its
-    column term.  The scan's level 0 takes every ``SCAN_STRIDES[0]``-th
-    point.  Each later level, and then a last one that takes every point,
-    evaluates only the points inside the cells that the level before could
-    not clear; a cell's ends come from that level, so every grid point is
-    evaluated once at most.
+    ``xs`` is the scan grid of ``n_scan + 1`` points, whole cells of
+    ``SCAN_STRIDES[0]`` steps, and ``x_term`` its column term.  The scan's
+    level 0 takes every ``SCAN_STRIDES[0]``-th point.  Each later level,
+    and then a last one that takes every point, evaluates only the points
+    inside the cells that the level before could not clear; a cell's ends
+    come from that level, so every grid point is evaluated once at most.
     """
 
     def __init__(self, k1, k2, k3, fixed_angle, branch, ref, n_scan):
         self.k1, self.k2, self.k3, self.fixed_angle = k1, k2, k3, fixed_angle
-        self.branch, self.ref, self.n_scan = branch, ref, n_scan
+        self.branch, self.ref = branch, ref
         self.alpha_tol = 1e-12 * (1.0 + abs(k1) + abs(k2) + abs(k3))
         self.err_k2 = abs(k2) * (abs(fixed_angle) + 4.0)
-        top = SCAN_STRIDES[0]
-        n_pad = max(-(-n_scan // top), 1) * top
-        self.xs = np.linspace(-math.pi, math.pi, n_scan + 1)[
-            np.minimum(np.arange(n_pad + 1), n_scan)]
+        self.xs = np.linspace(-math.pi, math.pi, n_scan + 1)
         self.x_term = k2 * np.cos(self.xs - fixed_angle)
         # per level: the Lipschitz constant times its widest cell, rounded up
         self.change = [1.001 * (abs(k1) + abs(k2)) * np.diff(self.xs[::s]).max()
@@ -243,7 +239,7 @@ class _Oracle:
         change between neighbouring grid points, ``flo`` the residual at
         ``lo``, or an exact zero x as the bracket [x, x], which bisection
         keeps at x.  A zero on an end two finest cells share shows twice, and
-        the merge drops the copy; one on a copy of pi is dropped in the scan.
+        the merge drops the copy.
         Only the brackets whose root the branch rule can pick (``_pickable``)
         are bisected.  A row whose ``c = k3 + cos(phi)`` is NaN has a NaN
         residual at every point, so no root, and it is not scanned.
@@ -314,13 +310,11 @@ class _Oracle:
                              self._uncleared(sub, level + 1, err[r]), found)
                 continue
             # mark each grid point's exact zero (a bracket of width 0), or
-            # else its strict sign change to the next; copies of pi are dropped
+            # else its strict sign change to the next
             mark = sub == 0.0
             mark[:, :-1] |= ((sub[:, :-1] < 0.0) != (sub[:, 1:] < 0.0)) & ~mark[:, 1:]
             i, j = np.nonzero(mark)
             col = at[i] * k + j
-            real = col <= self.n_scan
-            i, j, col = i[real], j[real], col[real]
             flo = sub[i, j]
             found.append((r[i], self.xs[col], self.xs[col + (flo != 0.0)], flo))
 
@@ -361,8 +355,9 @@ def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
     """Scan-and-bisect oracle: never forms the quadratic's roots.
 
     The roots are those of a residual scan at ``n_scan + 1`` points of
-    [-pi, pi]: each sign change bisected 60 times, and each point where the
-    residual is exactly zero; ``_select_roots`` picks one per row.  The scan
+    [-pi, pi], ``n_scan`` a positive multiple of ``SCAN_STRIDES[0]``: each
+    sign change bisected 60 times, and each point where the residual is
+    exactly zero; ``_select_roots`` picks one per row.  The scan
     is multi-level: every ``SCAN_STRIDES[0]``-th point, then the points of
     each finer stride inside the cells that a Lipschitz bound, rounding
     included, cannot clear of sign changes and zeros, then every point of
@@ -376,6 +371,9 @@ def loop_bisect_batch(k1, k2, k3, phi, fixed_angle, branch, ref, n_scan):
     in one pass and its rows' roots selected before the next; each scan
     level evaluates at most ``FINE_CELLS`` finer cells at a time.
     """
+    if n_scan <= 0 or n_scan % SCAN_STRIDES[0]:
+        raise ValueError(f"n_scan must be a positive multiple of "
+                         f"{SCAN_STRIDES[0]}, not {n_scan}")
     phi = np.asarray(phi, dtype=np.float64)
     oracle = _Oracle(k1, k2, k3, fixed_angle, branch, ref, n_scan)
     theta = np.full(phi.shape[0], np.nan)

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# rows formatted per block: bounds each kernel's word buffers and the tuple
-# of placeholder values built for one %
-BLOCK_ROWS = 4096
-# the JSON kernel holds some 25 temporary words per value; blocks of at
-# most this many values keep those to about 3 MB, and run as fast as
-# larger ones
-_JSON_BLOCK_VALUES = 16384
+# values formatted per block (at least one row): bounds each kernel's word
+# buffers and the tuple of placeholder values built for one %; the JSON
+# kernel, the widest, holds some 25 temporary words per value, so about
+# 3 MB, and blocks of this size run as fast as larger ones
+BLOCK_VALUES = 16384
 
 _U8 = np.uint64
 _ZEROS = _U8(0x3030303030303030)  # ASCII "0" in every byte
@@ -132,13 +130,14 @@ def _positional(out: np.ndarray, sign: np.ndarray, digits: list[np.ndarray],
             np.bitwise_or(word, tail, out=out[..., w])
 
 
-def _spell(table: np.ndarray, source, min_frac: int, placeholder: str, frame,
-           block_rows: int):
-    """Yield the text of ``table``, ``block_rows`` rows at a time.
-    ``source(|x|)`` gives a block's digits, decades and certain values, laid
-    out into the ``(rows, columns, width)`` view that ``frame(rows, start)``
-    returns with the block's slots and a tail per column (or None).  Values
-    not certain get ``placeholder``, filled by one ``%`` per block."""
+def _spell(table: np.ndarray, source, min_frac: int, placeholder: str, frame):
+    """Yield the text of ``table``, as many whole rows at a time as hold
+    ``BLOCK_VALUES`` values, or one.  ``source(|x|)`` gives a block's
+    digits, decades and certain values, laid out into the ``(rows, columns,
+    width)`` view that ``frame(rows, start)`` returns with the block's slots
+    and a tail per column (or None).  Values not certain get
+    ``placeholder``, filled by one ``%`` per block."""
+    block_rows = max(1, BLOCK_VALUES // table.shape[1])
     with np.errstate(all="ignore"):
         for start in range(0, len(table), block_rows):
             block = table[start:start + block_rows]
@@ -192,9 +191,9 @@ def _csv_digits(a: np.ndarray):
 
 def format_csv(table: np.ndarray):
     """CSV text of a 2-D float table, each value as ``"%.9g" % x``: one
-    string per block of ``BLOCK_ROWS`` rows, each row ending in a newline."""
+    string per block of rows, each row ending in a newline."""
     frame = _separated("," * (table.shape[1] - 1) + "\n")
-    yield from _spell(table, _csv_digits, 0, "%.9g", frame, BLOCK_ROWS)
+    yield from _spell(table, _csv_digits, 0, "%.9g", frame)
 
 
 # --- %r -------------------------------------------------------------------
@@ -327,12 +326,11 @@ def format_json_rows(table: np.ndarray):
     """The rows of a 2-D float table as ``json.dumps(indent=2)`` lays out a
     list of lists at depth 1, each value as ``repr(x)``.
 
-    Yields one string per block of ``BLOCK_ROWS`` rows, or fewer so that a
-    block holds at most ``_JSON_BLOCK_VALUES`` values; joined, they are the
-    text between the list's ``[`` and ``]`` lines, without the newlines
-    next to those.  A row's words: its opening, the first indent, and per
-    value 3 words and the text after it."""
-    rows, cols = table.shape
+    Yields one string per block of rows; joined, they are the text between
+    the list's ``[`` and ``]`` lines, without the newlines next to those.
+    A row's words: its opening, the first indent, and per value 3 words and
+    the text after it."""
+    cols = table.shape[1]
     after = np.full(cols, _NEXT_VALUE)
     after[-1] = _ROW_CLOSE
 
@@ -345,8 +343,7 @@ def format_json_rows(table: np.ndarray):
         words[..., 3] = after
         return slots, words[..., :3], None
 
-    block_rows = max(1, min(BLOCK_ROWS, _JSON_BLOCK_VALUES // cols))
-    yield from _spell(table, _json_digits, 1, "%r", frame, block_rows)
+    yield from _spell(table, _json_digits, 1, "%r", frame)
 
 
 # --- %.3f -----------------------------------------------------------------
@@ -374,5 +371,5 @@ def _points_digits(a: np.ndarray):
 def format_points(px: np.ndarray, py: np.ndarray) -> str:
     """``x,y`` pairs to 3 decimals (``"%.3f"``), space separated."""
     table = np.column_stack((px, py))
-    text = "".join(_spell(table, _points_digits, 3, "%.3f", _separated(", "), BLOCK_ROWS))
+    text = "".join(_spell(table, _points_digits, 3, "%.3f", _separated(", ")))
     return text[:-1]  # every pair ends in a space, the last one too

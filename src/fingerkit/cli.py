@@ -39,7 +39,8 @@ from .geometry import (
     count_loops,
     loop_coefficients,
 )
-from .registry import ReferenceRegistry, default_registry, registry_verify
+from .registry import (ReferenceRegistry, default_registry,
+                       default_registry_path, registry_verify)
 from .safety import clearance_check, iso_contact_check, stroke_check
 
 
@@ -90,11 +91,7 @@ def _cmd_safety(args: argparse.Namespace) -> int:
 
 
 def _cmd_registry(args: argparse.Namespace) -> int:
-    if args.registry_path is None:
-        registry = default_registry()
-    else:
-        registry = ReferenceRegistry.load(args.registry_path)
-    report = registry_verify(registry)
+    report = registry_verify(ReferenceRegistry.load(args.registry_path))
     failures = 0
     for result in report:
         status = "PASS" if result.passed else "FAIL"
@@ -193,18 +190,29 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, samples=1000)
 
     p = sub.add_parser("registry", help="registry consistency report")
-    p.add_argument("--registry-path", type=Path, default=None,
-                   help="verify a registry file instead of the shipped one")
+    p.add_argument("--registry-path", type=Path, default=default_registry_path(),
+                   help="registry file to verify (default: the shipped one)")
 
     return parser
+
+
+def _io_error(exc: OSError) -> int:
+    """One ``error:`` line (exit 2) for an I/O error; every file fingerkit
+    opens is named in its errors, so an unnamed one is a write to stdout."""
+    if exc.filename is None:
+        exc.filename = "<stdout>"
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(_build_parser().parse_args(argv))
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        return _io_error(exc)
     except MemoryError:
         print("error: out of memory; use fewer samples", file=sys.stderr)
         return 2
@@ -230,9 +238,7 @@ def console() -> None:
         if sys.stdout is not None:  # None if started with fd 1 closed
             sys.stdout.flush()
     except OSError as exc:
-        exc.filename = sys.stdout.name
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
+        code = _io_error(exc)
         # shutdown would flush the same buffered bytes and fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()

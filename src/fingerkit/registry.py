@@ -209,12 +209,13 @@ def registry_verify(registry: ReferenceRegistry) -> list[RuleResult]:
     return report
 
 
+def default_registry_path() -> Path:
+    """Filesystem path of the shipped registry (for CLI default)."""
+    return Path(str(resources.files("fingerkit").joinpath("data/reference_registry.json")))
+
+
 def default_registry() -> ReferenceRegistry:
     """Load the shipped registry file and validate it."""
-    text = (
-        resources.files("fingerkit").joinpath("data/reference_registry.json")
-        .read_text(encoding="utf-8")
-    )
-    registry = ReferenceRegistry.loads(text)
+    registry = ReferenceRegistry.load(default_registry_path())
     registry.validate()
     return registry

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fingerkit import _array_cli, cli
+from fingerkit import _array_cli, cli, registry
 from fingerkit.cli import main
 from fingerkit.config import default_config_path
 from fingerkit.errors import ConfigError, FingerkitError, strict_json
@@ -259,6 +259,37 @@ class TestRegistryCommand:
         out = capsys.readouterr().out
         assert "FAIL gripper-weight: gripper_weight_g = 99 (expected 235)" in out
         assert out.endswith("\n3/4 rules passed\n")
+
+    def test_failing_shipped_registry_is_a_verdict_exit(self, tmp_path,
+                                                          monkeypatch, capsys):
+        """With no ``--registry-path``, a shipped file that fails a rule
+        gets the full report and exit 1, not an ``error:`` line."""
+        doc = json.loads(registry_json(default_registry()))
+        for entry in doc["entries"]:
+            if entry["key"] == "gripper_weight_g":
+                entry["value"] = 236
+        path = tmp_path / "reference_registry.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setattr(cli, "default_registry_path", lambda: path)
+        assert main(["registry"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert [line.split()[0] for line in lines[:4]] == ["PASS", "PASS", "FAIL", "PASS"]
+        assert lines[4:] == ["3/4 rules passed"]
+
+    def test_rules_run_once_per_call(self, monkeypatch, capsys):
+        calls = []
+        verify = registry.registry_verify
+
+        def spy(reg):
+            calls.append(reg)
+            return verify(reg)
+
+        monkeypatch.setattr(registry, "registry_verify", spy)
+        monkeypatch.setattr(cli, "registry_verify", spy)
+        assert main(["registry"]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("text", [
         pytest.param('{"entries": [], "rules": []}', id="rules-key"),
@@ -750,9 +781,7 @@ def assert_two_outcomes(argv, out):
         assert not out.exists()
         return lines[0]
     assert code == 0 or (code == 1 and stdout.getvalue())
-    # validate times itself on stderr, and nothing else writes there
-    assert lines == [] or (argv[0] == "validate" and len(lines) == 1
-                           and lines[0].startswith("elapsed: "))
+    assert lines == []
     texts = {"stdout": stdout.getvalue()}
     if out.exists():
         texts.update((p.name, p.read_text(encoding="utf-8"))

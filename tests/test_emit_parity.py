@@ -176,11 +176,12 @@ HEADER = ["a", "b", "c", "d", "e"]
 FORMAT_EXAMPLES = max(300, settings().max_examples)
 
 
-@pytest.fixture(params=[4096, 3, 1])
-def block_rows(request, monkeypatch):
-    """Block seams every 1 or 3 rows, for all three kernels: each reads
-    ``_numfmt.BLOCK_ROWS``."""
-    monkeypatch.setattr(_numfmt, "BLOCK_ROWS", request.param)
+@pytest.fixture(params=[4096, 15, 1])
+def block_values(request, monkeypatch):
+    """Blocks below the shipped size, for all three kernels, which each read
+    ``_numfmt.BLOCK_VALUES``: of 4096 values, and of 15 and 1, a seam every
+    few rows and every row."""
+    monkeypatch.setattr(_numfmt, "BLOCK_VALUES", request.param)
     return request.param
 
 
@@ -223,7 +224,7 @@ def csv_edge_values() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
-def test_csv_matches_per_value_format(block_rows):
+def test_csv_matches_per_value_format(block_values):
     expected = "\n".join(
         ["# config_sha256=abc", ",".join(HEADER)]
         + [",".join(f"{x:.9g}" for x in row) for row in EDGE_TABLE.tolist()]
@@ -231,7 +232,7 @@ def test_csv_matches_per_value_format(block_rows):
     assert "".join(_array_cli._csv(HEADER, EDGE_TABLE, "abc")) == expected
 
 
-def test_csv_kernel_edge_values(block_rows):
+def test_csv_kernel_edge_values(block_values):
     values = csv_edge_values()
     table = np.resize(values, (-(-len(values) // 7), 7))
     assert "".join(_numfmt.format_csv(table)) == percent_csv(table)
@@ -271,14 +272,14 @@ def json_table(rows: np.ndarray, extra: dict) -> str:
 
 
 @pytest.mark.parametrize("rows", [EDGE_TABLE, EDGE_TABLE[:0]])
-def test_json_matches_json_dumps(block_rows, rows):
+def test_json_matches_json_dumps(block_values, rows):
     extra = {"tendon": "double", "tension_n": 38.0}
     assert json_table(rows, extra) == json_dumps_table(rows, extra)
 
 
 def test_json_blocks_hold_at_most_json_block_values():
     rows = np.random.default_rng(5).normal(0.0, 100.0, (5000, 5))
-    per_block = _numfmt._JSON_BLOCK_VALUES // 5
+    per_block = _numfmt.BLOCK_VALUES // 5
     assert len(list(_numfmt.format_json_rows(rows))) == -(-5000 // per_block) > 1
     assert json_table(rows, {}) == json_dumps_table(rows, {})
 
@@ -323,7 +324,7 @@ def json_edge_values() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
-def test_json_edge_values_match_repr(block_rows):
+def test_json_edge_values_match_repr(block_values):
     values = json_edge_values()
     table = np.resize(values, (-(-len(values) // 7), 7))
     assert json_table(table, {}) == json_dumps_table(table, {})
@@ -361,7 +362,7 @@ def percent_points(x: np.ndarray, y: np.ndarray) -> str:
     return " ".join(f"{a:.3f},{b:.3f}" for a, b in zip(x.tolist(), y.tolist()))
 
 
-def test_svg_points_match_per_value_format(block_rows):
+def test_svg_points_match_per_value_format(block_values):
     x, y = EDGE_TABLE[:, 2] * 1e-290, EDGE_TABLE[:, 0]
     x = np.concatenate([x, [-0.0004, 0.0005, 1.0625, 2.5]])
     y = np.concatenate([y, [0.0, -0.0, 7.0, -1e-9]])

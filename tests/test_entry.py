@@ -38,10 +38,10 @@ def _entry(argv, cwd, stdout=subprocess.PIPE, buffered=False,
            **kwargs) -> subprocess.CompletedProcess:
     """``python -m fingerkit.cli *argv``, stderr captured; ``buffered``
     removes ``PYTHONUNBUFFERED``, so that stdout to a file is written at
-    exit."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    exit, else it is set to 1, so that each print writes at once."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED="1")
     if buffered:
-        env.pop("PYTHONUNBUFFERED", None)
+        del env["PYTHONUNBUFFERED"]
     return subprocess.run([sys.executable, "-m", "fingerkit.cli", *argv],
                           stdout=stdout, stderr=subprocess.PIPE, env=env,
                           cwd=cwd, timeout=120, **kwargs)
@@ -101,26 +101,37 @@ def test_exit_codes_pass_through(argv, code, stdout, tmp_path):
     assert (len(lines) == 1 and lines[0].startswith("error: ")) is (code == 2)
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("argv", [
+FULL_DEVICE_ARGV = [
     ["analyze"],
     ["registry"],
     ["grasp", "--diameter-mm", "80"],
     ["validate", "--samples", "20"],
-])
+]
+FULL_DEVICE_ERROR = (f"error: [Errno {errno.ENOSPC}] "
+                     f"{os.strerror(errno.ENOSPC)}: '<stdout>'\n").encode()
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", FULL_DEVICE_ARGV)
 def test_failed_stdout_flush_is_one_error_line(argv, tmp_path):
     """Buffered stdout reaches a full device only at the entry's flush;
     that failure is one line naming ``<stdout>``, exit 2, and shutdown's
     own flush adds nothing."""
     with open("/dev/full", "w") as full:
         done = _entry(argv, tmp_path, stdout=full, buffered=True)
-    assert done.returncode == 2
-    lines = done.stderr.decode().splitlines()
-    # validate has timed itself on stderr before the flush
-    if argv[0] == "validate":
-        assert lines.pop(0).startswith("elapsed: ")
-    assert lines == [f"error: [Errno {errno.ENOSPC}] "
-                     f"{os.strerror(errno.ENOSPC)}: '<stdout>'"]
+    assert (done.returncode, done.stderr) == (2, FULL_DEVICE_ERROR)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", FULL_DEVICE_ARGV)
+def test_failed_unbuffered_print_names_stdout(argv, tmp_path):
+    """With ``PYTHONUNBUFFERED=1`` the write fails at ``main``'s first
+    print instead, and gives the same line."""
+    with open("/dev/full", "w") as full:
+        done = _entry(argv, tmp_path, stdout=full)
+    assert (done.returncode, done.stderr) == (2, FULL_DEVICE_ERROR)
 
 
 def test_closed_stdout_is_still_zero(tmp_path):

@@ -300,7 +300,7 @@ def _assert_bisected_per_block(bisected, phi):
                for rows, block in zip(bisected, blocks))
 
 
-@pytest.mark.parametrize("n_scan", [8, 64, 4096])
+@pytest.mark.parametrize("n_scan", [256, 512, 4096])
 @pytest.mark.parametrize("branch", [1, -1, 0])
 def test_blocked_oracle_is_bit_equal_to_dense(branch, n_scan, monkeypatch):
     """Rows that close and rows that cannot, around block edges; each
@@ -319,7 +319,7 @@ def test_blocked_oracle_is_bit_equal_to_dense(branch, n_scan, monkeypatch):
 
 @pytest.mark.parametrize("branch", [1, -1, 0])
 def test_pooled_bisection_matches_dense(branch, monkeypatch):
-    """At n_scan = 8, several blocks of ZERO_PROBE rows, the last one
+    """At n_scan = 256, several blocks of ZERO_PROBE rows, the last one
     partial, with NaN rows and rows that cannot close among them: all the
     brackets of one block are bisected in one pooled call, and no call
     spans two blocks."""
@@ -328,12 +328,12 @@ def test_pooled_bisection_matches_dense(branch, monkeypatch):
     phi = rng.uniform(-math.pi, math.pi, 3 * BLOCK + 7)
     phi[rng.random(phi.size) < 0.1] = np.nan
     k1, k2, k3, fixed = ZERO_PROBE
-    ok = _assert_same((k1, k2, k3, phi, fixed, branch, 0.3, 8))
+    ok = _assert_same((k1, k2, k3, phi, fixed, branch, 0.3, 256))
     assert ok.any() and not ok[~np.isnan(phi)].all()
     _assert_bisected_per_block(bisected, phi)
 
 
-@pytest.mark.parametrize("n_scan", [8, 64, 4096])
+@pytest.mark.parametrize("n_scan", [256, 512, 4096])
 @pytest.mark.parametrize("branch", [1, -1, 0])
 def test_exact_zero_grid_point_is_a_root(branch, n_scan):
     k1, k2, k3, fixed = TANGENT
@@ -404,7 +404,7 @@ PHI = ANGLES | st.floats(-4.0, 4.0) | st.floats(-1e12, 1e12)
        fixed=ANGLES | st.floats(-4.0, 4.0),
        phi=st.lists(PHI, min_size=1, max_size=6),
        branch=st.sampled_from([1, -1, 0]), ref=st.floats(-4.0, 4.0),
-       n_scan=st.sampled_from([8, 33, 64, 100, 4096]))
+       n_scan=st.sampled_from([256, 512, 768, 4096]))
 def test_coarse_scan_matches_dense(k1, k2, k3, fixed, phi, branch, ref, n_scan):
     _assert_same((k1, k2, k3, np.array(phi), fixed, branch, ref, n_scan))
 
@@ -415,7 +415,7 @@ def prune_edges(draw):
 
     * touching: a bump of half-width below one grid step on a grid point,
       so two brackets share that point;
-    * zero-at-pi: (c + k2 cos x) is exactly zero at -pi, pi and pi's copies;
+    * zero-at-pi: (c + k2 cos x) is exactly zero at -pi and pi;
     * small-probe: k1 = 1, fixed = 0 and k3 = k2 make every row's residual
       at pi zero but for rounding, |probe| <= alpha_tol, with a root near pi;
     * near-pi: a bump around a point near pi, its two roots on either side
@@ -423,7 +423,7 @@ def prune_edges(draw):
 
     ``k3`` is set for the first row; the other rows shift ``c``.
     """
-    n_scan = draw(st.sampled_from([8, 33, 64, 100, 4096]))
+    n_scan = draw(st.sampled_from([256, 512, 768, 4096]))
     xs = np.linspace(-math.pi, math.pi, n_scan + 1)
     sign = draw(st.sampled_from([1.0, -1.0]))
     phi = [draw(st.sampled_from([0.0, 0.5, -2.0]) | st.floats(-4.0, 4.0))]
@@ -476,8 +476,7 @@ ORDER_CASES = {
     "partial": (PARTIAL, 4096, None),
     "tangent": (TANGENT, 4096, BLOCK + 5),
     "zero-probe": (ZERO_PROBE, 4096, None),
-    "padded-8": (PARTIAL, 8, None),
-    "padded-100": (PARTIAL, 100, None),
+    "coarse-256": (PARTIAL, 256, None),
 }
 
 
@@ -515,6 +514,14 @@ def test_bracket_table_is_sorted_by_row_then_lo(case, geometry, monkeypatch):
         assert (np.diff(lo)[np.diff(rows) == 0] >= 0.0).all()
 
 
+@pytest.mark.parametrize("n_scan", [0, 100, 4095])
+def test_oracle_takes_only_whole_top_cells(n_scan):
+    """The scan takes its grid in whole cells of the top stride, so
+    ``n_scan`` must be a positive multiple of it."""
+    with pytest.raises(ValueError, match="n_scan must be a positive multiple of 256"):
+        _kernels.loop_bisect_batch(*PARTIAL[:3], np.zeros(3), PARTIAL[3], 1, 0.0, n_scan)
+
+
 def test_rows_that_cannot_close_skip_the_scan(monkeypatch):
     """A NaN phi makes ``k3 + cos(phi)``, and so the residual at every
     point, NaN: such rows return NaN without one residual evaluated,
@@ -542,7 +549,7 @@ def test_rows_that_cannot_close_skip_the_scan(monkeypatch):
 
 
 # a row's roots as the scan finds them: at distinct grid points, each one
-# single, as exact copies (a zero on a shared cell end or a copy of pi), or
+# single, as exact copies (a zero on a shared cell end), or
 # as a pair within the merge tolerance, drawn toward the inside of [-pi, pi];
 # the table goes by row, then root, as the scan lists and bisects them
 ROOT_GROUP = st.sampled_from(["single", "copies", "pair"])
@@ -551,7 +558,7 @@ PROBE = st.sampled_from([0.0, 5e-13, -5e-13, 0.3, -0.3, math.nan])
 
 @st.composite
 def root_tables(draw):
-    n_scan = draw(st.sampled_from([8, 64, 4096]))
+    n_scan = draw(st.sampled_from([256, 512, 4096]))
     xs = np.linspace(-math.pi, math.pi, n_scan + 1)
     points = st.integers(0, n_scan)
     n_rows = draw(st.integers(1, 5))
