@@ -209,10 +209,10 @@ class _Oracle:
 
     ``xs`` is the scan grid of ``n_scan + 1`` points, whole cells of
     ``SCAN_STRIDES[0]`` steps, and ``x_term`` its column term.  The scan's
-    level 0 takes every ``SCAN_STRIDES[0]``-th point.  Each later level,
-    and then a last one that takes every point, evaluates only the points
-    inside the cells that the level before could not clear; a cell's ends
-    come from that level, so every grid point is evaluated once at most.
+    level 0 has one cell, the whole grid, and takes every
+    ``SCAN_STRIDES[0]``-th point of it.  Each later level, and then a last
+    one that takes every point, evaluates the points of the cells that the
+    level before could not clear, at its own stride, their ends included.
     """
 
     def __init__(self, k1, k2, k3, fixed_angle, branch, ref, n_scan):
@@ -225,11 +225,11 @@ class _Oracle:
         # per level: the Lipschitz constant times its widest cell, rounded up
         self.change = [1.001 * (abs(k1) + abs(k2)) * np.diff(self.xs[::s]).max()
                        for s in SCAN_STRIDES]
-        # per refinement: the k - 1 finer points inside each coarser cell
-        self.inner = []
-        for coarse, fine in zip(SCAN_STRIDES, SCAN_STRIDES[1:] + (1,)):
+        # per level: the k + 1 points of each of its cells at the next stride
+        self.cells = []
+        for coarse, fine in zip((n_scan,) + SCAN_STRIDES, SCAN_STRIDES + (1,)):
             k = coarse // fine
-            self.inner.append((k, *(sliding_window_view(a[fine::fine], k - 1)[::k]
+            self.cells.append((k, *(sliding_window_view(a[::fine], k + 1)[::k]
                                     for a in (self.xs, self.x_term))))
 
     def solve(self, phi, theta):
@@ -252,13 +252,11 @@ class _Oracle:
         # |phi| and |fixed_angle| through (phi + x) - fixed_angle
         err = 2.0**-48 * (abs(self.k1) * (np.abs(phi) + abs(self.fixed_angle) + 4.0)
                           + self.err_k2 + np.abs(c))
-        top = SCAN_STRIDES[0]
-        vals = _residual(self.k1, self.fixed_angle, phi[:, None], c[:, None],
-                         self.xs[::top], self.x_term[::top])
-        probe[live] = vals[:, -1]
+        probe[live] = _residual(self.k1, self.fixed_angle, phi, c, self.xs[-1],
+                                self.x_term[-1])
         found = [(live[:0], probe[:0], probe[:0], probe[:0])]
         self._refine(0, phi, c, err, np.arange(live.size), np.zeros_like(live),
-                     vals, self._uncleared(vals, 0, err), found)
+                     found)
         rows, lo, hi, flo = (np.concatenate(column) for column in zip(*found))
         keep = _pickable(rows, lo, hi, probe[live], self.alpha_tol, self.branch)
         rows = rows[keep]
@@ -268,8 +266,8 @@ class _Oracle:
                       self.ref, theta)
 
     def _uncleared(self, vals, level, err):
-        """Flat indices of the cells ``vals[i, j:j + 2]``, at the stride of
-        ``level``, that Shubert's bound cannot clear.
+        """Row and cell indices of the cells ``vals[i, j:j + 2]``, at the
+        stride of ``level``, that Shubert's bound cannot clear.
 
         No grid point of a cell is zero or of the other sign if its ends have
         one sign and sum to more than the residual can change across it,
@@ -280,34 +278,30 @@ class _Oracle:
         ends = np.add(lo, hi)
         cleared = np.abs(ends, out=ends) > bound
         cleared &= np.multiply(lo, hi) > 0.0
-        return np.flatnonzero(~cleared)
+        return np.nonzero(~cleared)
 
-    def _refine(self, level, phi, c, err, rows, cells, vals, uncleared, found):
-        """Appends to ``found`` the brackets inside the ``uncleared`` cells
-        of ``vals``, given as flat indices into its cells.
+    def _refine(self, level, phi, c, err, rows, cells, found):
+        """Appends to ``found`` the brackets inside the cells of ``level``
+        numbered ``cells``, cell ``cells[i]`` of the input ``rows[i]``.
 
-        Row ``i`` of ``vals`` holds the residuals of the input ``rows[i]`` at
-        every ``SCAN_STRIDES[level]``-th grid point of the coarser cell
-        ``cells[i]`` (at level 0, of the whole grid).  Each uncleared cell
-        gets the points inside it at the next stride, FINE_CELLS finer cells
-        at a time, and their uncleared cells go one level deeper before the
-        next chunk, depth first.  The last level lists each grid point's
-        exact zero, then its strict sign change to the next; rows and cells
-        go in row-major order, so ``found`` is sorted by input, then ``lo``."""
-        k, xs_inner, term_inner = self.inner[level]
+        Each cell gets its points at the next stride, ends included,
+        FINE_CELLS finer cells at a time, and their uncleared cells go one
+        level deeper before the next chunk, depth first.  The last level
+        lists each grid point's exact zero, then its strict sign change to
+        the next; rows and cells go in row-major order, so ``found`` is
+        sorted by input, then ``lo``."""
+        k, xs_cells, term_cells = self.cells[level]
         step = max(FINE_CELLS // k, 1)
-        for s in range(0, uncleared.size, step):
-            i, j = np.divmod(uncleared[s:s + step], vals.shape[1] - 1)
-            r, at = rows[i], cells[i] * (vals.shape[1] - 1) + j
-            inner = xs_inner[at]
-            _residual(self.k1, self.fixed_angle, phi[r, None], c[r, None], inner,
-                      term_inner[at], out=inner)
-            sub = np.concatenate((vals[i, j, None], inner, vals[i, j + 1, None]),
-                                 axis=1)
-            del i, j, inner
-            if level + 1 < len(self.inner):
-                self._refine(level + 1, phi, c, err, r, at, sub,
-                             self._uncleared(sub, level + 1, err[r]), found)
+        for s in range(0, rows.size, step):
+            r, at = rows[s:s + step], cells[s:s + step]
+            sub = xs_cells[at]
+            _residual(self.k1, self.fixed_angle, phi[r, None], c[r, None], sub,
+                      term_cells[at], out=sub)
+            if level + 1 < len(self.cells):
+                i, j = self._uncleared(sub, level, err[r])
+                # held across the recursion, it would add a chunk per level
+                del sub
+                self._refine(level + 1, phi, c, err, r[i], at[i] * k + j, found)
                 continue
             # mark each grid point's exact zero (a bracket of width 0), or
             # else its strict sign change to the next

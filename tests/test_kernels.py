@@ -93,10 +93,6 @@ CONTRACT_KERNELS = {
     "continuity": _kernels.loop_sweep_continuity,
     "oracle-positive": lambda *a: _kernels.loop_bisect_batch(*a, 1, 0.0, 4096),
     "oracle-negative": lambda *a: _kernels.loop_bisect_batch(*a, -1, 0.0, 4096),
-    # the loop solve of sweep_chain: on one sample, the positive root
-    "closed-form-positive": _kernels.loop_sweep_continuity,
-    "closed-form-negative": lambda k1, k2, k3, phi, fixed: (
-        negative_root(*fk.LoopCoefficients(k1, k2, k3), phi, fixed)),
 }
 
 
@@ -392,6 +388,32 @@ def test_cells_beyond_one_fine_chunk_match_dense():
     assert phi.size * (n_scan // STRIDES[-1]) > _kernels.FINE_CELLS
     for branch in (1, -1, 0):
         _assert_same((*PARTIAL[:3], phi, PARTIAL[3], branch, 0.3, n_scan))
+
+
+@pytest.mark.parametrize("fine_cells", [_kernels.FINE_CELLS, 64])
+def test_every_scan_level_keeps_the_chunk_budget(fine_cells, monkeypatch):
+    """Every scan level, level 0 and its one cell of the whole grid included,
+    evaluates at most ``FINE_CELLS // k`` cells of ``k`` finer cells at once,
+    their ``k + 1`` points each: at most 1.25 ``FINE_CELLS`` points."""
+    phi = np.linspace(-3.0, 3.0, 3 * BLOCK)
+    expected = _kernels.loop_bisect_batch(*PARTIAL[:3], phi, PARTIAL[3], 1, 0.0, 4096)
+    shapes = []
+    residual = _kernels._residual
+
+    def spy_residual(*args, **kwargs):
+        out = residual(*args, **kwargs)
+        if out.ndim == 2:
+            shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(_kernels, "_residual", spy_residual)
+    monkeypatch.setattr(_kernels, "FINE_CELLS", fine_cells)
+    theta = _kernels.loop_bisect_batch(*PARTIAL[:3], phi, PARTIAL[3], 1, 0.0, 4096)
+    assert np.array_equal(theta, expected, equal_nan=True)
+    assert any(points == 4096 // STRIDES[0] + 1 for _, points in shapes)
+    for cells, points in shapes:
+        assert cells * points <= fine_cells // (points - 1) * points
+        assert cells * points <= 1.25 * fine_cells
 
 
 COEFF = EXACT | st.floats(-3.0, 3.0)
