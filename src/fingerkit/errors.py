@@ -4,6 +4,7 @@ or written as JSON."""
 
 import json
 import math
+import numbers
 import operator
 
 
@@ -91,6 +92,12 @@ def require_integer(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number, not a bool: the
+    rule for every scalar argument of the library."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def require_finite(value: float, flag: str, minimum: float | None = None,

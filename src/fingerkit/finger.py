@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, OutOfRangeError, require_integer
+from .errors import DegenerateGeometryError, OutOfRangeError, is_real, require_integer
 from .geometry import FingerGeometry, LinkageGeometry, TendonModel
-from .linkage import JointState, chain_derivatives, solve_chain, sweep_chain
+from .linkage import JointState, _samples, chain_derivatives, solve_chain, sweep_chain
 from .registry import ReferenceRegistry
 
 # tip Jacobians below this magnitude (mm/rad) count as singular
@@ -83,13 +83,13 @@ def _planar_tip(finger: FingerGeometry, state: JointState):
 
 def tip_trace(finger: FingerGeometry, state: JointState, psi) -> np.ndarray:
     """TIP_DTYPE rows of solved configurations for every (sample, psi)
-    pair, sample-major; ``psi`` is a float or an array, finite, else
-    ``ValueError``.
+    pair, sample-major; ``psi`` is finite and, as ``theta1`` is for
+    :func:`solve_chain`, a float or a 1-D array, else ``ValueError``.
 
     The gripper-frame point is the planar point rotated by psi about the
     orientation axis.
     """
-    psi = np.atleast_1d(np.asarray(psi, dtype=np.float64))
+    psi = _samples(psi, "psi")
     if not np.isfinite(psi).all():
         raise ValueError("psi must be finite")
     x, y = (np.atleast_1d(v)[:, None] for v in _planar_tip(finger, state))
@@ -127,12 +127,14 @@ def workspace(
 
     The cloud is ordered theta1-major then psi; the opening-width metric
     is the maximum distance from any gripper-frame tip to the fixed-thumb
-    contact segment.
+    contact segment, whose coordinates must be numbers, else ``ValueError``.
     """
     theta1_samples = require_integer(theta1_samples, "theta1_samples")
     psi_samples = require_integer(psi_samples, "psi_samples")
     if theta1_samples < 2 or psi_samples < 2:
         raise ValueError("workspace requires at least 2 samples on each axis")
+    if not all(is_real(c) for point in thumb_line for c in point):
+        raise ValueError(f"thumb_line must hold numbers, got {thumb_line!r}")
     t_lo, t_hi = geometry.theta1_range
     p_lo, p_hi = finger.orientation_range
     theta1_values = np.linspace(t_lo, t_hi, theta1_samples)
@@ -199,8 +201,11 @@ def force_profile(
     torque, divided by the tip speed per unit input angle.  Contacts only
     push, so negative results clamp to zero.  Returns FORCE_DTYPE rows;
     each sample equals the scalar :func:`static_tip_force` result bit for
-    bit.
+    bit.  ``theta1_values`` follows :func:`solve_chain`'s rule for theta1,
+    and a tension that is not a number in [0, max] is ``OutOfRangeError``.
     """
+    if not is_real(tension):
+        raise OutOfRangeError(f"tension must be a number, got {tension!r}")
     if not (0.0 <= tension <= tendon.max_tension):
         raise OutOfRangeError(
             f"tension {tension:.9g} N outside [0, {tendon.max_tension:.9g}] N"
@@ -208,7 +213,7 @@ def force_profile(
     # the range start rides along as the last sample, so an error for a
     # requested sample is still the one raised
     solved = solve_chain(
-        geometry, np.append(theta1_values, geometry.theta1_range[0]))
+        geometry, np.append(_samples(theta1_values), geometry.theta1_range[0]))
     chain = JointState._make(values[:-1] for values in solved)
     derivatives = chain_derivatives(geometry, chain)
     excursion, d_excursion = tendon_excursion(tendon, chain, solved.state_at(-1),
@@ -261,14 +266,16 @@ def grasp_assess(
 
     Cylinders are feasible inside the registry's closed diameter
     envelope; flat objects are treated as pinch grasps with the predicted
-    force capped at the registry pinch maximum.  A force outside [0, inf)
-    raises :class:`OutOfRangeError`, and an object dimension that is not
-    finite and > 0 raises ``ValueError``.
+    force capped at the registry pinch maximum.  A force that is not a
+    number in [0, inf) raises :class:`OutOfRangeError`, and an object
+    dimension that is not a finite number > 0 raises ``ValueError``.
     """
+    if not is_real(force):
+        raise OutOfRangeError(f"tip force must be a number, got {force!r}")
     if not 0.0 <= force < math.inf:
         raise OutOfRangeError(f"tip force {force:.9g} N outside [0, inf) N")
     if isinstance(obj, CylinderObject):
-        if not 0.0 < obj.diameter_mm < math.inf:
+        if not (is_real(obj.diameter_mm) and 0.0 < obj.diameter_mm < math.inf):
             raise ValueError("cylinder diameter must be finite and > 0")
         lo = registry.value("grasp_diameter_min_mm")
         hi = registry.value("grasp_diameter_max_mm")
@@ -290,7 +297,7 @@ def grasp_assess(
             notes=f"diameter outside [{lo:.9g}, {hi:.9g}] mm envelope",
         )
     if isinstance(obj, FlatObject):
-        if not 0.0 < obj.thickness_mm < math.inf:
+        if not (is_real(obj.thickness_mm) and 0.0 < obj.thickness_mm < math.inf):
             raise ValueError("flat-object thickness must be finite and > 0")
         cap = registry.value("pinch_force_max_n")
         capped = min(force, cap)

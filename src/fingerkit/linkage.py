@@ -77,23 +77,23 @@ def _vector_closure_angles(
     return np.arctan2(y, x)
 
 
-def _samples(theta1) -> np.ndarray:
-    """``theta1``, a float or a 1-D array of integers or floats, as a 1-D
-    float array; strings, bools and other kinds are a ``ValueError``, as is
-    an integer beyond the float range."""
-    theta1 = np.atleast_1d(np.asarray(theta1))
+def _samples(angles, name: str = "theta1") -> np.ndarray:
+    """``angles``, a float or a 1-D array of integers or floats, as a 1-D
+    float array; strings, bools and other kinds are a ``ValueError`` naming
+    ``name``, as is an integer beyond the float range."""
+    angles = np.atleast_1d(np.asarray(angles))
     # numpy holds a Python integer beyond int64 as an object
-    kinds = {type(x) for x in theta1.flat} if theta1.dtype == object else set()
+    kinds = {type(x) for x in angles.flat} if angles.dtype == object else set()
     if int in kinds and kinds <= {int, float}:
         try:
-            theta1 = theta1.astype(np.float64)
+            angles = angles.astype(np.float64)
         except OverflowError:
-            raise ValueError("theta1 has an integer too large for a float") from None
-    if theta1.dtype.kind not in "iuf":
-        raise ValueError(f"theta1 must be integers or floats, not {theta1.dtype}")
-    if theta1.ndim != 1:
-        raise ValueError(f"theta1 must be a float or a 1-D array, not {theta1.ndim}-D")
-    return theta1.astype(np.float64, copy=False)
+            raise ValueError(f"{name} has an integer too large for a float") from None
+    if angles.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be integers or floats, not {angles.dtype}")
+    if angles.ndim != 1:
+        raise ValueError(f"{name} must be a float or a 1-D array, not {angles.ndim}-D")
+    return angles.astype(np.float64, copy=False)
 
 
 def _chain(geometry: LinkageGeometry, theta1: np.ndarray, solve) -> JointState:

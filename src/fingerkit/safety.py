@@ -2,7 +2,8 @@
 
 The caller passes the limits (the CLI reads them from the registry); these
 functions only encode the comparisons, so fuzz tests can re-derive every
-verdict with inline arithmetic.  NaN or infinite input raises ValueError.
+verdict with inline arithmetic.  NaN or infinite input raises ValueError,
+as does one that is not a number (a string, None or a bool).
 Field names carry their unit, and the ``safety`` command prints them as is.
 """
 
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+from .errors import is_real
 
 
 class SafetyVerdict(NamedTuple):
@@ -36,7 +39,8 @@ def iso_contact_check(force: float, limit: float) -> SafetyVerdict:
     ``margin_ratio`` is limit/force: infinite at zero force, and also
     whenever the quotient overflows (``5e-324`` N against 220 N).
     """
-    if not (0.0 <= force < math.inf and 0.0 <= limit < math.inf):
+    if not (is_real(force) and is_real(limit)
+            and 0.0 <= force < math.inf and 0.0 <= limit < math.inf):
         raise ValueError("force and limit must be finite and >= 0")
     return SafetyVerdict(
         passed=force <= limit,
@@ -56,7 +60,8 @@ def clearance_check(
 
     A body wider than the space yields a negative clearance and fits=False.
     """
-    if not all(0.0 < w < math.inf for w in (space_width, body_width, device_width)):
+    if not all(is_real(w) and 0.0 < w < math.inf
+               for w in (space_width, body_width, device_width)):
         raise ValueError("widths must be finite and > 0")
     per_side = (space_width - body_width) / 2.0
     return ClearanceResult(
@@ -67,7 +72,8 @@ def clearance_check(
 
 def stroke_check(required_travel: float, available_extension: float) -> StrokeResult:
     """Whether the available extension covers the required travel."""
-    if not (0.0 <= required_travel < math.inf
+    if not (is_real(required_travel) and is_real(available_extension)
+            and 0.0 <= required_travel < math.inf
             and 0.0 <= available_extension < math.inf):
         raise ValueError("travel values must be finite and >= 0")
     return StrokeResult(

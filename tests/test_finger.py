@@ -3,6 +3,7 @@ and grasp assessment."""
 
 import cmath
 import math
+import types
 
 import numpy as np
 import pytest
@@ -533,3 +534,87 @@ class TestFingerGeometryValidation:
         with pytest.raises(ValueError):
             fk.FingerGeometry(phalanx_lengths=(1, 1, 1),
                               orientation_range=(1.0, -1.0))
+
+
+class TestAngleArguments:
+    """``force_profile`` and ``tip_trace`` take theta1 and psi by
+    ``solve_chain``'s rule: integers or floats, one number or a 1-D array,
+    else a ``ValueError`` naming the argument.  ``static_tip_force`` takes
+    one number, through ``force_profile``."""
+
+    CALLS = {
+        "force_profile": lambda c, v: fk.force_profile(
+            c.tendon, c.geometry, c.finger, v, 20.0),
+        "static_tip_force": lambda c, v: fk.static_tip_force(
+            c.tendon, c.geometry, c.finger, v, 20.0),
+        "tip_trace": lambda c, v: fk.tip_trace(
+            c.finger, fk.solve_chain(c.geometry, np.array([0.6, 1.2])), v),
+    }
+
+    @pytest.fixture()
+    def c(self, geometry, finger, tendon):
+        return types.SimpleNamespace(geometry=geometry, finger=finger,
+                                     tendon=tendon)
+
+    @pytest.mark.parametrize("value", [
+        True, np.bool_(False), "0.5", ["0.5"], np.array([[0.6, 0.7]]),
+        pytest.param(10**400, id="400-digits"),
+    ], ids=str)
+    @pytest.mark.parametrize("function", list(CALLS))
+    def test_rejected(self, c, function, value):
+        name = "psi" if function == "tip_trace" else "theta1"
+        with pytest.raises(ValueError, match=f"^{name} "):
+            self.CALLS[function](c, value)
+
+    @pytest.mark.parametrize("value", [
+        0.6, 1, np.float32(0.7), np.int64(1), np.array(0.9), [0.6, 1, 1.2],
+        (0.7,), np.linspace(0.6, 1.5, 7), np.array([0.6, 1.1], np.float32), [],
+    ], ids=repr)
+    def test_valid_input_is_its_float_array(self, c, value):
+        as_array = np.asarray(value, np.float64).ravel()
+        for function in ("force_profile", "tip_trace"):
+            got = self.CALLS[function](c, value)
+            assert got.tobytes() == self.CALLS[function](c, as_array).tobytes()
+        if np.ndim(value) == 0:
+            force = self.CALLS["static_tip_force"](c, value)
+            assert force == self.CALLS["force_profile"](c, as_array)["force"][0]
+
+    def test_empty_profile_has_no_rows(self, c):
+        assert self.CALLS["force_profile"](c, []).size == 0
+
+
+@pytest.mark.parametrize("call, error, name", [
+    (lambda c: fk.iso_contact_check("1", 2.0), ValueError, "force"),
+    (lambda c: fk.clearance_check(True, 1.0, 1.0), ValueError, "widths"),
+    (lambda c: fk.stroke_check(None, 1.0), ValueError, "travel"),
+    (lambda c: fk.grasp_assess(fk.CylinderObject("50"), c.registry, 1.0),
+     ValueError, "diameter"),
+    (lambda c: fk.grasp_assess(fk.FlatObject(1.0), c.registry, None),
+     fk.OutOfRangeError, "tip force"),
+    (lambda c: fk.static_tip_force(c.tendon, c.geometry, c.finger, c.lo, "1"),
+     fk.OutOfRangeError, "tension"),
+    (lambda c: fk.static_tip_force(c.tendon, c.geometry, c.finger, c.lo, True),
+     fk.OutOfRangeError, "tension"),
+    (lambda c: fk.workspace(c.geometry, c.finger, 3, 3, (("a", 0), (1, 1))),
+     ValueError, "thumb_line"),
+], ids=["iso-str", "clearance-bool", "stroke-none", "cylinder-str",
+        "grasp-force-none", "tension-str", "tension-bool", "thumb-line-str"])
+def test_scalar_that_is_not_a_number(call, error, name, geometry, finger,
+                                     tendon, registry):
+    # a string, None or a bool is the function's documented error, naming
+    # the argument, not a TypeError or a number read from it
+    c = types.SimpleNamespace(geometry=geometry, finger=finger, tendon=tendon,
+                              registry=registry, lo=geometry.theta1_range[0])
+    with pytest.raises(error, match=name):
+        call(c)
+
+
+def test_numpy_scalars_are_numbers(geometry, finger, tendon, registry):
+    assert fk.iso_contact_check(np.float32(50.0), np.int64(220)) == \
+        fk.iso_contact_check(50.0, 220.0)
+    assert fk.clearance_check(np.int32(400), np.float64(300.0), np.float32(20.0)) \
+        == fk.clearance_check(400.0, 300.0, 20.0)
+    force = fk.static_tip_force(tendon, geometry, finger, 1.0, np.float32(20.0))
+    assert force == fk.static_tip_force(tendon, geometry, finger, 1.0, 20.0)
+    assert fk.grasp_assess(fk.CylinderObject(np.int64(80)), registry,
+                           np.float32(5.0)).feasible
